@@ -18,8 +18,8 @@ import numpy as np
 from . import estimate, fem, kernels, mesh
 from .errors import ExdepError
 from .exptail import GhParams
-from .lintrans import (CoefficientMatrix, Regime, chi_gh_two, chi_limit_a22,
-                       classify, eta_closed_form, tail_summary)
+from .lintrans import (CoefficientMatrix, chi_gh_two, chi_limit_a22,
+                       eta_closed_form, tail_summary)
 
 DEFAULT_NIG_NOISE = {"mu": -1.0, "gamma": 1.0, "psi": 1.0, "tau": 1.0}
 
@@ -83,23 +83,16 @@ def cmd_chi_vs_a22(args):
 # ou-convergence: eta of one-sided partitions against the process limit
 # ----------------------------------------------------------------------
 
-def ou_eta_partition(a, s1, h, delta, end):
-    pad = math.ceil(25.0 / delta) * delta  # grid-aligned left padding below s1
-    part = mesh.partition_1d(s1 - pad, end, delta=delta)
-    matrix = mesh.ou_coefficients(a, s1, s1 + h, part)
-    if classify(matrix).regime is Regime.ASYMPTOTIC_INDEPENDENCE:
-        return eta_closed_form(matrix)
-    return 1.0
-
-
 def cmd_ou_convergence(args):
     h_grid = args.h_grid or [round(0.1 * i, 10) for i in range(1, int(args.T / 0.1) + 1)]
     lines = ["delta,h,eta_n,eta_limit"]
     sup_gap_finest = 0.0
     finest = min(args.deltas)
     for delta in args.deltas:
+        pad = math.ceil(25.0 / delta) * delta  # grid-aligned left padding below s1
+        part = mesh.partition_1d(args.s1 - pad, args.T, delta=delta)
         for h in h_grid:
-            eta_n = ou_eta_partition(args.a, args.s1, h, delta, args.T)
+            eta_n = eta_closed_form(mesh.ou_coefficients(args.a, args.s1, args.s1 + h, part))
             eta_limit = kernels.ou_eta(args.a, h)
             if eta_n < eta_limit - 1e-9:
                 raise ExdepError(f"eta_n below the limit at delta={delta}, h={h}")
@@ -135,7 +128,7 @@ def cmd_matern_eta(args):
     for alpha in args.alphas:
         kern = kernels.matern_kernel(args.kappa, alpha, 2)
         g0 = kern.value_at_zero
-        system = fem.fem_assemble(grid, args.kappa, int(alpha), lumped=True)
+        system = fem.fem_assemble(grid, args.kappa, alpha, lumped=True)
         coeff_int = mesh.integral_coefficients(kern, sites, grid)
         coeff_fem = fem.fem_coefficients(system, sites)
         rows_int = coeff_int.normalized
@@ -146,11 +139,7 @@ def cmd_matern_eta(args):
                 thm1 = 0.5 if math.isinf(g0) else 0.5 + float(kern(h)) / (2.0 * g0)
                 conj = kernels.limit_eta_conjecture(kern, h)
                 for method, rows in (("integral", rows_int), ("fem", rows_fem)):
-                    pair = CoefficientMatrix(rows[[i, j]])
-                    if classify(pair).regime is Regime.ASYMPTOTIC_INDEPENDENCE:
-                        eta = eta_closed_form(pair)
-                    else:
-                        eta = 1.0
+                    eta = eta_closed_form(CoefficientMatrix(rows[[i, j]]))
                     lines.append(f"{alpha!r},{method},{h!r},{eta!r},{thm1!r},{conj!r}")
     _atomic_write(args.out, "\n".join(lines) + "\n")
     return 0
@@ -247,65 +236,63 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_required=True):
+    def command(name, func, help, seeded=False):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--seed", type=int, default=None, required=seed_required,
-                       help="root seed (required for stochastic subcommands)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: EXDEP_THREADS or 1)")
-        p.add_argument("--params", default=None, help="JSON parameter file")
-        p.add_argument("--paper-scale", action="store_true",
-                       help="restore the published experiment sizes")
+        if seeded:
+            p.add_argument("--seed", type=int, required=True, help="root seed")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("chi-vs-a22", help="chi(a22) curves with their a22->1 limits")
-    common(p, seed_required=False)
+    p = command("chi-vs-a22", cmd_chi_vs_a22, "chi(a22) curves with their a22->1 limits")
+    p.add_argument("--params", default=None,
+                   help="JSON list of {lambda, tau, psi} replacing the default families")
     p.add_argument("--a12", type=float, default=0.3)
     p.add_argument("--a22-grid", type=_float_list, default=None)
-    p.set_defaults(func=cmd_chi_vs_a22)
 
-    p = sub.add_parser("ou-convergence", help="one-sided partition eta vs the OU limit")
-    common(p, seed_required=False)
+    p = command("ou-convergence", cmd_ou_convergence,
+                "one-sided partition eta vs the OU limit")
     p.add_argument("--a", type=float, default=0.2)
     p.add_argument("--s1", type=float, default=0.0)
     p.add_argument("--T", type=float, default=4.0)
     p.add_argument("--deltas", type=_float_list, default=[0.4, 0.2, 0.05])
     p.add_argument("--h-grid", type=_float_list, default=None)
-    p.set_defaults(func=cmd_ou_convergence)
 
-    p = sub.add_parser("matern-eta", help="FEM vs integral eta across smoothness")
-    common(p)
+    p = command("matern-eta", cmd_matern_eta, "FEM vs integral eta across smoothness",
+                seeded=True)
+    p.add_argument("--paper-scale", action="store_true",
+                   help="225 sites, as published, instead of 50")
     p.add_argument("--kappa", type=float, default=2.0)
     p.add_argument("--alphas", type=_float_list, default=[2.0, 3.0, 4.0, 5.0])
     p.add_argument("--mesh-nodes", type=int, default=None, help="lattice nodes per side")
     p.add_argument("--n-sites", type=int, default=None)
     p.add_argument("--extension", type=int, default=6, help="outer extension rings")
-    p.set_defaults(func=cmd_matern_eta)
 
-    p = sub.add_parser("simulate-and-chi", help="empirical chi(q) of simulated fields")
-    common(p)
+    p = command("simulate-and-chi", cmd_simulate_and_chi,
+                "empirical chi(q) of simulated fields", seeded=True)
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker threads (default: EXDEP_THREADS or 1)")
     p.add_argument("--kappa", type=float, default=2.0)
     p.add_argument("--alpha", type=int, default=2)
-    p.add_argument("--mesh-nodes", type=int, default=None, help="lattice nodes per side")
+    meshes = p.add_mutually_exclusive_group()
+    meshes.add_argument("--mesh-nodes", type=int, default=None, help="lattice nodes per side")
+    meshes.add_argument("--appendix-d", action="store_true",
+                        help="coarse/fine mesh comparison (25/100/625-node lattices)")
     p.add_argument("--n-sites", type=int, default=20)
     p.add_argument("--extension", type=int, default=2)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--q", type=_float_list, default=[0.95, 0.975, 0.99])
-    p.add_argument("--appendix-d", action="store_true",
-                   help="coarse/fine mesh comparison (25/100/625-node lattices)")
-    p.set_defaults(func=cmd_simulate_and_chi)
 
     p = sub.add_parser("eta", help="tail summary (JSON) of a coefficient matrix CSV")
     p.add_argument("--matrix", required=True, help="CSV with one row per component")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eta)
 
-    p = sub.add_parser("counterexample",
-                       help="pre-asymptotic chi of X/n + noise (illustration only)")
-    common(p)
+    p = command("counterexample", cmd_counterexample,
+                "pre-asymptotic chi of X/n + noise (illustration only)", seeded=True)
     p.add_argument("--n-values", type=lambda s: [int(v) for v in s.split(",")],
                    default=[1, 10, 100])
     p.add_argument("--samples", type=int, default=None)
-    p.set_defaults(func=cmd_counterexample)
     return parser
 
 

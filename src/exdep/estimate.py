@@ -15,6 +15,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .errors import DomainError, EstimateError, PreconditionError
+from .lintrans import eta_closed_form
 
 __all__ = [
     "BivariateSample",
@@ -184,21 +185,14 @@ def eta_vs_distance(coefficients_for_pair, site_pairs, method="closed_form"):
 
     ``coefficients_for_pair(s1, s2)`` must return the CoefficientMatrix
     of the approximation at the two sites; eta is then the closed-form
-    value (1 in the asymptotically dependent regime).
+    value (1 outside asymptotic independence).
     """
-    from .lintrans import Regime, classify, eta_closed_form
-
     rows = []
     for s1, s2 in site_pairs:
         s1 = np.asarray(s1, dtype=float)
         s2 = np.asarray(s2, dtype=float)
         h = float(np.linalg.norm(s2 - s1))
-        matrix = coefficients_for_pair(s1, s2)
-        if classify(matrix).regime is Regime.ASYMPTOTIC_INDEPENDENCE:
-            eta = eta_closed_form(matrix)
-        else:
-            eta = 1.0
-        rows.append((h, eta, method))
+        rows.append((h, eta_closed_form(coefficients_for_pair(s1, s2)), method))
     return rows
 
 

@@ -234,9 +234,9 @@ def fem_assemble(mesh, kappa, alpha, lumped=True, boundary="robin"):
     on desk-scale extensions, or plain Neumann ("neumann", giving exactly
     K_2 = kappa^2 C + G).
     """
+    if alpha not in (2, 3, 4, 5, 6):  # 2.5 is rejected, 3.0 accepted as 3
+        raise ParameterError(f"alpha must be an integer between 2 and 6, got {alpha!r}")
     alpha = int(alpha)
-    if alpha not in (2, 3, 4, 5, 6):
-        raise ParameterError("alpha must be an integer between 2 and 6")
     if alpha % 2 and not lumped:
         raise ParameterError("odd alpha requires lumped=True")
     if boundary not in ("robin", "neumann"):

@@ -12,10 +12,15 @@ tail dependence coefficient has the closed form
                               max(1/b_1j, 1/b_2j) } ]^{-1}
 
 on the row-normalized coefficients b, with the first term +inf whenever
-its denominator vanishes.  ``eta_gauge_oracle`` recomputes eta for small
-instances by minimizing the polyhedral gauge of the sample limit set
-directly (an exact linear program plus a multi-start local search used
-purely as a bug guard), independent of the pairwise formula.
+its denominator vanishes.  Each term is the gauge sum |y| at a point of
+{b_1.y >= 1, b_2.y >= 1} supported on one or two columns, so by LP
+duality eta also equals min over w in [0, 1] of the convex envelope
+max_i (w b_1i + (1 - w) b_2i).  ``eta_closed_form`` evaluates the closed
+form that way: bisection finds the envelope minimum, and the terms of the
+columns active there give the value, in O(n) per pair of rows instead of
+O(n^2).  ``eta_gauge_oracle`` recomputes eta for small instances by
+solving the gauge program as a linear program and checking the solver's
+primal-dual certificate, independent of the closed form.
 """
 
 import csv
@@ -43,12 +48,13 @@ __all__ = [
     "chi_gh_two",
     "chi_limit_a22",
     "pearson_correlation",
-    "product_to_sum",
     "tail_summary",
     "simulate_linear",
 ]
 
 ARGMAX_RTOL = 1e-12
+_ACTIVE_RTOL = 1e-9      # envelope lines within this of the minimum are active
+_CERTIFICATE_TOL = 1e-9  # feasibility and duality-gap tolerance of the LP oracle
 
 
 class Regime(str, Enum):
@@ -169,175 +175,100 @@ def classify(matrix):
     )
 
 
-def _pairwise_min(b1, b2, chunk=512):
-    """min over index pairs of the three-term objective, on normalized rows.
+def _envelope_argmin(b1, b2):
+    """w in [0, 1] minimizing the convex envelope max_i (w b1_i + (1-w) b2_i).
 
-    Exact with pruning: |b_2i b_1j - b_1i b_2j| is at most
-    max(m_i, m_j) * (u_i + u_j) for m = max(b_1, b_2) and u = |b_2 - b_1|,
-    so a pair can only undercut the running minimum ``best`` when one of
-    its columns has m > 1/best.  Scanning candidate-column x all-column
-    blocks therefore covers every improving pair.
+    Bisection on the slope of the active line: a positive slope puts the
+    minimum to the left, a negative one to the right, a flat line is a
+    minimum itself.
     """
-    n = b1.size
-    with np.errstate(divide="ignore"):
-        per_index = np.maximum(1.0 / b1, 1.0 / b2)
-    best = float(per_index.min())
-    diff = np.abs(b2 - b1)
-    i_star, j_star = int(np.argmax(b1)), int(np.argmax(b2))
-    if i_star != j_star:  # cheap near-optimal upper bound shrinks the scan
-        det = abs(b2[i_star] * b1[j_star] - b1[i_star] * b2[j_star])
-        if det > 0.0:
-            best = min(best, (diff[i_star] + diff[j_star]) / det)
-    m = np.maximum(b1, b2)
-    cand = np.nonzero(m >= (1.0 / best) * (1.0 - 1e-12))[0]
-    for start in range(0, cand.size, chunk):
-        rows = cand[start:start + chunk]
-        det = np.abs(b2[rows, None] * b1[None, :] - b1[rows, None] * b2[None, :])
-        num = diff[rows, None] + diff[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.where(det > 0.0, num / np.where(det > 0.0, det, 1.0), np.inf)
-        frac[np.arange(rows.size), rows] = np.inf
-        val = float(frac.min())
-        if val < best:
-            best = val
-    return best
+    slope = b1 - b2
+    lo, hi = 0.0, 1.0
+    for _ in range(40):  # bracket 2^-40: the envelope is then within 1e-12 of its minimum
+        w = 0.5 * (lo + hi)
+        k = int(np.argmax(b2 + w * slope))
+        if slope[k] > 0.0:
+            hi = w
+        elif slope[k] < 0.0:
+            lo = w
+        else:
+            return w
+    return 0.5 * (lo + hi)
 
 
 def eta_closed_form(matrix):
     """Residual tail dependence coefficient of the 2 x n model.
 
     Distribution-free: depends on the coefficients only.  Always in
-    [1/2, 1]; equals 1 exactly when the regime is not asymptotic
-    independence.
+    [1/2, 1]; exactly 1 when the row argmax sets intersect, i.e. when
+    the regime is not asymptotic independence.
+
+    Only closed-form terms that involve a column active at the envelope
+    minimum can attain the minimum: any other term exceeds it by at least
+    its columns' relative slack, here above ``_ACTIVE_RTOL`` and so far
+    above rounding.  Those terms are evaluated as the closed form writes
+    them (pairs of an active column with every column, and the active
+    columns' single terms).
     """
     if matrix.shape[0] != 2:
         raise PreconditionError("eta is defined for two rows")
-    if matrix.shape[1] < 2:
-        raise PreconditionError("need at least two noise components")
-    b = matrix.normalized
-    inv_eta = _pairwise_min(b[0], b[1])
+    i1, i2 = matrix.argmax_sets
+    if i1 & i2:
+        return 1.0
+    b1, b2 = matrix.normalized
+    w = _envelope_argmin(b1, b2)
+    lines = b2 + w * (b1 - b2)
+    active = np.nonzero(lines >= lines.max() * (1.0 - _ACTIVE_RTOL))[0]
+    diff = np.abs(b2 - b1)
+    det = np.abs(b2[active, None] * b1[None, :] - b1[active, None] * b2[None, :])
+    num = diff[active, None] + diff[None, :]
+    with np.errstate(divide="ignore", over="ignore"):  # such terms are +inf
+        per_index = np.maximum(1.0 / b1[active], 1.0 / b2[active])
+        pair = np.where(det > 0.0, num / np.where(det > 0.0, det, 1.0), np.inf)
+    pair[np.arange(active.size), active] = np.inf
+    inv_eta = min(float(per_index.min()), float(pair.min()))
     return float(np.clip(1.0 / inv_eta, 0.0, 1.0))
 
 
-def _gauge_lp(b1, b2):
-    # minimize sum |y_i| subject to b1.y >= 1 and b2.y >= 1, as an LP in
-    # (y, t): min sum t, y - t <= 0, -y - t <= 0, -b.y <= -1
-    n = b1.size
+def eta_gauge_oracle(matrix):
+    """Brute-force eta for small instances (n <= 8).
+
+    Minimizes the polyhedral gauge sum |y_i| over b_1.y >= 1, b_2.y >= 1
+    with an exact LP, so it shares no code path with the closed form.
+    The solver's answer is certified before it is used: the primal point
+    must be feasible, the multipliers lambda of the two constraints must
+    be dual feasible (lambda >= 0, lambda_1 b_1i + lambda_2 b_2i <= 1),
+    and primal and dual values must agree; otherwise RuntimeError.
+    """
+    if matrix.shape[0] != 2:
+        raise PreconditionError("oracle is defined for two rows")
+    n = matrix.shape[1]
+    if n > 8:
+        raise OracleSizeError("gauge oracle supports at most 8 noise components")
+    b = matrix.normalized
+    # the LP in (y, t): min sum t, y - t <= 0, -y - t <= 0, -b.y <= -1
     eye = np.eye(n)
-    zero = np.zeros((n, n))
-    a_ub = np.block([
-        [eye, -eye],
-        [-eye, -eye],
-        [-np.vstack([b1, b2]), np.zeros((2, n))],
-    ])
+    a_ub = np.block([[eye, -eye], [-eye, -eye], [-b, np.zeros((2, n))]])
     b_ub = np.concatenate([np.zeros(2 * n), [-1.0, -1.0]])
     c = np.concatenate([np.zeros(n), np.ones(n)])
     bounds = [(None, None)] * n + [(0, None)] * n
     res = optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:  # pragma: no cover - feasible bounded by construction
         raise RuntimeError(f"gauge LP failed: {res.message}")
-    return float(res.fun), res.x[:n]
-
-
-def _nelder_mead_batch(fun, y0, iters):
-    """Plain Nelder-Mead run on a whole batch of simplices at once.
-
-    ``fun`` maps (k, n) points to (k,) values; ``y0`` is (B, n).
-    """
-    b, n = y0.shape
-    simplex = np.repeat(y0[:, None, :], n + 1, axis=1)
-    idx = np.arange(n)
-    simplex[:, 1:, :][:, idx, idx] += np.where(y0 != 0.0, 0.05 * y0, 0.25e-2)
-    fvals = fun(simplex.reshape(-1, n)).reshape(b, n + 1)
-    rows = np.arange(b)[:, None]
-    for _ in range(iters):
-        order = np.argsort(fvals, axis=1)
-        simplex = simplex[rows, order]
-        fvals = fvals[rows, order]
-        centroid = simplex[:, :-1, :].mean(axis=1)
-        worst = simplex[:, -1, :]
-        xr = centroid + (centroid - worst)
-        fr = fun(xr)
-        xe = centroid + 2.0 * (centroid - worst)
-        fe = fun(xe)
-        x_in = centroid - 0.5 * (centroid - worst)
-        f_in = fun(x_in)
-        x_out = centroid + 0.5 * (centroid - worst)
-        f_out = fun(x_out)
-
-        f_best = fvals[:, 0]
-        f_second = fvals[:, -2]
-        f_worst = fvals[:, -1]
-        expand = (fr < f_best) & (fe < fr)
-        reflect = (fr < f_second) & ~expand
-        out_con = (fr >= f_second) & (fr < f_worst) & (f_out <= fr)
-        in_con = (fr >= f_worst) & (f_in < f_worst)
-        new_x = np.where(expand[:, None], xe,
-                 np.where(reflect[:, None] | ((fr < f_second) & ~expand)[:, None], xr,
-                 np.where(out_con[:, None], x_out,
-                 np.where(in_con[:, None], x_in, worst))))
-        new_f = np.where(expand, fe,
-                np.where(reflect | ((fr < f_second) & ~expand), fr,
-                np.where(out_con, f_out,
-                np.where(in_con, f_in, f_worst))))
-        accepted = new_f < f_worst
-        simplex[:, -1, :] = np.where(accepted[:, None], new_x, simplex[:, -1, :])
-        fvals[:, -1] = np.where(accepted, new_f, fvals[:, -1])
-        shrink = ~accepted
-        if np.any(shrink):
-            best_pt = simplex[:, :1, :]
-            shrunk = best_pt + 0.5 * (simplex - best_pt)
-            shrunk_f = fun(shrunk.reshape(-1, n)).reshape(b, n + 1)
-            simplex = np.where(shrink[:, None, None], shrunk, simplex)
-            fvals = np.where(shrink[:, None], shrunk_f, fvals)
-    order = np.argsort(fvals, axis=1)
-    return simplex[rows, order][:, 0, :]
-
-
-def _gauge_multistart(b1, b2, lp_value, starts, seed):
-    # local-search verification of the LP optimum: minimize the gauge
-    # objective from many starts, project to feasibility, and flag any
-    # feasible value that beats the LP.
-    n = b1.size
-    rng = np.random.default_rng(seed)
-    penalty = 64.0
-    bmat = np.vstack([b1, b2])
-
-    def objective(y):
-        pen = np.maximum(0.0, 1.0 - y @ bmat.T).sum(axis=1)
-        return np.abs(y).sum(axis=1) + penalty * pen
-
-    y0 = rng.uniform(0.0, 2.0, size=(starts, n))
-    y = _nelder_mead_batch(objective, y0, iters=120 * n)
-    denom = np.minimum(y @ b1, y @ b2)
-    ok = denom > 0.0
-    vals = np.abs(y[ok] / denom[ok, None]).sum(axis=1)
-    best = float(vals.min()) if vals.size else np.inf
-    if best < lp_value - 1e-7:
+    y = res.x[:n]
+    lam = -res.ineqlin.marginals[-2:]
+    value = float(res.fun)
+    tol = _CERTIFICATE_TOL
+    if np.any(b @ y < 1.0 - tol):
+        raise RuntimeError(f"gauge LP point is infeasible: b.y = {b @ y}")
+    if np.any(lam < -tol) or np.any(lam @ b > 1.0 + tol):
+        raise RuntimeError(f"gauge LP multipliers {lam} are not dual feasible")
+    if abs(lam.sum() - value) > tol or abs(np.abs(y).sum() - value) > tol:
         raise RuntimeError(
-            f"gauge search found {best} below the LP optimum {lp_value}; "
-            "vertex enumeration is inconsistent"
+            f"gauge LP duality gap: value {value}, sum |y| {np.abs(y).sum()}, "
+            f"dual value {lam.sum()}"
         )
-    return best
-
-
-def eta_gauge_oracle(matrix, starts=64, seed=0):
-    """Brute-force eta for small instances (n <= 8).
-
-    Minimizes the polyhedral gauge of the limit set over the shifted
-    quadrant directly, so it shares no code path with the pairwise
-    closed form.  The exact LP enumerates the candidate vertices; a
-    64-start Nelder-Mead search guards the implementation.
-    """
-    if matrix.shape[0] != 2:
-        raise PreconditionError("oracle is defined for two rows")
-    if matrix.shape[1] > 8:
-        raise OracleSizeError("gauge oracle supports at most 8 noise components")
-    b = matrix.normalized
-    lp_value, _ = _gauge_lp(b[0], b[1])
-    if starts:
-        _gauge_multistart(b[0], b[1], lp_value, starts, seed)
-    return float(np.clip(1.0 / lp_value, 0.0, 1.0))
+    return float(np.clip(1.0 / value, 0.0, 1.0))
 
 
 # ----------------------------------------------------------------------
@@ -493,13 +424,6 @@ def pearson_correlation(matrix):
     return float(r1 @ r2 / (n1 * n2))
 
 
-def product_to_sum(exponents):
-    """Reduce the multiplicative model prod Ybar_i^{a_ji} to the additive
-    one via logs; the extremal dependence structure is unchanged, so the
-    exponent matrix is returned as a CoefficientMatrix verbatim."""
-    return CoefficientMatrix(exponents)
-
-
 # ----------------------------------------------------------------------
 # Tail summaries
 # ----------------------------------------------------------------------
@@ -546,15 +470,14 @@ def tail_summary(matrix, dist=None, n_samples=0, rng=None):
     distribution and sample budget are supplied); in the boundary regime
     chi is left undetermined.
     """
-    split = classify(matrix)
-    if split.regime is Regime.ASYMPTOTIC_INDEPENDENCE:
-        return TailSummary(regime=split.regime, eta=eta_closed_form(matrix),
-                           eta_method="closed_form")
-    if split.regime is Regime.ASYMPTOTIC_DEPENDENCE and dist is not None and n_samples:
-        chi, se = chi_mc(matrix, dist, n_samples, rng if rng is not None else 0)
-        return TailSummary(regime=split.regime, eta=1.0, eta_method="closed_form",
-                           chi=chi, chi_se=se, chi_method="monte_carlo")
-    return TailSummary(regime=split.regime, eta=1.0, eta_method="closed_form")
+    regime = classify(matrix).regime
+    summary = TailSummary(regime=regime, eta=eta_closed_form(matrix),
+                          eta_method="closed_form")
+    if regime is Regime.ASYMPTOTIC_DEPENDENCE and dist is not None and n_samples:
+        summary.chi, summary.chi_se = chi_mc(matrix, dist, n_samples,
+                                             rng if rng is not None else 0)
+        summary.chi_method = "monte_carlo"
+    return summary
 
 
 def simulate_linear(matrix, dist, n, rng):

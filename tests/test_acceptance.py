@@ -16,9 +16,9 @@ from exdep.exptail import GhParams, NoiseDistribution
 from exdep.fem import TypeGNoise, fem_assemble, fem_coefficients, simulate_field
 from exdep.kernels import (limit_eta_conjecture, limit_eta_symmetric,
                            matern_kernel, ou_eta)
-from exdep.lintrans import (CoefficientMatrix, Regime, chi_gh_two,
-                            chi_limit_a22, chi_mc, classify, eta_closed_form,
-                            eta_gauge_oracle, simulate_linear)
+from exdep.lintrans import (CoefficientMatrix, chi_gh_two, chi_limit_a22,
+                            chi_mc, eta_closed_form, eta_gauge_oracle,
+                            simulate_linear)
 from exdep.mesh import (integral_coefficients, lattice_mesh_2d,
                         ou_coefficients, partition_1d)
 
@@ -54,16 +54,6 @@ def random_coefficients(rng):
                      np.where(u < 0.5, rng.choice([0.25, 0.5, 1.0], (2, n)), a))
         if a.max(axis=1).min() > 0 and a.max(axis=0).min() > 0:
             return CoefficientMatrix(a)
-
-
-def eta_or_one(matrix):
-    if classify(matrix).regime is Regime.ASYMPTOTIC_INDEPENDENCE:
-        return eta_closed_form(matrix)
-    return 1.0
-
-
-def pair_eta(rows, i, j):
-    return eta_or_one(CoefficientMatrix(rows[[i, j]]))
 
 
 def test_criterion_01_oracle_equivalence():
@@ -147,8 +137,8 @@ def test_criterion_05_theorem1_mesh_refinement():
         gaps = []
         for h in hs:
             sites = np.array([[0.45 - h / 2, 0.5 + 1e-4], [0.45 + h / 2, 0.5 + 1e-4]])
-            rows = integral_coefficients(k3, sites, grid).normalized
-            gaps.append(abs(pair_eta(rows, 0, 1) - limit_eta_symmetric(k3, h)))
+            eta = eta_closed_form(integral_coefficients(k3, sites, grid))
+            gaps.append(abs(eta - limit_eta_symmetric(k3, h)))
         sup_gaps.append(max(gaps))
     crit.check(np.all(np.diff(sup_gaps) <= 1e-12),
                f"alpha=3 sup-gaps non-increasing: {np.round(sup_gaps, 4)}")
@@ -159,9 +149,9 @@ def test_criterion_05_theorem1_mesh_refinement():
     for side in (10, 20, 40):
         grid = lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), side, 2)
         etas.append(np.array([
-            pair_eta(integral_coefficients(
+            eta_closed_form(integral_coefficients(
                 k2, np.array([[0.45 - h / 2, 0.5 + 1e-4],
-                              [0.45 + h / 2, 0.5 + 1e-4]]), grid).normalized, 0, 1)
+                              [0.45 + h / 2, 0.5 + 1e-4]]), grid))
             for h in hs]))
     crit.check(np.all(etas[2] > 0.5), f"alpha=2 etas above 1/2 (min {etas[2].min():.4f})")
     crit.check(np.all(etas[0] > etas[1] - 1e-12) and np.all(etas[1] > etas[2] - 1e-12),
@@ -178,7 +168,7 @@ def test_criterion_06_ou_partition_convergence():
     for delta in (0.4, 0.2, 0.05):
         pad = math.ceil(25.0 / delta) * delta
         part = partition_1d(-pad, end, delta=delta)
-        etas[delta] = np.array([eta_or_one(ou_coefficients(a, 0.0, h, part)) for h in hs])
+        etas[delta] = np.array([eta_closed_form(ou_coefficients(a, 0.0, h, part)) for h in hs])
         crit.check(np.all(etas[delta] >= limit - 1e-12),
                    f"delta={delta}: eta_n >= limit pointwise")
     crit.check(np.all(etas[0.4] >= etas[0.2] - 1e-12)
@@ -201,7 +191,8 @@ def test_criterion_07_fem_vs_integral_and_conjecture():
     k3 = matern_kernel(2.0, 3.0, 2)
     rows_int = integral_coefficients(k3, sites, grid).normalized
     rows_fem = fem_coefficients(fem_assemble(grid, 2.0, 3), sites).normalized
-    diffs = [abs(pair_eta(rows_int, i, j) - pair_eta(rows_fem, i, j)) for i, j in pairs]
+    diffs = [abs(eta_closed_form(CoefficientMatrix(rows_int[[i, j]]))
+                 - eta_closed_form(CoefficientMatrix(rows_fem[[i, j]]))) for i, j in pairs]
     crit.check(float(np.mean(diffs)) < 0.05,
                f"alpha=3 mean |eta_fem - eta_integral| = {np.mean(diffs):.4f}")
 
@@ -213,8 +204,8 @@ def test_criterion_07_fem_vs_integral_and_conjecture():
         for i, j in pairs:
             h = float(np.linalg.norm(sites[i] - sites[j]))
             conj = limit_eta_conjecture(kern, h)
-            worst = max(worst, abs(pair_eta(rows_i, i, j) - conj),
-                        abs(pair_eta(rows_f, i, j) - conj))
+            for rows in (rows_i, rows_f):
+                worst = max(worst, abs(eta_closed_form(CoefficientMatrix(rows[[i, j]])) - conj))
         crit.check(worst < 0.07,
                    f"alpha={alpha}: max deviation from the conjectured limit = {worst:.4f} (conjectural)")
     crit.conclude()

@@ -125,3 +125,27 @@ def test_numerical_error_exits_1(tmp_path):
     matrix = tmp_path / "m.csv"
     matrix.write_text("1.0,-0.3\n0.5,1.0\n")  # negative coefficient
     assert run_cli(["eta", "--matrix", str(matrix), "--out", str(tmp_path / "o.json")]) == 1
+
+
+def test_matern_eta_rejects_non_integer_alpha(tmp_path):
+    out = tmp_path / "a.csv"
+    code = run_cli(["matern-eta", "--seed", "1", "--alphas", "2.5", "--mesh-nodes", "6",
+                    "--extension", "1", "--n-sites", "3", "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["counterexample", "--seed", "1", "--params", "x.json"],
+    ["counterexample", "--seed", "1", "--paper-scale"],
+    ["counterexample", "--seed", "1", "--threads", "8"],
+    ["chi-vs-a22", "--seed", "1"],
+    ["ou-convergence", "--params", "x.json"],
+    ["simulate-and-chi", "--seed", "1", "--appendix-d", "--mesh-nodes", "5"],
+])
+def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, argv):
+    out = tmp_path / "c.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()

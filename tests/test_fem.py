@@ -73,6 +73,13 @@ def test_odd_alpha_solve_residual():
         fem_assemble(mesh, 2.0, 7)
 
 
+def test_non_integer_alpha_rejected():
+    mesh = lattice_mesh_2d((0, 0, 1, 1), 5, 0)
+    with pytest.raises(ParameterError):
+        fem_assemble(mesh, 2.0, 2.5)
+    assert fem_assemble(mesh, 2.0, 4.0).alpha == 4
+
+
 def test_consistent_mass_k4_has_no_explicit_matrix():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 5, 0)
     system = fem_assemble(mesh, 2.0, 4, lumped=False)

@@ -3,15 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exdep import lintrans
 from exdep.errors import (DomainError, OracleSizeError, ParameterError,
                           PreconditionError, RegimeError)
 from exdep.exptail import GhParams, NoiseDistribution
 from exdep.lintrans import (CoefficientMatrix, Regime, TailSummary, chi_gh_two,
                             chi_limit_a22, chi_mc, classify, eta_closed_form,
                             eta_gauge_oracle, pearson_correlation,
-                            product_to_sum, simulate_linear, tail_summary,
-                            _welford_combine)
+                            simulate_linear, tail_summary, _welford_combine)
 
 
 def random_matrix(rng, n_range=(2, 7)):
@@ -136,8 +138,98 @@ def test_eta_monotone_in_coefficient():
 
 
 def test_eta_needs_two_columns():
+    # one column is the argmax of both rows: asymptotic dependence, eta = 1
+    assert eta_closed_form(CoefficientMatrix([[1.0], [0.5]])) == 1.0
+
+
+def test_eta_argmax_tie_rule_decides():
+    # column 1 ties row 1's maximum within ARGMAX_RTOL, so the argmax sets
+    # share it; the envelope alone would give 1 - 2e-14
+    m = CoefficientMatrix([[1.0, 1.0 - 1e-14], [0.5, 1.0]])
+    assert classify(m).regime is Regime.BOUNDARY
+    assert eta_closed_form(m) == 1.0
+
+
+def test_eta_needs_two_rows():
     with pytest.raises(PreconditionError):
-        eta_closed_form(CoefficientMatrix([[1.0], [0.5]]))
+        eta_closed_form(CoefficientMatrix([[1.0, 0.5], [0.5, 1.0], [0.2, 0.2]]))
+
+
+# -- eta properties -------------------------------------------------------------
+
+# entries: exact zeros and ties (shared values) as well as generic values
+_entry = st.one_of(st.just(0.0), st.sampled_from([0.25, 0.5, 1.0]),
+                   st.floats(0.0, 1.0, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def coefficient_matrices(draw, max_columns=8):
+    n = draw(st.integers(1, max_columns))
+    rows = [draw(st.lists(_entry, min_size=n, max_size=n)) for _ in range(2)]
+    a = np.array(rows)  # all-zero columns stay: CoefficientMatrix drops them
+    for r in range(2):  # every row needs a positive maximum
+        if a[r].max() == 0.0:
+            a[r, draw(st.integers(0, n - 1))] = 1.0
+    return a
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient_matrices())
+def test_eta_property_range(a):
+    eta = eta_closed_form(CoefficientMatrix(a))
+    assert 0.5 <= eta <= 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient_matrices(), st.randoms(use_true_random=False),
+       st.floats(0.1, 10.0), st.floats(0.1, 10.0))
+def test_eta_property_invariances(a, rnd, s1, s2):
+    eta = eta_closed_form(CoefficientMatrix(a))
+    perm = list(range(a.shape[1]))
+    rnd.shuffle(perm)
+    assert eta_closed_form(CoefficientMatrix(a[::-1])) == pytest.approx(eta, abs=1e-12)
+    assert eta_closed_form(CoefficientMatrix(a[:, perm])) == pytest.approx(eta, abs=1e-12)
+    assert eta_closed_form(CoefficientMatrix(a * [[s1], [s2]])) == pytest.approx(eta, abs=1e-12)
+    padded = np.hstack([a, np.zeros((2, 1))])
+    assert eta_closed_form(CoefficientMatrix(padded)) == eta
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient_matrices())
+def test_eta_property_one_exactly_outside_independence(a):
+    m = CoefficientMatrix(a)
+    independent = classify(m).regime is Regime.ASYMPTOTIC_INDEPENDENCE
+    assert (eta_closed_form(m) == 1.0) is not independent
+
+
+def eta_by_all_pairs(m):
+    """The closed form term by term over all column pairs, as the
+    ``lintrans`` docstring writes it."""
+    b1, b2 = (row.tolist() for row in m.normalized)
+    inv = math.inf
+    for i in range(len(b1)):
+        if min(b1[i], b2[i]) > 0.0:
+            inv = min(inv, max(1.0 / b1[i], 1.0 / b2[i]))
+        for j in range(len(b1)):
+            det = abs(b2[i] * b1[j] - b1[i] * b2[j])
+            if i != j and det > 0.0:
+                inv = min(inv, (abs(b2[i] - b1[i]) + abs(b2[j] - b1[j])) / det)
+    return min(1.0, 1.0 / inv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coefficient_matrices())
+def test_eta_property_equals_closed_form_terms(a):
+    m = CoefficientMatrix(a)
+    if classify(m).regime is Regime.ASYMPTOTIC_INDEPENDENCE:
+        assert eta_closed_form(m) == eta_by_all_pairs(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficient_matrices())
+def test_eta_property_matches_oracle(a):
+    m = CoefficientMatrix(a)
+    assert eta_closed_form(m) == pytest.approx(eta_gauge_oracle(m), abs=1e-9)
 
 
 # -- gauge oracle -----------------------------------------------------------
@@ -160,6 +252,19 @@ def test_oracle_random_instance():
 def test_oracle_size_limit():
     with pytest.raises(OracleSizeError):
         eta_gauge_oracle(CoefficientMatrix(np.ones((2, 9))))
+
+
+def test_oracle_rejects_uncertified_lp_result(monkeypatch):
+    solve = lintrans.optimize.linprog
+
+    def tampered(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        res.fun *= 0.9  # a value below the optimum, as a faulty solver might report
+        return res
+
+    monkeypatch.setattr(lintrans.optimize, "linprog", tampered)
+    with pytest.raises(RuntimeError, match="duality gap"):
+        eta_gauge_oracle(CoefficientMatrix([[1.0, 0.3], [0.5, 1.0]]))
 
 
 # -- chi (Monte Carlo and quadrature) -----------------------------------------
@@ -247,7 +352,7 @@ def test_chi_limit_a12_zero_simplification():
     assert chi_limit_a22(0.0, params) == pytest.approx(expected, abs=1e-8)
 
 
-# -- correlation, product model ------------------------------------------------
+# -- correlation ------------------------------------------------
 
 def test_pearson_orthogonal_rows():
     assert pearson_correlation(CoefficientMatrix([[1.0, 0.0], [0.0, 1.0]])) == 0.0
@@ -265,13 +370,6 @@ def test_extra_column_lowers_correlation_not_eta():
     assert eta_closed_form(extended) == pytest.approx(eta_closed_form(base), abs=1e-14)
 
 
-def test_product_model_reduction():
-    assert eta_closed_form(product_to_sum([[1.0, 0.0], [0.0, 1.0]])) == pytest.approx(0.5)
-    assert eta_closed_form(product_to_sum([[1.0, 0.3], [0.5, 1.0]])) == pytest.approx(
-        (1 - 0.15) / (2 - 0.8), abs=1e-12)
-    assert classify(product_to_sum([[1.0, 0.4], [1.0, 0.4]])).regime is Regime.ASYMPTOTIC_DEPENDENCE
-
-
 # -- summaries ------------------------------------------------------------------
 
 def test_tail_summary_asymptotic_independence():
@@ -286,6 +384,17 @@ def test_tail_summary_boundary_chi_undetermined():
     assert summary.regime is Regime.BOUNDARY
     assert summary.eta == 1.0
     assert summary.chi is None and summary.chi_method is None
+
+
+def test_tail_summary_dependence_attaches_monte_carlo_chi():
+    dist = NoiseDistribution.nig(1.0, 1.0)
+    m = CoefficientMatrix([[1.0, 0.3], [1.0, 0.7]])
+    summary = tail_summary(m, dist, 5000, 4)
+    assert summary.regime is Regime.ASYMPTOTIC_DEPENDENCE
+    assert summary.eta == 1.0
+    assert (summary.chi, summary.chi_se) == chi_mc(m, dist, 5000, 4)
+    assert summary.chi_method == "monte_carlo"
+    assert tail_summary(m).chi is None
 
 
 def test_tail_summary_json_round_trip():

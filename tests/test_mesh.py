@@ -11,12 +11,6 @@ from exdep.mesh import (Mesh2D, integral_coefficients, lattice_mesh_2d,
                         ou_coefficients, partition_1d)
 
 
-def eta_or_one(matrix):
-    if classify(matrix).regime is Regime.ASYMPTOTIC_INDEPENDENCE:
-        return eta_closed_form(matrix)
-    return 1.0
-
-
 # -- partitions ---------------------------------------------------------
 
 def test_equidistant_partition_snaps_count():
@@ -67,7 +61,7 @@ def test_ou_eta_exact_at_grid_multiples():
     part = partition_1d(-20.0, 4.0, delta=0.4)
     for h in (0.4, 1.2, 2.8):
         matrix = ou_coefficients(a, 0.0, h, part)
-        assert eta_or_one(matrix) == pytest.approx(ou_eta(a, h), abs=1e-12)
+        assert eta_closed_form(matrix) == pytest.approx(ou_eta(a, h), abs=1e-12)
 
 
 def test_ou_refinement_from_above_and_ordered():
@@ -77,7 +71,7 @@ def test_ou_refinement_from_above_and_ordered():
     for delta in (0.4, 0.2, 0.05):
         pad = math.ceil(25.0 / delta) * delta
         part = partition_1d(-pad, 4.0, delta=delta)
-        etas[delta] = np.array([eta_or_one(ou_coefficients(a, 0.0, h, part)) for h in hs])
+        etas[delta] = np.array([eta_closed_form(ou_coefficients(a, 0.0, h, part)) for h in hs])
     limit = np.array([ou_eta(a, h) for h in hs])
     assert np.all(etas[0.4] >= etas[0.2] - 1e-12)
     assert np.all(etas[0.2] >= etas[0.05] - 1e-12)
@@ -178,4 +172,4 @@ def test_duplicate_site_rows_give_eta_one():
     m = lattice_mesh_2d((0, 0, 1, 1), 10, 0)
     k = matern_kernel(2.0, 3.0, 2)
     matrix = integral_coefficients(k, [[0.31, 0.52], [0.31, 0.52]], m)
-    assert eta_or_one(matrix) == 1.0
+    assert eta_closed_form(matrix) == 1.0
