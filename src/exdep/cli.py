@@ -125,10 +125,11 @@ def cmd_matern_eta(args):
     rng = np.random.default_rng(args.seed)
     sites = random_sites(rng, n_sites)
     lines = ["alpha,method,h,eta,eta_thm1,eta_conjecture"]
+    assembled = fem.fem_assemble(grid, args.kappa, 2, lumped=True)  # shares K_2 factors across alphas
     for alpha in args.alphas:
         kern = kernels.matern_kernel(args.kappa, alpha, 2)
         g0 = kern.value_at_zero
-        system = fem.fem_assemble(grid, args.kappa, alpha, lumped=True)
+        system = assembled.with_alpha(alpha)
         coeff_int = mesh.integral_coefficients(kern, sites, grid)
         coeff_fem = fem.fem_coefficients(system, sites)
         rows_int = coeff_int.normalized
@@ -166,11 +167,13 @@ def cmd_simulate_and_chi(args):
         system = fem.fem_assemble(grid, args.kappa, args.alpha, lumped=True)
         x = fem.simulate_field(system, sites, noise, n, args.seed,
                                threads=_threads(args))
+        u = estimate.rank_columns(x)
         pair_id = 0
         for i in range(len(sites)):
             for j in range(i + 1, len(sites)):
                 h = float(np.linalg.norm(sites[i] - sites[j]))
-                sample = estimate.BivariateSample(x[:, i], x[:, j])
+                sample = estimate.BivariateSample(x[:, i], x[:, j],
+                                                  ranks=(u[:, i], u[:, j]))
                 for q in args.q:
                     est = estimate.empirical_chi(sample, q)
                     lines.append(

@@ -23,6 +23,7 @@ __all__ = [
     "EtaEstimate",
     "ChiCurve",
     "LowCountWarning",
+    "rank_columns",
     "rank_transform",
     "empirical_chi",
     "empirical_eta",
@@ -36,18 +37,27 @@ class LowCountWarning(UserWarning):
 
 
 class BivariateSample:
-    """Paired observations with lazily computed pseudo-uniform ranks."""
+    """Paired observations with lazily computed pseudo-uniform ranks.
 
-    def __init__(self, x1, x2):
+    ``ranks`` optionally passes the pseudo-uniforms (u1, u2) of x1 and x2
+    already computed, e.g. by :func:`rank_columns` over many columns at
+    once; they are taken as given.
+    """
+
+    def __init__(self, x1, x2, ranks=None):
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
         if x1.shape != x2.shape or x1.ndim != 1:
             raise PreconditionError("x1 and x2 must be equal-length 1-d arrays")
         if x1.size < 2:
             raise PreconditionError("need at least two observations")
+        if ranks is not None:
+            ranks = tuple(np.asarray(u, dtype=float) for u in ranks)
+            if len(ranks) != 2 or any(u.shape != x1.shape for u in ranks):
+                raise PreconditionError("ranks must be two arrays shaped like x1 and x2")
         self.x1 = x1
         self.x2 = x2
-        self._u = None
+        self._u = ranks
 
     @property
     def n(self):
@@ -76,13 +86,17 @@ class BivariateSample:
                 fh.write(f"{float(a)!r},{float(b)!r}\n")
 
 
+def rank_columns(x):
+    """Pseudo-uniforms rank / (n + 1) of each column of an (n, k) array
+    (or of a 1-d array of n values), average ranks on ties."""
+    x = np.asarray(x, dtype=float)
+    return rankdata(x, method="average", axis=0) / (x.shape[0] + 1.0)
+
+
 def rank_transform(sample):
     """Pseudo-uniform margins U_i = rank(x_i) / (n + 1), average ranks on
     ties."""
-    n = sample.n
-    u1 = rankdata(sample.x1, method="average") / (n + 1.0)
-    u2 = rankdata(sample.x2, method="average") / (n + 1.0)
-    return u1, u2
+    return rank_columns(sample.x1), rank_columns(sample.x2)
 
 
 @dataclass(frozen=True)

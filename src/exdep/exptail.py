@@ -35,6 +35,7 @@ __all__ = [
     "GigParams",
     "GhParams",
     "NoiseDistribution",
+    "map_chunks",
     "quantile_shift",
     "substreams",
     "write_sample_csv",
@@ -98,6 +99,29 @@ def substreams(root_seed, k):
     """
     seq = np.random.SeedSequence(root_seed)
     return [np.random.default_rng(child) for child in seq.spawn(k)]
+
+
+def map_chunks(func, n, chunk, rng, threads=1):
+    """``[func(size, stream), ...]`` over consecutive chunks of ``n`` draws.
+
+    Every chunk holds ``chunk`` draws except a shorter last one.  An
+    integer ``rng`` is a root seed: chunk i draws from the i-th of its
+    :func:`substreams`, and with ``threads > 1`` the chunks run on a
+    thread pool (the results keep chunk order).  A Generator is one
+    sequential stream shared by all chunks, in order, on this thread.
+    """
+    sizes = [chunk] * (n // chunk)
+    if n % chunk:
+        sizes.append(n % chunk)
+    if isinstance(rng, np.random.Generator):
+        return [func(size, rng) for size in sizes]
+    streams = substreams(rng, len(sizes))
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(func, sizes, streams))
+    return [func(size, stream) for size, stream in zip(sizes, streams)]
 
 
 def _as_generator(rng):

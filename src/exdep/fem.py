@@ -15,6 +15,7 @@ whose mixing variables must come from a convolution-closed GIG subclass
 (inverse Gaussian or gamma).
 """
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -25,7 +26,7 @@ from scipy.sparse import linalg as spla
 from .errors import (AssemblyError, DomainError, NonnegativityError,
                      ParameterError, SolveError)
 from .lintrans import CoefficientMatrix
-from .exptail import NoiseDistribution, substreams
+from .exptail import NoiseDistribution, map_chunks
 
 __all__ = [
     "FemSystem",
@@ -109,8 +110,17 @@ class FemSystem:
         robin = kappa * boundary_mass if boundary_mass is not None else 0.0
         self.base = (kappa ** 2 * (sparse.diags(mass_lumped) if lumped else mass)
                      + stiffness + robin).tocsc()   # K_2
-        self._lu = None
-        self._spectral = None
+        self._factors = {}  # K_2 LU and spectral factors, shared with with_alpha views
+
+    def with_alpha(self, alpha):
+        """The same assembled system with exponent ``alpha``.
+
+        The view shares this system's K_2 factorizations, so each is
+        computed once however many exponents use it.
+        """
+        view = copy.copy(self)
+        view.alpha = _check_alpha(alpha, self.lumped)
+        return view
 
     @property
     def mass_matrix(self):
@@ -139,15 +149,15 @@ class FemSystem:
         return k.tocsr()
 
     def _factor(self):
-        if self._lu is None:
+        if "lu" not in self._factors:
             try:
-                self._lu = spla.splu(self.base)
+                self._factors["lu"] = spla.splu(self.base)
             except RuntimeError as exc:  # pragma: no cover
                 raise SolveError(f"K_2 factorization failed: {exc}") from exc
-        return self._lu
+        return self._factors["lu"]
 
     def _spectral_factor(self):
-        if self._spectral is None:
+        if "spectral" not in self._factors:
             if not self.lumped:
                 raise ParameterError("odd exponents require the lumped mass")
             root = np.sqrt(self.mass_lumped)
@@ -155,8 +165,8 @@ class FemSystem:
             eigvals, q = np.linalg.eigh(s)
             if eigvals.min() <= 0.0:  # pragma: no cover
                 raise SolveError("C^{-1/2} K_2 C^{-1/2} is not positive definite")
-            self._spectral = (eigvals, q, root)
-        return self._spectral
+            self._factors["spectral"] = (eigvals, q, root)
+        return self._factors["spectral"]
 
     def _spectral_op(self, rhs, power, inverse):
         # K_alpha = C^{1/2} Q diag(l^{alpha/2}) Q^T C^{1/2}; the inverse
@@ -221,6 +231,14 @@ def _boundary_mass(mesh):
                              shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
 
 
+def _check_alpha(alpha, lumped):
+    if alpha not in (2, 3, 4, 5, 6):  # 2.5 is rejected, 3.0 accepted as 3
+        raise ParameterError(f"alpha must be an integer between 2 and 6, got {alpha!r}")
+    if alpha % 2 and not lumped:
+        raise ParameterError("odd alpha requires lumped=True")
+    return int(alpha)
+
+
 def fem_assemble(mesh, kappa, alpha, lumped=True, boundary="robin"):
     """Assemble mass, stiffness and the K_alpha operator on a mesh.
 
@@ -234,11 +252,7 @@ def fem_assemble(mesh, kappa, alpha, lumped=True, boundary="robin"):
     on desk-scale extensions, or plain Neumann ("neumann", giving exactly
     K_2 = kappa^2 C + G).
     """
-    if alpha not in (2, 3, 4, 5, 6):  # 2.5 is rejected, 3.0 accepted as 3
-        raise ParameterError(f"alpha must be an integer between 2 and 6, got {alpha!r}")
-    alpha = int(alpha)
-    if alpha % 2 and not lumped:
-        raise ParameterError("odd alpha requires lumped=True")
+    alpha = _check_alpha(alpha, lumped)
     if boundary not in ("robin", "neumann"):
         raise ParameterError("boundary must be 'robin' or 'neumann'")
     if kappa <= 0.0:
@@ -290,9 +304,9 @@ def basis_matrix(mesh, sites):
 def fem_coefficients(system, sites, negative_rtol=1e-10):
     """Rows phi(s_j)^T K_alpha^{-1} as a CoefficientMatrix.
 
-    One sparse solve per site.  Entries more negative than
-    ``-negative_rtol * rowmax`` abort (a mesh or solver problem); smaller
-    negative round-off is clamped to zero.
+    One K_alpha solve with a right-hand side per site.  Entries more
+    negative than ``-negative_rtol * rowmax`` abort (a mesh or solver
+    problem); smaller negative round-off is clamped to zero.
     """
     phi = basis_matrix(system.mesh, sites)
     rows = system.solve_k_alpha(phi.toarray().T).T
@@ -327,13 +341,17 @@ def simulate_field(system, sites, noise, n, rng, constant_mixing=None,
     """Replicates of the approximated field at the given sites, (n, k).
 
     Accepts either an assembled :class:`FemSystem` with a
-    :class:`TypeGNoise` (one sparse solve per replicate batch against
-    mu*|D| + gamma*v + sqrt(v)*W), or a plain CoefficientMatrix with a
-    :class:`NoiseDistribution` for the generic linear model.  ``rng`` is
-    an integer root seed (split into per-batch sub-streams) or a
-    Generator (single sequential stream).  ``constant_mixing`` freezes
-    the mixing variables at a constant, which makes the field Gaussian
-    (debugging hook).
+    :class:`TypeGNoise`, or a plain CoefficientMatrix with a
+    :class:`NoiseDistribution` for the generic linear model.  The FEM
+    field at the sites is the linear model X = W rhs: the site weights
+    W = phi K_alpha^{-1} come from one residual-checked solve with a
+    right-hand side per site, and each replicate batch of cell noises
+    rhs = mu*|D| + gamma*v + sqrt(v)*Z is mapped through W.  ``rng`` is
+    an integer root seed (split into per-batch sub-streams, which
+    ``threads`` workers may draw in parallel) or a Generator (single
+    sequential stream).  ``constant_mixing`` freezes the mixing
+    variables at a constant, which makes the field Gaussian (debugging
+    hook).
     """
     if n < 0:
         raise DomainError("n must be non-negative")
@@ -345,39 +363,21 @@ def simulate_field(system, sites, noise, n, rng, constant_mixing=None,
         raise ParameterError("FEM simulation needs a TypeGNoise specification")
     phi = basis_matrix(system.mesh, sites)
     areas = dual_cell_areas(system.mesh)
-    k_sites = phi.shape[0]
     if n == 0:
-        return np.empty((0, k_sites))
+        return np.empty((0, phi.shape[0]))
+    weights_t = system.solve_k_alpha(phi.toarray().T, check_residual=True)  # W^T
 
-    sizes = [batch] * (n // batch)
-    if n % batch:
-        sizes.append(n % batch)
-    if isinstance(rng, np.random.Generator):
-        streams = [rng] * len(sizes)
-        parallel = False
-    else:
-        streams = substreams(rng, len(sizes))
-        parallel = threads > 1
-
-    def one_batch(args):
-        size, stream = args
+    def one_batch(size, stream):
         if constant_mixing is not None:
             v = np.full((size, areas.size), float(constant_mixing))
         else:
             v = noise.draw_mixing(stream, areas, size)
-        w = stream.standard_normal((size, areas.size))
-        rhs = noise.mu * areas[None, :] + noise.gamma * v + np.sqrt(v) * w
-        omega = system.solve_k_alpha(rhs.T)
-        return (phi @ omega).T
+        z = stream.standard_normal((size, areas.size))
+        rhs = noise.mu * areas[None, :] + noise.gamma * v + np.sqrt(v) * z
+        return rhs @ weights_t
 
-    if parallel:
-        from concurrent.futures import ThreadPoolExecutor
+    return np.vstack(map_chunks(one_batch, n, batch, rng, threads))
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(one_batch, zip(sizes, streams)))
-    else:
-        chunks = [one_batch(args) for args in zip(sizes, streams)]
-    return np.vstack(chunks)
 
 def write_field_csv(path_or_buf, samples):
     """Stream a replicate matrix to CSV with the header site_1,...,site_m."""

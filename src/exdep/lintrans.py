@@ -34,7 +34,7 @@ from scipy import optimize
 
 from .errors import (DomainError, MgfDivergenceError, OracleSizeError,
                      ParameterError, PreconditionError, RegimeError)
-from .exptail import NoiseDistribution, substreams
+from .exptail import NoiseDistribution, map_chunks
 
 __all__ = [
     "CoefficientMatrix",
@@ -323,17 +323,7 @@ def chi_mc(matrix, dist, n_samples, rng, chunk=1 << 17, threads=1):
             raise MgfDivergenceError(f"residual MGF diverges at t = {c * beta}")
         log_m2 += math.log(m)
 
-    sizes = [chunk] * (n_samples // chunk)
-    if n_samples % chunk:
-        sizes.append(n_samples % chunk)
-
-    if isinstance(rng, np.random.Generator):
-        streams = [rng] * len(sizes)
-    else:
-        streams = substreams(rng, len(sizes))
-
-    def one_chunk(args):
-        size, stream = args
+    def one_chunk(size, stream):
         y = dist.sample(stream, size * r1.size).reshape(size, r1.size)
         vals = np.minimum(
             np.exp(beta * (y @ r1) - log_m1),
@@ -342,16 +332,8 @@ def chi_mc(matrix, dist, n_samples, rng, chunk=1 << 17, threads=1):
         m = float(vals.mean())
         return size, m, float(np.sum((vals - m) ** 2))
 
-    if threads > 1 and not isinstance(rng, np.random.Generator):
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(one_chunk, zip(sizes, streams)))
-    else:
-        partials = [one_chunk(args) for args in zip(sizes, streams)]
-
     total = (0, 0.0, 0.0)
-    for part in partials:
+    for part in map_chunks(one_chunk, n_samples, chunk, rng, threads):
         total = _welford_combine(total, part)
     n, mean, m2 = total
     var = m2 / (n - 1) if n > 1 else 0.0

@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from exdep.cli import main
+from exdep.fem import FemSystem
 
 
 def run_cli(args):
@@ -119,6 +121,37 @@ def test_simulate_and_chi_small_run(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "mesh_side,pair_id,h,q,chi_hat,se"
     assert len(lines) == 1 + 6 * 2  # six pairs, two levels
+
+
+def test_simulate_and_chi_bytes_do_not_depend_on_threads(tmp_path):
+    args = ["simulate-and-chi", "--seed", "5", "--samples", "20000", "--mesh-nodes", "6",
+            "--n-sites", "4", "--extension", "1"]
+    out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
+    assert run_cli(args + ["--threads", "1", "--out", str(out1)]) == 0
+    assert run_cli(args + ["--threads", "2", "--out", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_simulate_and_chi_tampered_solve_exits_1(tmp_path, monkeypatch):
+    real = FemSystem._factor  # K_2 solves off by a relative 1e-6
+    monkeypatch.setattr(FemSystem, "_factor", lambda self: SimpleNamespace(
+        solve=lambda rhs, lu=real(self): lu.solve(rhs) * (1.0 + 1e-6)))
+    out = tmp_path / "sim.csv"
+    code = run_cli(["simulate-and-chi", "--seed", "5", "--out", str(out),
+                    "--samples", "1000", "--mesh-nodes", "5", "--n-sites", "3",
+                    "--extension", "1"])
+    assert code == 1
+    assert not out.exists()
+
+
+def test_matern_eta_runs_one_eigh_for_all_odd_alphas(tmp_path, monkeypatch):
+    calls = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or real_eigh(a))
+    out = tmp_path / "m.csv"
+    assert run_cli(["matern-eta", "--seed", "2", "--alphas", "2,3,4,5", "--mesh-nodes", "8",
+                    "--n-sites", "3", "--extension", "1", "--out", str(out)]) == 0
+    assert len(calls) == 1
 
 
 def test_numerical_error_exits_1(tmp_path):

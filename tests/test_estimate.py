@@ -7,7 +7,7 @@ import pytest
 from exdep.errors import DomainError, EstimateError, PreconditionError
 from exdep.estimate import (BivariateSample, LowCountWarning, chi_curve,
                             empirical_chi, empirical_eta, eta_vs_distance,
-                            rank_transform, write_eta_table)
+                            rank_columns, rank_transform, write_eta_table)
 from exdep.kernels import matern_kernel
 from exdep.mesh import integral_coefficients, lattice_mesh_2d
 
@@ -34,6 +34,33 @@ def test_rank_invariance_under_monotone_transform():
     q = 0.9
     assert empirical_chi(base, q) == empirical_chi(warped, q)
     assert empirical_eta(base, k=30) == empirical_eta(warped, k=30)
+
+
+def test_rank_columns_equal_rank_transform_of_every_pair():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((2000, 5))
+    x[:, 1] = np.round(x[:, 1], 1)  # many ties
+    x[:, 4] = x[:, 0] ** 3
+    u = rank_columns(x)
+    assert u.shape == x.shape
+    for i in range(5):
+        for j in range(i + 1, 5):
+            u1, u2 = rank_transform(BivariateSample(x[:, i], x[:, j]))
+            assert np.array_equal(u[:, i], u1) and np.array_equal(u[:, j], u2)
+            ranked = BivariateSample(x[:, i], x[:, j], ranks=(u[:, i], u[:, j]))
+            for q in (0.5, 0.9):
+                assert empirical_chi(ranked, q) == empirical_chi(
+                    BivariateSample(x[:, i], x[:, j]), q)
+
+
+@pytest.mark.parametrize("ranks", [
+    ([0.5, 0.5],),
+    ([0.5, 0.5], [0.5]),
+    ([0.5, 0.5], [0.5, 0.5], [0.5, 0.5]),
+])
+def test_bivariate_sample_rejects_misshaped_ranks(ranks):
+    with pytest.raises(PreconditionError):
+        BivariateSample([1.0, 2.0], [3.0, 4.0], ranks=ranks)
 
 
 def test_chi_comonotone_is_one():

@@ -6,7 +6,7 @@ from scipy import integrate, stats
 
 from exdep.errors import (DomainError, MgfDivergenceError, ParameterError,
                           PreconditionError, UnsupportedTailError)
-from exdep.exptail import (GhParams, GigParams, NoiseDistribution,
+from exdep.exptail import (GhParams, GigParams, NoiseDistribution, map_chunks,
                            quantile_shift, read_sample_csv, substreams,
                            write_sample_csv)
 from exdep.special import bessel_k
@@ -255,6 +255,23 @@ def test_substreams_independent_and_documented_split():
     for d, e in zip(draws, again):
         assert np.array_equal(d, e)
     assert not np.array_equal(draws[0], draws[1])
+
+
+def test_map_chunks_sizes_streams_and_threads():
+    def draw(size, stream):
+        return size, stream.random(size)
+
+    out = map_chunks(draw, 10, 4, 99)
+    assert [size for size, _ in out] == [4, 4, 2]
+    for (_, got), stream, size in zip(out, substreams(99, 3), (4, 4, 2)):
+        assert np.array_equal(got, stream.random(size))
+    threaded = map_chunks(draw, 10, 4, 99, threads=2)
+    assert all(np.array_equal(a[1], b[1]) for a, b in zip(out, threaded))
+    # a Generator is one sequential stream, whatever the thread count
+    seq = map_chunks(draw, 10, 4, np.random.default_rng(5), threads=2)
+    assert np.array_equal(np.concatenate([d for _, d in seq]),
+                          np.random.default_rng(5).random(10))
+    assert map_chunks(draw, 0, 4, 99) == []
 
 
 def test_gig_sampler_matches_scipy_distribution():

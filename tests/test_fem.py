@@ -1,17 +1,18 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from exdep.errors import NonnegativityError, ParameterError
+from exdep.errors import NonnegativityError, ParameterError, SolveError
 from exdep.fem import (FemSystem, TypeGNoise, basis_matrix, dual_cell_areas,
                        fem_assemble, fem_coefficients, simulate_field)
 from exdep.kernels import matern_kernel
 from exdep.lintrans import (CoefficientMatrix, Regime, classify,
                             eta_closed_form)
 from exdep.mesh import Mesh2D, lattice_mesh_2d, integral_coefficients
-from exdep.exptail import NoiseDistribution
+from exdep.exptail import NoiseDistribution, substreams
 
 
 def unit_triangle():
@@ -193,6 +194,78 @@ def test_simulate_field_nig_skewed_marginals():
     x = simulate_field(system, [[0.4, 0.5], [0.62, 0.5]], noise, 100_000, 3)
     skew = stats.skew(x, axis=0)
     assert np.all(skew > 0.2)  # clearly non-Gaussian
+
+
+def _per_batch_reference(system, sites, noise, sizes, streams):
+    """The field as one K_alpha solve per batch, mapped to the sites by phi."""
+    phi = basis_matrix(system.mesh, sites)
+    areas = dual_cell_areas(system.mesh)
+    chunks = []
+    for size, stream in zip(sizes, streams):
+        v = noise.draw_mixing(stream, areas, size)
+        z = stream.standard_normal((size, areas.size))
+        rhs = noise.mu * areas[None, :] + noise.gamma * v + np.sqrt(v) * z
+        chunks.append((phi @ system.solve_k_alpha(rhs.T)).T)
+    return np.vstack(chunks)
+
+
+@pytest.mark.parametrize("alpha", [2, 3, 4])
+def test_simulate_field_matches_per_batch_solve(alpha):
+    mesh = lattice_mesh_2d((0, 0, 1, 1), 6, 1)
+    system = fem_assemble(mesh, 2.0, alpha)
+    noise = TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0)
+    sites = [[0.3, 0.4], [0.7, 0.55], [0.5, 0.5]]
+    sizes = [256, 256, 256, 232]
+    x = simulate_field(system, sites, noise, 1000, 11, batch=256)
+    ref = _per_batch_reference(system, sites, noise, sizes, substreams(11, 4))
+    assert x.shape == (1000, 3)
+    np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    # a Generator is one sequential stream over the same batches
+    x = simulate_field(system, sites, noise, 1000, np.random.default_rng(11), batch=256)
+    ref = _per_batch_reference(system, sites, noise, sizes,
+                               [np.random.default_rng(11)] * 4)
+    np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+def test_simulate_field_threads_do_not_change_draws():
+    mesh = lattice_mesh_2d((0, 0, 1, 1), 6, 1)
+    system = fem_assemble(mesh, 2.0, 2)
+    noise = TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0)
+    sites = [[0.3, 0.4], [0.7, 0.55]]
+    one = simulate_field(system, sites, noise, 5000, 8, batch=512, threads=1)
+    two = simulate_field(system, sites, noise, 5000, 8, batch=512, threads=2)
+    assert np.array_equal(one, two)
+
+
+def test_simulate_field_checks_site_weight_residual(monkeypatch):
+    mesh = lattice_mesh_2d((0, 0, 1, 1), 6, 1)
+    system = fem_assemble(mesh, 2.0, 2)
+    noise = TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0)
+    real = FemSystem._factor  # K_2 solves off by a relative 1e-6
+    monkeypatch.setattr(FemSystem, "_factor", lambda self: SimpleNamespace(
+        solve=lambda rhs, lu=real(self): lu.solve(rhs) * (1.0 + 1e-6)))
+    with pytest.raises(SolveError):
+        simulate_field(system, [[0.4, 0.6]], noise, 100, 1)
+
+
+def test_with_alpha_shares_the_k2_factorizations(monkeypatch):
+    mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
+    calls = []
+    real_eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or real_eigh(a))
+    base = fem_assemble(mesh, 2.0, 2)
+    rhs = np.linspace(0.5, 1.5, mesh.n_nodes)
+    for alpha in (3, 5, 2, 4):
+        view = base.with_alpha(alpha)
+        assert view.alpha == alpha and base.alpha == 2
+        fresh = fem_assemble(mesh, 2.0, alpha)
+        assert np.array_equal(view.solve_k_alpha(rhs), fresh.solve_k_alpha(rhs))
+    # one eigh for the views, one for each of the two fresh odd systems
+    assert len(calls) == 3
+    with pytest.raises(ParameterError):
+        base.with_alpha(2.5)
+    with pytest.raises(ParameterError):
+        fem_assemble(mesh, 2.0, 2, lumped=False).with_alpha(3)
 
 
 def test_simulate_field_accepts_coefficient_matrix():
