@@ -6,6 +6,7 @@ Each subcommand writes a plot-ready CSV (or JSON) artifact atomically
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from importlib import resources
 import numpy as np
 
 from . import estimate, fem, kernels, mesh
-from .errors import ExdepError
+from .errors import ExdepError, ParameterError
 from .exptail import GhParams
 from .lintrans import (CoefficientMatrix, chi_gh_two, chi_limit_a22,
                        eta_closed_form, tail_summary)
@@ -41,10 +42,22 @@ def _float_list(text):
     return [float(v) for v in text.split(",") if v.strip()]
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _threads(args):
     if args.threads is not None:
         return args.threads
-    return int(os.environ.get("EXDEP_THREADS", "1"))
+    text = os.environ.get("EXDEP_THREADS", "1")
+    try:
+        return _positive_int(text)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ParameterError(
+            f"EXDEP_THREADS must be a positive integer, got {text!r}") from None
 
 
 # ----------------------------------------------------------------------
@@ -151,6 +164,7 @@ def cmd_matern_eta(args):
 # ----------------------------------------------------------------------
 
 def cmd_simulate_and_chi(args):
+    threads = _threads(args)
     noise = fem.TypeGNoise("nig", **DEFAULT_NIG_NOISE)
     mesh_sides = [args.mesh_nodes or 20]
     default_n = 10 ** 5 if args.appendix_d else 10 ** 6
@@ -165,8 +179,7 @@ def cmd_simulate_and_chi(args):
             break
         grid = mesh.lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), side, args.extension)
         system = fem.fem_assemble(grid, args.kappa, args.alpha, lumped=True)
-        x = fem.simulate_field(system, sites, noise, n, args.seed,
-                               threads=_threads(args))
+        x = fem.simulate_field(system, sites, noise, n, args.seed, threads=threads)
         u = estimate.rank_columns(x)
         pair_id = 0
         for i in range(len(sites)):
@@ -188,13 +201,26 @@ def cmd_simulate_and_chi(args):
 # eta: tail summary of a coefficient matrix file
 # ----------------------------------------------------------------------
 
-def _validate_summary(obj):
-    import jsonschema
+@functools.cache
+def _summary_validator():
+    """The tail-summary validator; its schema is checked once per process."""
+    from jsonschema.validators import validator_for
 
     schema = json.loads(
         resources.files("exdep.schemas").joinpath("tail_summary.schema.json").read_text()
     )
-    jsonschema.validate(obj, schema)
+    cls = validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate_summary(obj):
+    """``jsonschema.validate(obj, schema)`` without re-checking the schema."""
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_summary_validator().iter_errors(obj))
+    if error is not None:
+        raise error
 
 
 def cmd_eta(args):
@@ -273,7 +299,7 @@ def build_parser():
 
     p = command("simulate-and-chi", cmd_simulate_and_chi,
                 "empirical chi(q) of simulated fields", seeded=True)
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_positive_int, default=None,
                    help="worker threads (default: EXDEP_THREADS or 1)")
     p.add_argument("--kappa", type=float, default=2.0)
     p.add_argument("--alpha", type=int, default=2)

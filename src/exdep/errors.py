@@ -48,6 +48,10 @@ class AssemblyError(ExdepError):
     """Finite element assembly failed (e.g. degenerate triangle)."""
 
 
+class QuadratureError(ExdepError, ArithmeticError):
+    """Adaptive quadrature reported that it did not reach its tolerance."""
+
+
 class SolveError(ExdepError):
     """A sparse linear solve failed or did not reach the required residual."""
 

@@ -15,12 +15,19 @@ CDF and quantile have no closed form; they are computed from a cached
 tolerance on probabilities).  The moment generating function is defined
 by adaptive quadrature of exp(t*y) against the density; divergence is
 detected from the tail exponents and reported as ``inf``, never as a
-silent overflow.
+silent overflow.  Every adaptive quadrature raises ``QuadratureError``
+when QUADPACK reports that it missed its tolerance.
+
+The densities take a float route on a Python float, as QUADPACK passes
+to its callbacks: the operations of the array route in the same order,
+so the bits agree, without the array overhead.  The normalizing
+constant, with its Bessel function, is computed once per distribution.
 """
 
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate, optimize
@@ -28,7 +35,7 @@ from scipy import special as _sp
 from scipy import stats as _st
 
 from .errors import (DomainError, MgfDivergenceError, ParameterError,
-                     PreconditionError, UnsupportedTailError)
+                     PreconditionError, QuadratureError, UnsupportedTailError)
 from .special import log_bessel_k
 
 __all__ = [
@@ -43,6 +50,18 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def _quad(func, a, b, **options):
+    """``integrate.quad`` of ``func`` over (a, b), raising on non-convergence.
+
+    QUADPACK returns a fourth element, its warning message, exactly when
+    ier > 0; ier = 0 already means abserr <= max(epsabs, epsrel * |I|).
+    """
+    out = integrate.quad(func, a, b, full_output=1, **options)
+    if len(out) > 3:
+        raise QuadratureError(f"quadrature over ({a}, {b}) failed: {out[3]}")
+    return out[0]
 
 
 def _check_gig_triple(lam, tau, psi, what):
@@ -265,9 +284,8 @@ class _QuadratureTable:
     def _quad_panel(self, a, b):
         if b <= a:
             return 0.0
-        out = integrate.quad(self.dist.pdf, self._native(a), self._native(b),
-                             epsabs=1e-13, epsrel=1e-11, limit=200, full_output=1)
-        return out[0]
+        return _quad(self.dist.pdf, self._native(a), self._native(b),
+                     epsabs=1e-13, epsrel=1e-11, limit=200)
 
     def _partial(self, i, a, b):
         if i in self._singular:
@@ -341,7 +359,8 @@ class NoiseDistribution:
     """An exponential-tailed GIG or GH noise law.
 
     Instances are immutable after construction and safe to share across
-    threads; the cached quadrature table is built lazily on first use.
+    threads; the density normalizer and the quadrature table are cached
+    lazily on first use.
     Samplers take an explicit generator (or integer seed) per caller and
     are bit-reproducible on a single stream.
     """
@@ -411,30 +430,37 @@ class NoiseDistribution:
     # -- density ---------------------------------------------------------
 
     def logpdf(self, x):
-        x = np.asarray(x, dtype=float)
+        """log f(x); a Python float gives a float by the scalar route."""
+        if self.family == "GH":
+            return self._gh_logpdf(x)
         p = self.params
-        if self.family == "GIG":
-            out = np.full(x.shape, -np.inf)
-            pos = x > 0
-            if p.tau == 0.0:  # gamma(lam, rate psi/2)
-                out[pos] = _st.gamma.logpdf(x[pos], a=p.lam, scale=2.0 / p.psi)
-            elif p.psi == 0.0:  # inverse gamma(-lam, scale tau/2)
-                out[pos] = _st.invgamma.logpdf(x[pos], a=-p.lam, scale=p.tau / 2.0)
-            else:
-                xx = x[pos]
-                out[pos] = (
-                    self._gig_lognorm()
-                    + (p.lam - 1.0) * np.log(xx)
-                    - 0.5 * (p.tau / xx + p.psi * xx)
-                )
-            return out if out.ndim else float(out)
-        return self._gh_logpdf(x)
+        if isinstance(x, float) and p.tau > 0.0 and p.psi > 0.0:
+            if not x > 0.0:
+                return -math.inf
+            return float(self._gig_lognorm + (p.lam - 1.0) * np.log(x)
+                         - 0.5 * (p.tau / x + p.psi * x))
+        x = np.asarray(x, dtype=float)
+        out = np.full(x.shape, -np.inf)
+        pos = x > 0
+        if p.tau == 0.0:  # gamma(lam, rate psi/2)
+            out[pos] = _st.gamma.logpdf(x[pos], a=p.lam, scale=2.0 / p.psi)
+        elif p.psi == 0.0:  # inverse gamma(-lam, scale tau/2)
+            out[pos] = _st.invgamma.logpdf(x[pos], a=-p.lam, scale=p.tau / 2.0)
+        else:
+            xx = x[pos]
+            out[pos] = (
+                self._gig_lognorm
+                + (p.lam - 1.0) * np.log(xx)
+                - 0.5 * (p.tau / xx + p.psi * xx)
+            )
+        return out if out.ndim else float(out)
 
     def pdf(self, x):
         with np.errstate(over="ignore"):
             out = np.exp(self.logpdf(x))
         return out if np.ndim(out) else float(out)
 
+    @cached_property
     def _gig_lognorm(self):
         p = self.params
         z = math.sqrt(p.tau * p.psi)
@@ -442,32 +468,46 @@ class NoiseDistribution:
 
     def _gh_logpdf(self, x):
         p = self.params
-        xc = np.asarray(x, dtype=float) - p.mu
+        scalar = isinstance(x, float)
+        xc = x - p.mu if scalar else np.asarray(x, dtype=float) - p.mu
         a2 = p.psi + p.gamma * p.gamma
         if a2 == 0.0:  # psi=0, gamma=0: Student-t with 2|lam| degrees of freedom
-            return (
+            out = (
                 _sp.gammaln(0.5 - p.lam) - _sp.gammaln(-p.lam)
                 - 0.5 * math.log(math.pi * p.tau)
                 + (p.lam - 0.5) * np.log1p(xc * xc / p.tau)
             )
+            return float(out) if scalar else out
+        if scalar:
+            s = math.sqrt((p.tau + xc * xc) * a2)
+            if not math.isfinite(s):
+                return -math.inf
+            if s == 0.0:
+                return self._gh_at_mu()
+            return float(self._gh_logconst + log_bessel_k(p.lam - 0.5, s)
+                         + p.gamma * xc - (0.5 - p.lam) * np.log(s))
         s = np.sqrt((p.tau + xc * xc) * a2)
         with np.errstate(invalid="ignore"):
             out = (
-                self._gh_logconst()
+                self._gh_logconst
                 + log_bessel_k(p.lam - 0.5, np.where(s > 0, s, 1.0))
                 + p.gamma * xc
                 - (0.5 - p.lam) * np.log(np.where(s > 0, s, 1.0))
             )
-            if np.any(s == 0.0):  # x = mu with tau = 0
-                if p.lam > 0.5:
-                    at_mu = (self._gh_logconst() + (p.lam - 1.5) * math.log(2.0)
-                             + _sp.gammaln(p.lam - 0.5))
-                else:
-                    at_mu = np.inf  # integrable cusp for lam <= 1/2
-                out = np.where(s > 0, out, at_mu)
+            if np.any(s == 0.0):
+                out = np.where(s > 0, out, self._gh_at_mu())
             out = np.where(np.isfinite(s), out, -np.inf)
         return out if out.ndim else float(out)
 
+    def _gh_at_mu(self):
+        """log f(mu) when tau = 0, where s = 0 and the Bessel form is 0/0."""
+        p = self.params
+        if p.lam > 0.5:
+            return float(self._gh_logconst + (p.lam - 1.5) * math.log(2.0)
+                         + _sp.gammaln(p.lam - 0.5))
+        return math.inf  # integrable cusp for lam <= 1/2
+
+    @cached_property
     def _gh_logconst(self):
         p = self.params
         a2 = p.psi + p.gamma * p.gamma
@@ -554,9 +594,7 @@ class NoiseDistribution:
         lo_s = max(lo, self._support[0])
         if hi <= lo_s:
             return 0.0
-        out = integrate.quad(self.pdf, lo_s, hi, epsabs=1e-13, epsrel=1e-11,
-                             limit=300, full_output=1)
-        return out[0]
+        return _quad(self.pdf, lo_s, hi, epsabs=1e-13, epsrel=1e-11, limit=300)
 
     # -- cdf / quantile -----------------------------------------------------
 
@@ -657,8 +695,7 @@ class NoiseDistribution:
             return 0.0
 
         def integrand(y):
-            with np.errstate(over="ignore"):
-                return math.exp(t * y + float(self.logpdf(y)))
+            return math.exp(t * y + self.logpdf(y))
 
         center, scale = self._center_scale()
         # shift the anchor toward the integrand's peak for positive t
@@ -667,9 +704,7 @@ class NoiseDistribution:
         pieces = [lo] + points + [hi]
         total = 0.0
         for a, b in zip(pieces[:-1], pieces[1:]):
-            out = integrate.quad(integrand, a, b, epsabs=1e-12, epsrel=1e-10,
-                                 limit=400, full_output=1)
-            total += out[0]
+            total += _quad(integrand, a, b, epsabs=1e-12, epsrel=1e-10, limit=400)
         return total
 
     # -- sampling ---------------------------------------------------------

@@ -1,8 +1,10 @@
 """Modified Bessel function of the second kind for real order.
 
-Thin wrappers around the AMOS-backed routines in :mod:`scipy.special`,
+Wrappers around the AMOS-backed routines in :mod:`scipy.special`,
 exposing the plain and the log-scaled variants used throughout the
-distribution code.  Required accuracy (1e-10 relative for orders in
+distribution code.  ``log_bessel_k`` has a float route for scalar
+quadrature callbacks that gives the bits of the array route without its
+array overhead.  Required accuracy (1e-10 relative for orders in
 [-35, 35] and arguments in (1e-8, 700)) is pinned by fixture tests
 against independently computed high-precision reference values.
 """
@@ -35,6 +37,19 @@ def bessel_k(order, x):
     return out if out.ndim else float(out)
 
 
+def _log_k_small(v, x):
+    # log((1/2) Gamma(v) (2/x)^v) + log1p(-x^2 / (4(v-1)))
+    out = math.lgamma(v) - math.log(2.0) - v * np.log(x / 2.0)
+    if v > 2.0:
+        out = out + np.log1p(-x * x / (4.0 * (v - 1.0)))
+    return out
+
+
+def _log_k_large(v, x):
+    # log(sqrt(pi / (2x)) e^{-x} (1 + (4v^2 - 1) / (8x)))
+    return 0.5 * np.log(np.pi / (2.0 * x)) - x + np.log1p((4.0 * v * v - 1.0) / (8.0 * x))
+
+
 def log_bessel_k(order, x):
     """log K_v(x), computed via the exponentially scaled K to avoid
     underflow for large arguments.
@@ -43,24 +58,37 @@ def log_bessel_k(order, x):
     argument) the value switches to the two-term small-argument
     expansion log((1/2) Gamma(v) (2/x)^v) + log1p(-x^2 / (4(v-1))),
     whose truncation error is below double precision exactly in that
-    regime.
+    regime.  Beyond the argument range of the AMOS routines (x > 2^30,
+    where ``kve`` returns NaN) it switches to the large-argument
+    expansion log(sqrt(pi/(2x)) e^{-x} (1 + (4v^2 - 1)/(8x))).
+
+    A float (or 0-d) argument gives a float, computed with the same
+    operations as the array route but without its array bookkeeping.
     """
     v = abs(order)
-    x = np.asarray(x, dtype=float)
+    if not isinstance(x, float):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            x = float(x)
+    if isinstance(x, float):
+        if x <= 0.0:
+            raise DomainError("log_bessel_k requires x > 0")
+        if not math.isfinite(x):
+            return -math.inf
+        out = np.log(_sp.kve(v, x)) - x
+        if x < 1.0 and not math.isfinite(out):  # K overflow
+            out = _log_k_small(v, x)
+        elif math.isnan(out):
+            out = _log_k_large(v, x)
+        return float(out)
     if np.any(x <= 0.0):
         raise DomainError("log_bessel_k requires x > 0")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = np.log(_sp.kve(v, x)) - x
-        bad = ~np.isfinite(out) & (x < 1.0)  # K overflow, not tail underflow
-        if np.any(bad):
-            xb = np.asarray(x)[bad] if x.ndim else x
-            small = math.lgamma(v) - math.log(2.0) - v * np.log(xb / 2.0)
-            if v > 2.0:
-                small = small + np.log1p(-xb * xb / (4.0 * (v - 1.0)))
-            if out.ndim:
-                out[bad] = small
-            else:
-                out = small
-        out = np.where(np.isfinite(x), out, -np.inf) if out.ndim else (
-            out if np.isfinite(x) else -np.inf)
-    return out if np.ndim(out) else float(out)
+        small = ~np.isfinite(out) & (x < 1.0)  # K overflow, not tail underflow
+        if np.any(small):
+            out[small] = _log_k_small(v, x[small])
+        large = np.isnan(out) & (x >= 1.0)
+        if np.any(large):
+            out[large] = _log_k_large(v, x[large])
+    return np.where(np.isfinite(x), out, -np.inf)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from importlib import resources
 from types import SimpleNamespace
 
 import numpy as np
@@ -142,6 +143,54 @@ def test_simulate_and_chi_tampered_solve_exits_1(tmp_path, monkeypatch):
                     "--extension", "1"])
     assert code == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-5", "two"])
+def test_simulate_and_chi_rejects_threads_below_one(tmp_path, threads):
+    out = tmp_path / "sim.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate-and-chi", "--seed", "1", "--samples", "100", "--mesh-nodes", "4",
+                 "--n-sites", "3", "--extension", "1", "--threads", threads, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1.5", "two"])
+def test_simulate_and_chi_rejects_bad_exdep_threads(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("EXDEP_THREADS", value)
+    out = tmp_path / "sim.csv"
+    code = run_cli(["simulate-and-chi", "--seed", "1", "--samples", "100", "--mesh-nodes", "4",
+                    "--n-sites", "3", "--extension", "1", "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+
+
+def test_chi_vs_a22_quadrature_failure_exits_1(tmp_path, monkeypatch, capsys):
+    from scipy import integrate
+
+    real = integrate.quad
+    monkeypatch.setattr(integrate, "quad",
+                        lambda *a, **k: real(*a, **k)[:3] + ("roundoff error is detected",))
+    out = tmp_path / "chi.csv"
+    assert run_cli(["chi-vs-a22", "--out", str(out), "--a22-grid", "0.5,0.7"]) == 1
+    assert not out.exists()
+    assert "roundoff error is detected" in capsys.readouterr().err
+
+
+def test_eta_summary_validation_matches_jsonschema():
+    import jsonschema
+
+    from exdep.cli import _validate_summary
+
+    schema = json.loads(resources.files("exdep.schemas")
+                        .joinpath("tail_summary.schema.json").read_text())
+    for bad in ({"regime": "Nope", "eta": 0.7, "eta_method": "closed_form"},
+                {"regime": "Boundary", "eta": 2.0, "eta_method": "closed_form", "x": 1}):
+        with pytest.raises(jsonschema.ValidationError) as ours:
+            _validate_summary(bad)
+        with pytest.raises(jsonschema.ValidationError) as ref:
+            jsonschema.validate(bad, schema)
+        assert ours.value.message == ref.value.message
 
 
 def test_matern_eta_runs_one_eigh_for_all_odd_alphas(tmp_path, monkeypatch):

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from exdep import exptail
 from exdep.errors import (DomainError, MgfDivergenceError, ParameterError,
-                          PreconditionError, UnsupportedTailError)
+                          PreconditionError, QuadratureError, UnsupportedTailError)
 from exdep.exptail import (GhParams, GigParams, NoiseDistribution, map_chunks,
                            quantile_shift, read_sample_csv, substreams,
                            write_sample_csv)
@@ -98,6 +100,60 @@ def test_gh_tail_asymptotics():
     dist = NoiseDistribution.gh(-0.5, 1.0, 1.0)
     vals = [dist.logpdf(x) + 1.0 * x - (-0.5 - 1.0) * math.log(x) for x in (20.0, 40.0, 80.0)]
     assert abs(vals[2] - vals[1]) < abs(vals[1] - vals[0]) < 0.01
+
+
+@pytest.mark.parametrize("params", [
+    GhParams(-0.5, 1.0, 1.0, 0.0, 0.0),
+    GhParams(1.0, 1.0, 3.0, -2.0, 1.0),
+    GhParams(2.0, 0.0, 1.0, 0.5, 0.0),   # variance gamma, finite at mu
+    GhParams(0.3, 0.0, 1.0, 0.0, 0.0),   # variance gamma, cusp at mu
+    GhParams(-1.5, 1.0, 0.0, 0.0, 0.0),  # Student-t
+    GigParams(-0.5, 1.0, 1.0),
+], ids=["nig", "skewed", "vg", "vg-cusp", "student-t", "gig"])
+def test_logpdf_float_route_matches_array_route(params):
+    dist = NoiseDistribution(params)
+    mu = getattr(params, "mu", 0.0)
+    xs = np.concatenate([
+        mu + np.linspace(-60.0, 60.0, 241),
+        [mu, mu + 1e-300, mu - 1e-300, 5e-324, -1e12, 1e12,
+         -1e300, 1e300, -np.inf, np.inf],
+    ])
+    with np.errstate(all="ignore"):
+        array_route = dist.logpdf(xs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the float route raises no numpy warning
+        float_route = [dist.logpdf(float(x)) for x in xs]
+    assert all(type(v) is float for v in float_route)
+    np.testing.assert_array_equal(float_route, array_route)
+    np.testing.assert_array_equal([dist.pdf(float(x)) for x in xs], np.exp(array_route))
+
+
+@pytest.mark.parametrize("dist,lam", [
+    (NoiseDistribution.nig(1.0, 1.0), -0.5),
+    (NoiseDistribution.gig(-0.5, 1.0, 2.0), -0.5),
+])
+def test_normalizer_bessel_runs_once_per_distribution(monkeypatch, dist, lam):
+    orders = []
+    real = exptail.log_bessel_k
+    monkeypatch.setattr(exptail, "log_bessel_k",
+                        lambda order, x: orders.append(order) or real(order, x))
+    for t in (0.3, 0.5, 0.3, 0.7):
+        dist.mgf(t)
+    assert orders.count(lam) == 1
+    if dist.family == "GH":  # one K_{lam - 1/2} per integrand point
+        assert orders.count(lam - 0.5) == len(orders) - 1 > 100
+
+
+def test_quadrature_failure_raises(monkeypatch):
+    from scipy import integrate
+
+    real = integrate.quad
+    monkeypatch.setattr(integrate, "quad",
+                        lambda *a, **k: real(*a, **k)[:3] + ("roundoff error is detected",))
+    with pytest.raises(QuadratureError, match="roundoff"):
+        NoiseDistribution.nig(1.0, 1.0).mgf(0.5)
+    with pytest.raises(QuadratureError):  # the cdf grid: kink panels and tail masses
+        NoiseDistribution.gh(1.0, 1.0, 3.0, -2.0, 1.0).cdf(0.3)
 
 
 # -- tail index ----------------------------------------------------------

@@ -56,6 +56,39 @@ def test_domain_errors():
         bessel_k(1.0, 0.0)
     with pytest.raises(DomainError):
         log_bessel_k(1.0, -2.0)
+    with pytest.raises(DomainError):
+        log_bessel_k(1.0, -math.inf)
+    with pytest.raises(DomainError):
+        log_bessel_k(1.0, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("order,x", [
+    (35.0, 1e-300),       # K overflows: small-argument expansion
+    (35.0, 0.5),
+    (2.5, 1e-8),
+    (0.0, 1.0),
+    (-1.5, 700.0),
+    (0.5, 2.0 ** 30 * 1.001),  # beyond the AMOS range: large-argument expansion
+    (0.5, 1e300),
+    (3.0, math.inf),
+    (1.0, math.nan),
+])
+def test_float_route_matches_array_route(order, x):
+    scalar = log_bessel_k(order, x)
+    assert type(scalar) is float
+    np.testing.assert_array_equal(scalar, log_bessel_k(order, np.array([x]))[0])
+    np.testing.assert_array_equal(scalar, log_bessel_k(order, np.array(x)))
+
+
+def test_large_arguments_beyond_amos_range():
+    # scipy's kve returns NaN above x = 2^30
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for order in (0.0, 1.5, 35.0):
+        for x in (2.0 ** 30 * 0.999, 2.0 ** 30 * 1.001, 1e12, 1e100):
+            ref = float(mpmath.log(mpmath.besselk(order, x)))
+            assert log_bessel_k(order, x) == pytest.approx(ref, rel=1e-15)
+    assert bessel_k(1.0, 1e10) == 0.0
 
 
 def test_vectorized():
