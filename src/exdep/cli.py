@@ -291,7 +291,9 @@ def build_parser():
                 seeded=True)
     p.add_argument("--paper-scale", action="store_true",
                    help="225 sites, as published, instead of 50")
-    p.add_argument("--kappa", type=float, default=2.0)
+    p.add_argument("--kappa", type=float, default=2.0,
+                   help="Matern range parameter; odd alphas need kappa above about "
+                        "5e-5 on the default mesh (spectrum ratio of S at most 1e8)")
     p.add_argument("--alphas", type=_float_list, default=[2.0, 3.0, 4.0, 5.0])
     p.add_argument("--mesh-nodes", type=int, default=None, help="lattice nodes per side")
     p.add_argument("--n-sites", type=int, default=None)

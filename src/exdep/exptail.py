@@ -12,16 +12,18 @@ are handled as explicit special cases rather than numerical limits.
 
 CDF and quantile have no closed form; they are computed from a cached
 1024-segment quadrature grid with Brent refinement (1e-9 absolute
-tolerance on probabilities).  The moment generating function is defined
-by adaptive quadrature of exp(t*y) against the density; divergence is
-detected from the tail exponents and reported as ``inf``, never as a
-silent overflow.  Every adaptive quadrature raises ``QuadratureError``
-when QUADPACK reports that it missed its tolerance.
+tolerance on probabilities).  The moment generating function is the
+closed form of the GIG mixing law, E[exp(u R)] with u = t (GIG) or
+gamma*t + t^2/2 (GH); divergence is detected from the tail exponents and
+reported as ``inf``, never as a silent overflow.  Partial integrals of
+exp(t*y) against the density, as chi needs, use adaptive quadrature.
+Every adaptive quadrature raises ``QuadratureError`` when QUADPACK
+reports that it missed its tolerance.
 
 The densities take a float route on a Python float, as QUADPACK passes
 to its callbacks: the operations of the array route in the same order,
-so the bits agree, without the array overhead.  The normalizing
-constant, with its Bessel function, is computed once per distribution.
+so the bits agree, without the array overhead.  The Bessel function of
+the normalizing constant is computed once per distribution.
 """
 
 import json
@@ -376,7 +378,6 @@ class NoiseDistribution:
             raise ParameterError("params must be GigParams or GhParams")
         self.params = params
         self._table = None
-        self._mgf_cache = {}
         self._gig_sampler = None
 
     # -- constructors --------------------------------------------------
@@ -461,10 +462,15 @@ class NoiseDistribution:
         return out if np.ndim(out) else float(out)
 
     @cached_property
+    def _log_k_mixing(self):
+        """log K_lambda(sqrt(tau psi)), the Bessel factor of the GIG normalizer."""
+        p = self.params
+        return log_bessel_k(p.lam, math.sqrt(p.tau * p.psi))
+
+    @cached_property
     def _gig_lognorm(self):
         p = self.params
-        z = math.sqrt(p.tau * p.psi)
-        return 0.5 * p.lam * (math.log(p.psi) - math.log(p.tau)) - math.log(2.0) - log_bessel_k(p.lam, z)
+        return 0.5 * p.lam * (math.log(p.psi) - math.log(p.tau)) - math.log(2.0) - self._log_k_mixing
 
     def _gh_logpdf(self, x):
         p = self.params
@@ -486,8 +492,8 @@ class NoiseDistribution:
                 return self._gh_at_mu()
             return float(self._gh_logconst + log_bessel_k(p.lam - 0.5, s)
                          + p.gamma * xc - (0.5 - p.lam) * np.log(s))
-        s = np.sqrt((p.tau + xc * xc) * a2)
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
+            s = np.sqrt((p.tau + xc * xc) * a2)
             out = (
                 self._gh_logconst
                 + log_bessel_k(p.lam - 0.5, np.where(s > 0, s, 1.0))
@@ -516,8 +522,7 @@ class NoiseDistribution:
             return base + p.lam * math.log(p.psi) + (1.0 - p.lam) * math.log(2.0) - _sp.gammaln(p.lam)
         if p.psi == 0.0:  # inverse-gamma mixing limit
             return base - p.lam * math.log(p.tau) + (1.0 + p.lam) * math.log(2.0) - _sp.gammaln(-p.lam)
-        z = math.sqrt(p.tau * p.psi)
-        return base + 0.5 * p.lam * (math.log(p.psi) - math.log(p.tau)) - log_bessel_k(p.lam, z)
+        return base + 0.5 * p.lam * (math.log(p.psi) - math.log(p.tau)) - self._log_k_mixing
 
     # -- tail index -------------------------------------------------------
 
@@ -671,22 +676,42 @@ class NoiseDistribution:
         return False
 
     def mgf(self, t):
-        """E[exp(t*Y)] by adaptive quadrature; ``inf`` when divergent.
+        """E[exp(t*Y)] in closed form; ``inf`` when divergent.
 
         Finite iff t is below the tail index beta, or t = beta exactly
-        and the boundary integral converges (lambda < 0).
+        and lambda < 0.  Y = mu + gamma*R + sqrt(R)*W gives
+        M(t) = e^{mu t} E[exp(u R)] with u = gamma*t + t^2/2 (u = t and
+        mu = 0 for a GIG law Y = R), and with s = psi - 2u
+
+            E[exp(u R)] = (psi/s)^{lambda/2} K_lambda(sqrt(tau s)) / K_lambda(sqrt(tau psi)).
         """
         t = float(t)
         if t == 0.0:
             return 1.0
-        if t in self._mgf_cache:
-            return self._mgf_cache[t]
         if not self._mgf_finite(t):
-            self._mgf_cache[t] = np.inf
             return np.inf
-        val = self._exp_weighted_integral(t, -np.inf, np.inf)
-        self._mgf_cache[t] = val
-        return val
+        p = self.params
+        if self.family == "GIG":
+            return math.exp(self._mixing_log_mgf(p.psi - 2.0 * t))
+        u = p.gamma * t + 0.5 * t * t
+        return math.exp(p.mu * t + self._mixing_log_mgf(p.psi - 2.0 * u))
+
+    def _mixing_log_mgf(self, s):
+        """log E[exp(u R)] for R ~ GIG(lambda, tau, psi), at s = psi - 2u > 0,
+        or at s <= 0 for the finite boundary value (lambda < 0)."""
+        p = self.params
+        if p.tau == 0.0:  # gamma(lambda, rate psi/2)
+            return p.lam * math.log(p.psi / s)
+        if p.psi == 0.0:  # inverse gamma(-lambda, scale tau/2); s <= 0 is u = 0
+            if s <= 0.0:
+                return 0.0
+            return ((1.0 + p.lam) * math.log(2.0) - 0.5 * p.lam * math.log(p.tau * s)
+                    + log_bessel_k(p.lam, math.sqrt(p.tau * s)) - _sp.gammaln(-p.lam))
+        if s <= 0.0:  # s -> 0 with K_lambda(z) ~ Gamma(-lambda) 2^{-lambda-1} z^lambda
+            return (0.5 * p.lam * math.log(p.tau * p.psi) + _sp.gammaln(-p.lam)
+                    - (1.0 + p.lam) * math.log(2.0) - self._log_k_mixing)
+        return (0.5 * p.lam * math.log(p.psi / s) + log_bessel_k(p.lam, math.sqrt(p.tau * s))
+                - self._log_k_mixing)
 
     def _exp_weighted_integral(self, t, lo, hi):
         """integral of exp(t*y) f(y) dy over (lo, hi)."""

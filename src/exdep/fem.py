@@ -8,6 +8,12 @@ exponents is the matrix polynomial
 
     K_2 = kappa^2 C + G,      K_4 = K_2 C^{-1} K_2,      ...
 
+and with the lumped mass an odd exponent adds the half power
+K_1 = C^{1/2} S^{1/2} C^{1/2}, S = C^{-1/2} K_2 C^{-1/2}.  Its inverse is
+applied by a rational approximation of S^{-1/2} with real positive
+shifts (Hale, Higham & Trefethen, SIAM J. Numer. Anal. 2008), one sparse
+factorization of K_2 + d_j C per shift, so no dense matrix is formed.
+
 Weights solve K_alpha w = (integral of phi_1 dM, ..., integral of
 phi_n dM); with type G noise the cell values are normal mean-variance
 mixtures over the dual cells D_j = {s : phi_j(s) >= phi_i(s) for all i},
@@ -18,9 +24,11 @@ whose mixing variables must come from a convolution-closed GIG subclass
 import copy
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy import special as _sp
 from scipy.sparse import linalg as spla
 
 from .errors import (AssemblyError, DomainError, NonnegativityError,
@@ -33,6 +41,7 @@ __all__ = [
     "TypeGNoise",
     "fem_assemble",
     "fem_coefficients",
+    "inverse_sqrt_quadrature",
     "basis_matrix",
     "dual_cell_areas",
     "simulate_field",
@@ -89,13 +98,69 @@ class TypeGNoise:
                                     self.mu * area, self.gamma)
 
 
+RATIONAL_TOL = 1e-13    # relative error bound of the odd-exponent quadrature
+BACKWARD_TOL = 1e-12    # largest normwise backward error a K_alpha solve accepts
+MAX_RATIO = 1e8        # largest spectrum ratio upper/lower the quadrature accepts
+_LOG_GRID = 4097        # points of the log grid the quadrature error is taken on
+_MAX_NODES = 60         # ratios up to MAX_RATIO need at most 40
+_INVERSE_STEPS = 8      # inverse iterations behind the lower spectrum bound
+
+
+class InverseSqrtQuadrature(NamedTuple):
+    """sum_j weights[j] / (l + shifts[j]) = l^{-1/2} (1 + e(l)), where
+    |e(l)| <= error on the log grid of the interval it was built for."""
+
+    weights: np.ndarray
+    shifts: np.ndarray
+    error: float
+
+
+def inverse_sqrt_quadrature(lower, upper):
+    """Real positive shifts and weights approximating l^{-1/2} on [lower, upper].
+
+    l^{-1/2} = (2/pi) int_0^inf dt / (t^2 + l).  The substitution
+    t = sqrt(lower) sn(u)/cn(u) with parameter k^2 = 1 - lower/upper and
+    the midpoint rule on u in (0, K(k^2)) converge geometrically in the
+    node count N (Hale, Higham & Trefethen, SIAM J. Numer. Anal. 2008).
+    N is the smallest count whose relative error on a log grid of
+    [lower, upper] is at most RATIONAL_TOL / 2; the half leaves room for
+    the error between grid points and its rounding.  Ratios
+    upper/lower above MAX_RATIO raise :class:`ParameterError`: beyond
+    about 7e8 scipy's ``ellipj`` loses the relative accuracy of ``cn``
+    and ``dn`` that the tolerance needs.
+    """
+    if not 0.0 < lower <= upper <= MAX_RATIO * lower:
+        raise ParameterError(f"need 0 < lower <= upper <= {MAX_RATIO:.0e} lower, "
+                             f"got {lower!r}, {upper!r}")
+    k2 = 1.0 - lower / upper
+    top = lower / (1.0 - k2)  # the upper end the rounded k2 stands for
+    big_k = float(_sp.ellipk(k2))
+    grid = np.geomspace(lower, upper, _LOG_GRID)
+    for n in range(1, _MAX_NODES + 1):
+        sn, cn, dn, _ = _sp.ellipj((np.arange(n) + 0.5) * big_k / n, k2)
+        # past K/2 cn loses relative accuracy; there the midpoint nodes
+        # mirror those before it, and sn/cn, dn/cn^2 at K - u are
+        # cn/(k' sn) and dn/(k' sn^2) at u, with k'^2 = lower/top
+        first = np.arange(n) < n / 2.0
+        shifts = np.where(first, lower * (sn / cn) ** 2, (top * (cn / sn) ** 2)[::-1])
+        weights = (2.0 / np.pi) * (big_k / n) * np.where(
+            first, math.sqrt(lower) * dn / cn ** 2, (math.sqrt(top) * dn / sn ** 2)[::-1])
+        approx = np.sqrt(grid) * (weights / (grid[:, None] + shifts)).sum(axis=1)
+        error = float(np.abs(approx - 1.0).max())
+        if error <= RATIONAL_TOL / 2.0:
+            return InverseSqrtQuadrature(weights, shifts, error)
+    raise SolveError(f"no {_MAX_NODES}-node quadrature of l^(-1/2) on "
+                     f"[{lower:.3g}, {upper:.3g}] within {RATIONAL_TOL:.0e}")
+
+
 class FemSystem:
     """Assembled mass/stiffness matrices and the K_alpha solve operator.
 
     Even exponents keep K_alpha a sparse matrix polynomial in K_2 and C.
-    Odd exponents (needed for the smoothness sweep alpha = 2..5) go
-    through the dense spectral half power of C^{-1/2} K_2 C^{-1/2},
-    which requires the lumped mass.
+    Odd exponents (needed for the smoothness sweep alpha = 2..5) need the
+    lumped mass and go through R = sum_j c_j (K_2 + d_j C)^{-1}, the
+    rational approximation of K_1^{-1} = C^{-1/2} S^{-1/2} C^{-1/2} from
+    :func:`inverse_sqrt_quadrature` on the spectrum bounds of S.
     """
 
     def __init__(self, mesh, kappa, alpha, lumped, mass, mass_lumped, stiffness,
@@ -110,13 +175,13 @@ class FemSystem:
         robin = kappa * boundary_mass if boundary_mass is not None else 0.0
         self.base = (kappa ** 2 * (sparse.diags(mass_lumped) if lumped else mass)
                      + stiffness + robin).tocsc()   # K_2
-        self._factors = {}  # K_2 LU and spectral factors, shared with with_alpha views
+        self._factors = {}  # K_2 LU, quadrature and shifted LUs, shared with with_alpha views
 
     def with_alpha(self, alpha):
         """The same assembled system with exponent ``alpha``.
 
-        The view shares this system's K_2 factorizations, so each is
-        computed once however many exponents use it.
+        The view shares this system's factorizations, so each is computed
+        once however many exponents use it.
         """
         view = copy.copy(self)
         view.alpha = _check_alpha(alpha, self.lumped)
@@ -133,13 +198,14 @@ class FemSystem:
 
         Available for alpha = 2 and, for higher even exponents, with the
         lumped mass (the consistent-mass inverse is dense; use
-        :meth:`solve_k_alpha`, which factors through C and K_2).
+        :meth:`solve_k_alpha`, which factors through C and K_2).  Odd
+        exponents have no sparse K_alpha.
         """
         if self.alpha == 2:
             return self.base.tocsr()
-        if not self.lumped:
+        if self.alpha % 2 or not self.lumped:
             raise ParameterError(
-                "explicit K_alpha with consistent mass is dense for alpha >= 4; "
+                f"explicit K_alpha is dense for alpha = {self.alpha} with this mass; "
                 "use solve_k_alpha"
             )
         c_inv = sparse.diags(1.0 / self.mass_lumped)
@@ -147,6 +213,66 @@ class FemSystem:
         for _ in range(self.alpha // 2 - 1):
             k = k @ c_inv @ self.base
         return k.tocsr()
+
+    @property
+    def spectrum_bounds(self):
+        """(m, M) enclosing the spectrum of S = C^{-1/2} K_2 C^{-1/2}.
+
+        M is the Gershgorin bound of the sparse S of the lumped mass; the
+        consistent mass is at least a quarter of the lumped one, so its S
+        stays below four times that bound.  m = kappa^2 always holds, since
+        S - kappa^2 I = C^{-1/2} (G + kappa B) C^{-1/2} is positive
+        semidefinite.  With the Robin term B the smallest eigenvalue is of
+        order kappa, not kappa^2, and with the lumped mass m is raised to
+        the bound of :meth:`_inverse_iteration_bound` where that applies.
+        """
+        if "bounds" not in self._factors:
+            root = 1.0 / np.sqrt(self.mass_lumped)
+            upper = float(((abs(self.base) @ root) * root).max())
+            if self.lumped:
+                lower = max(self.kappa ** 2, self._inverse_iteration_bound())
+                self._factors["bounds"] = (lower, upper)
+            else:
+                self._factors["bounds"] = (self.kappa ** 2, 4.0 * upper)
+        return self._factors["bounds"]
+
+    def _inverse_iteration_bound(self):
+        """A lower bound of the smallest eigenvalue of S, or 0.
+
+        When no off-diagonal entry of K_2 is positive (an M-matrix, as on
+        meshes without obtuse angles while kappa h < 3), S^{-1} is
+        entrywise nonnegative, so lambda_min(S) >= min_i v_i / (S^{-1} v)_i
+        for every positive v (Collatz-Wielandt).  A few inverse iterations
+        with the cached K_2 factorization make v close to the lowest
+        eigenvector and the bound close to tight; 1% of it is given up to
+        the rounding of the solves.
+        """
+        upper_off = sparse.triu(self.base, k=1)
+        if upper_off.nnz and upper_off.data.max() > 0.0:
+            return 0.0
+        lu = self._factor()
+        root = np.sqrt(self.mass_lumped)
+        v = np.ones_like(root)
+        bound = 0.0
+        for _ in range(_INVERSE_STEPS):
+            w = root * lu.solve(root * v)  # S^{-1} v
+            if not w.min() > 0.0:
+                return 0.0
+            bound = max(bound, float((v / w).min()))
+            v = w / w.max()
+        return 0.99 * bound
+
+    @property
+    def quadrature(self):
+        """The :class:`InverseSqrtQuadrature` of S^{-1/2} behind odd exponents."""
+        if "quadrature" not in self._factors:
+            lower, upper = self.spectrum_bounds
+            if upper > MAX_RATIO * lower:
+                raise ParameterError(
+                    f"kappa = {self.kappa!r} is too small for odd alpha on this mesh: "
+                    f"the spectrum ratio {upper / lower:.3g} of S is above {MAX_RATIO:.0e}")
+            self._factors["quadrature"] = inverse_sqrt_quadrature(lower, upper)
+        return self._factors["quadrature"]
 
     def _factor(self):
         if "lu" not in self._factors:
@@ -156,61 +282,69 @@ class FemSystem:
                 raise SolveError(f"K_2 factorization failed: {exc}") from exc
         return self._factors["lu"]
 
-    def _spectral_factor(self):
-        if "spectral" not in self._factors:
-            if not self.lumped:
-                raise ParameterError("odd exponents require the lumped mass")
-            root = np.sqrt(self.mass_lumped)
-            s = self.base.toarray() / root[:, None] / root[None, :]
-            eigvals, q = np.linalg.eigh(s)
-            if eigvals.min() <= 0.0:  # pragma: no cover
-                raise SolveError("C^{-1/2} K_2 C^{-1/2} is not positive definite")
-            self._factors["spectral"] = (eigvals, q, root)
-        return self._factors["spectral"]
-
-    def _spectral_op(self, rhs, power, inverse):
-        # K_alpha = C^{1/2} Q diag(l^{alpha/2}) Q^T C^{1/2}; the inverse
-        # swaps the outer sqrt(C) multiplications for divisions
-        eigvals, q, root = self._spectral_factor()
-        rhs = np.asarray(rhs, dtype=float)
-        scale = root[:, None] if rhs.ndim == 2 else root
-        y = q.T @ (rhs / scale if inverse else rhs * scale)
-        y = (eigvals[:, None] ** power if rhs.ndim == 2 else eigvals ** power) * y
-        out = q @ y
-        return out / scale if inverse else out * scale
-
-    def solve_k_alpha(self, rhs, check_residual=False):
-        """K_alpha^{-1} rhs; sparse K_2 solves interleaved with C for even
-        alpha, the spectral fractional power for odd alpha."""
-        rhs = np.asarray(rhs, dtype=float)
-        if self.alpha % 2:
-            x = self._spectral_op(rhs, -self.alpha / 2.0, inverse=True)
-        else:
-            lu = self._factor()
+    def _half_inverse(self, rhs):
+        """R rhs, the rational approximation of K_1^{-1} rhs."""
+        if "shifted" not in self._factors:
             c = self.mass_matrix
-            x = lu.solve(rhs)
-            for _ in range(self.alpha // 2 - 1):
-                x = lu.solve(c @ x)
-        if check_residual:
-            res = self.apply_k_alpha(x) - rhs
-            denom = np.linalg.norm(rhs)
-            if denom > 0 and np.linalg.norm(res) / denom > 1e-10:
-                raise SolveError("K_alpha solve residual above 1e-10 relative")
+            try:
+                self._factors["shifted"] = [
+                    spla.splu((self.base + d * c).tocsc(), permc_spec="MMD_AT_PLUS_A")
+                    for d in self.quadrature.shifts]
+            except RuntimeError as exc:  # pragma: no cover
+                raise SolveError(f"shifted K_2 factorization failed: {exc}") from exc
+        return sum(w * lu.solve(rhs)
+                   for w, lu in zip(self.quadrature.weights, self._factors["shifted"]))
+
+    def solve_k_alpha(self, rhs):
+        """K_alpha^{-1} rhs = (K_2^{-1} C)^{k-1} K_2^{-1} rhs for alpha = 2k
+        and (K_2^{-1} C)^k R rhs for alpha = 2k + 1.
+
+        A normwise backward error (:meth:`backward_error`) above
+        ``BACKWARD_TOL``, or a NaN one, raises :class:`SolveError`.
+        """
+        rhs = np.asarray(rhs, dtype=float)
+        lu = self._factor()
+        c = self.mass_matrix
+        x = self._half_inverse(rhs) if self.alpha % 2 else lu.solve(rhs)
+        for _ in range((self.alpha - 1) // 2):
+            x = lu.solve(c @ x)
+        eta = self.backward_error(x, rhs)
+        if not eta <= BACKWARD_TOL:
+            raise SolveError(f"K_alpha solve backward error {eta:.1e} above {BACKWARD_TOL:.0e}")
         return x
 
     def apply_k_alpha(self, x):
-        """K_alpha x without forming the matrix product."""
+        """K_alpha x without forming the matrix product; an odd exponent
+        uses K_{2k+1} x = K_{2k+2} R C x."""
         x = np.asarray(x, dtype=float)
         if self.alpha % 2:
-            return self._spectral_op(x, self.alpha / 2.0, inverse=False)
+            x = self._half_inverse(self.mass_matrix @ x)
         y = self.base @ x
-        for _ in range(self.alpha // 2 - 1):
+        for _ in range((self.alpha + 1) // 2 - 1):
             if self.lumped:
                 scale = self.mass_lumped[:, None] if y.ndim == 2 else self.mass_lumped
                 y = self.base @ (y / scale)
             else:
                 y = self.base @ spla.spsolve(self.mass.tocsc(), y)
         return y
+
+    def backward_error(self, x, rhs):
+        """Normwise backward error of K_alpha x = rhs, the largest over
+        columns of ||K_alpha x - rhs|| / (||K_alpha|| ||x||).
+
+        ||K_alpha|| = ||C^{1/2} S^{alpha/2} C^{1/2}|| is bounded by
+        max(C) M^{alpha/2}, with M from :attr:`spectrum_bounds`.  A column
+        with x = 0 reads 0 if its rhs is 0 and inf otherwise; NaN in x
+        gives NaN.
+        """
+        x = np.asarray(x, dtype=float)
+        norm_k = self.mass_lumped.max() * self.spectrum_bounds[1] ** (self.alpha / 2.0)
+        res = np.atleast_1d(np.linalg.norm(self.apply_k_alpha(x) - rhs, axis=0))
+        denom = norm_k * np.atleast_1d(np.linalg.norm(x, axis=0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            eta = res / denom
+        eta[res == 0.0] = 0.0
+        return float(eta.max())
 
 
 def _boundary_mass(mesh):
@@ -243,9 +377,15 @@ def fem_assemble(mesh, kappa, alpha, lumped=True, boundary="robin"):
     """Assemble mass, stiffness and the K_alpha operator on a mesh.
 
     ``alpha`` must be an integer in 2..6.  Even values keep K_alpha a
-    sparse matrix polynomial; odd values use a dense spectral square
-    root (lumped mass only) and are meant for desk-scale meshes.
-    Genuinely non-integer exponents are out of scope.
+    sparse matrix polynomial; odd values (lumped mass only) add the
+    rational approximation of K_1^{-1}, one sparse factorization per
+    shift, so every exponent stays sparse.  Genuinely non-integer
+    exponents are out of scope.  Odd exponents need the spectrum ratio
+    M/m of :attr:`FemSystem.spectrum_bounds` to be at most MAX_RATIO
+    (1e8), else the solve raises :class:`ParameterError`.  With the Robin
+    ends m is of order kappa, so on the 2,704-node desk mesh (side 40, 6
+    rings) kappa down to about 5e-5 works; with Neumann ends m = kappa^2,
+    and the same mesh needs kappa above about 0.012.
 
     ``boundary`` selects the default Robin condition du/dn + kappa*u = 0,
     which suppresses boundary reflection of the discrete Green's function
@@ -306,15 +446,17 @@ def fem_coefficients(system, sites, negative_rtol=1e-10):
 
     One K_alpha solve with a right-hand side per site.  Entries more
     negative than ``-negative_rtol * rowmax`` abort (a mesh or solver
-    problem); smaller negative round-off is clamped to zero.
+    problem); smaller negative round-off is clamped to zero.  The solve
+    raises :class:`SolveError` when its normwise backward error is above
+    ``BACKWARD_TOL``.
     """
     phi = basis_matrix(system.mesh, sites)
     rows = system.solve_k_alpha(phi.toarray().T).T
     out = []
     for j, row in enumerate(rows):
         top = row.max()
-        if top <= 0.0:
-            raise SolveError(f"site {j}: solve produced a non-positive row")
+        if not top > 0.0:  # NaN included
+            raise SolveError(f"site {j}: solve produced a non-positive or NaN row")
         if row.min() < -negative_rtol * top:
             raise NonnegativityError(
                 f"site {j}: coefficient {row.min():.3e} below -{negative_rtol:.0e} * rowmax"
@@ -344,12 +486,12 @@ def simulate_field(system, sites, noise, n, rng, constant_mixing=None,
     :class:`TypeGNoise`, or a plain CoefficientMatrix with a
     :class:`NoiseDistribution` for the generic linear model.  The FEM
     field at the sites is the linear model X = W rhs: the site weights
-    W = phi K_alpha^{-1} come from one residual-checked solve with a
-    right-hand side per site, and each replicate batch of cell noises
-    rhs = mu*|D| + gamma*v + sqrt(v)*Z is mapped through W.  ``rng`` is
-    an integer root seed (split into per-batch sub-streams, which
-    ``threads`` workers may draw in parallel) or a Generator (single
-    sequential stream).  ``constant_mixing`` freezes the mixing
+    W = phi K_alpha^{-1} come from one solve with a right-hand side per
+    site, checked by its backward error, and each replicate batch of
+    cell noises rhs = mu*|D| + gamma*v + sqrt(v)*Z is mapped through W.
+    ``rng`` is an integer root seed (split into per-batch sub-streams,
+    which ``threads`` workers may draw in parallel) or a Generator
+    (single sequential stream).  ``constant_mixing`` freezes the mixing
     variables at a constant, which makes the field Gaussian (debugging
     hook).
     """
@@ -365,7 +507,7 @@ def simulate_field(system, sites, noise, n, rng, constant_mixing=None,
     areas = dual_cell_areas(system.mesh)
     if n == 0:
         return np.empty((0, phi.shape[0]))
-    weights_t = system.solve_k_alpha(phi.toarray().T, check_residual=True)  # W^T
+    weights_t = system.solve_k_alpha(phi.toarray().T)  # W^T
 
     def one_batch(size, stream):
         if constant_mixing is not None:

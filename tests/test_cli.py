@@ -6,9 +6,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.sparse import linalg as spla
 
 from exdep.cli import main
-from exdep.fem import FemSystem
+from exdep.fem import FemSystem, fem_assemble
+from exdep.mesh import lattice_mesh_2d
 
 
 def run_cli(args):
@@ -145,6 +147,15 @@ def test_simulate_and_chi_tampered_solve_exits_1(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("alpha", ["5", "6"])
+def test_simulate_and_chi_runs_high_alpha(tmp_path, alpha):
+    # the relative residual of these correct solves passes 1e-10 on the side-25 mesh
+    out = tmp_path / "sim.csv"
+    assert run_cli(["simulate-and-chi", "--seed", "1", "--samples", "400", "--alpha", alpha,
+                    "--appendix-d", "--n-sites", "3", "--q", "0.9", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 3 * 3  # three sides, three pairs
+
+
 @pytest.mark.parametrize("threads", ["0", "-5", "two"])
 def test_simulate_and_chi_rejects_threads_below_one(tmp_path, threads):
     out = tmp_path / "sim.csv"
@@ -193,14 +204,41 @@ def test_eta_summary_validation_matches_jsonschema():
         assert ours.value.message == ref.value.message
 
 
-def test_matern_eta_runs_one_eigh_for_all_odd_alphas(tmp_path, monkeypatch):
+def test_matern_eta_factors_once_for_all_odd_alphas(tmp_path, monkeypatch):
+    grid = lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), 8, 1)
+    n_shifts = len(fem_assemble(grid, 2.0, 2).quadrature.shifts)
     calls = []
-    real_eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or real_eigh(a))
+    real_splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda a, **kw: calls.append(1) or real_splu(a, **kw))
+    monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: pytest.fail("dense eigh called"))
     out = tmp_path / "m.csv"
     assert run_cli(["matern-eta", "--seed", "2", "--alphas", "2,3,4,5", "--mesh-nodes", "8",
                     "--n-sites", "3", "--extension", "1", "--out", str(out)]) == 0
-    assert len(calls) == 1
+    assert len(calls) == 1 + n_shifts  # K_2 once, each shift once
+
+
+def test_matern_eta_backward_error_exits_1(tmp_path, monkeypatch, capsys):
+    real = FemSystem._factor  # K_2 solves off by a relative 1e-6
+    monkeypatch.setattr(FemSystem, "_factor", lambda self: SimpleNamespace(
+        solve=lambda rhs, lu=real(self): lu.solve(rhs) * (1.0 + 1e-6)))
+    out = tmp_path / "m.csv"
+    assert run_cli(["matern-eta", "--seed", "2", "--alphas", "3", "--mesh-nodes", "8",
+                    "--n-sites", "3", "--extension", "1", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "backward error" in capsys.readouterr().err
+
+
+def test_matern_eta_small_kappa_odd_alphas(tmp_path, capsys):
+    # kappa^2 alone would bound the spectrum ratio of S by 5e8, past MAX_RATIO
+    out = tmp_path / "m.csv"
+    args = ["matern-eta", "--seed", "2", "--alphas", "3,5", "--mesh-nodes", "8",
+            "--n-sites", "3", "--extension", "1", "--out", str(out)]
+    assert run_cli(args + ["--kappa", "1e-3"]) == 0
+    assert len(out.read_text().splitlines()) > 1
+    out.unlink()
+    assert run_cli(args + ["--kappa", "1e-9"]) == 1
+    assert not out.exists()
+    assert "too small for odd alpha" in capsys.readouterr().err
 
 
 def test_numerical_error_exits_1(tmp_path):

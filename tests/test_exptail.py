@@ -138,7 +138,7 @@ def test_normalizer_bessel_runs_once_per_distribution(monkeypatch, dist, lam):
     monkeypatch.setattr(exptail, "log_bessel_k",
                         lambda order, x: orders.append(order) or real(order, x))
     for t in (0.3, 0.5, 0.3, 0.7):
-        dist.mgf(t)
+        dist._exp_weighted_integral(t, -np.inf, np.inf)
     assert orders.count(lam) == 1
     if dist.family == "GH":  # one K_{lam - 1/2} per integrand point
         assert orders.count(lam - 0.5) == len(orders) - 1 > 100
@@ -151,7 +151,7 @@ def test_quadrature_failure_raises(monkeypatch):
     monkeypatch.setattr(integrate, "quad",
                         lambda *a, **k: real(*a, **k)[:3] + ("roundoff error is detected",))
     with pytest.raises(QuadratureError, match="roundoff"):
-        NoiseDistribution.nig(1.0, 1.0).mgf(0.5)
+        NoiseDistribution.nig(1.0, 1.0)._exp_weighted_integral(0.5, -np.inf, np.inf)
     with pytest.raises(QuadratureError):  # the cdf grid: kink panels and tail masses
         NoiseDistribution.gh(1.0, 1.0, 3.0, -2.0, 1.0).cdf(0.3)
 
@@ -236,6 +236,64 @@ def test_gh_mgf_matches_mixture_form():
            * bessel_k(lam, math.sqrt(tau * (psi - 2 * s)))
            / bessel_k(lam, math.sqrt(tau * psi)))
     assert dist.mgf(t) == pytest.approx(math.exp(mu * t) * mix, rel=1e-8)
+
+
+def test_nig_mgf_is_exact_up_to_the_tail_index():
+    # NIG(-1/2, 1, 1): K_{1/2} is elementary and M(t) = exp(1 - sqrt(1 - t^2))
+    dist = NoiseDistribution.nig(1.0, 1.0)
+    for t in (-0.7, 0.2, 0.9, 1.0 - 1e-10, 1.0 - 1e-12, 1.0 - 1e-15, 1.0):
+        assert dist.mgf(t) == pytest.approx(math.exp(1.0 - math.sqrt(1.0 - t * t)), rel=1e-14)
+
+
+def test_gh_boundary_mgf_is_the_limit_of_the_closed_form():
+    lam, tau, psi, mu, gamma = -1.5, 1.0, 2.0, -1.0, 0.3
+    dist = NoiseDistribution.gh(lam, tau, psi, mu, gamma)
+    beta = dist.tail_index
+    limit = (math.exp(mu * beta) * (tau * psi) ** (lam / 2) * math.gamma(-lam)
+             * 2.0 ** (-lam - 1.0) / bessel_k(lam, math.sqrt(tau * psi)))
+    assert dist.mgf(beta) == pytest.approx(limit, rel=1e-14)
+    assert dist.mgf(beta * (1.0 - 1e-9)) == pytest.approx(limit, rel=1e-8)
+
+
+def test_boundary_family_mgfs_match_their_mixing_laws():
+    # gamma mixing (variance gamma): E[exp(uR)] = (psi/(psi - 2u))^lam
+    lam, psi, mu, gamma, t = 1.5, 2.0, 0.5, -0.5, 0.8
+    u = gamma * t + t * t / 2.0
+    vg = NoiseDistribution.variance_gamma(lam, psi, mu, gamma)
+    assert vg.mgf(t) == pytest.approx(math.exp(mu * t) * (psi / (psi - 2 * u)) ** lam, rel=1e-14)
+    # inverse-gamma mixing: E[exp(uR)] = 2 (-u tau/2)^{-lam/2} K_{-lam}(sqrt(-2u tau)) / Gamma(-lam)
+    lam, tau, gamma, t = -2.0, 1.0, -1.0, 0.3
+    u = gamma * t + t * t / 2.0
+    ig = NoiseDistribution.gh(lam, tau, 0.0, 0.0, gamma)
+    expected = 2.0 * (-u * tau / 2.0) ** (-lam / 2.0) * bessel_k(-lam, math.sqrt(-2.0 * u * tau)) \
+        / math.gamma(-lam)
+    assert ig.mgf(t) == pytest.approx(expected, rel=1e-13)
+    # a GIG law itself with psi = 0: lam = -1.5, tau = 2 at t = u = -0.5
+    expected = 2.0 * 0.5 ** 0.75 * bessel_k(1.5, math.sqrt(2.0)) / math.gamma(1.5)
+    assert NoiseDistribution.gig(-1.5, 2.0, 0.0).mgf(-0.5) == pytest.approx(expected, rel=1e-13)
+
+
+def test_mgf_needs_no_quadrature_and_one_bessel_per_call(monkeypatch):
+    from scipy import integrate
+
+    monkeypatch.setattr(integrate, "quad", lambda *a, **k: pytest.fail("quad called"))
+    orders = []
+    real = exptail.log_bessel_k
+    monkeypatch.setattr(exptail, "log_bessel_k",
+                        lambda order, x: orders.append(order) or real(order, x))
+    for dist in (NoiseDistribution.nig(1.0, 1.0), NoiseDistribution.gig(-0.5, 1.0, 2.0)):
+        orders.clear()
+        for t in (0.3, 0.5, 0.3, 0.7):
+            dist.mgf(t)
+        assert orders == [-0.5] * 5  # the normalizer once, then one per call
+
+
+def test_gh_logpdf_array_overflow_raises_no_warning():
+    for dist in (NoiseDistribution.nig(1.0, 1.0), NoiseDistribution.gh(2.0, 1.0, 3.0, 0.0, 1.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dist.logpdf(np.array([1e200]))[0] == -np.inf
+            assert dist.logpdf(np.array([-1e200, 1e300]))[1] == -np.inf
 
 
 def test_mgf_log_convex_on_grid():

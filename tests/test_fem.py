@@ -3,11 +3,16 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import linalg, stats
+from scipy.sparse import linalg as spla
 
+from exdep.cli import random_sites
 from exdep.errors import NonnegativityError, ParameterError, SolveError
-from exdep.fem import (FemSystem, TypeGNoise, basis_matrix, dual_cell_areas,
-                       fem_assemble, fem_coefficients, simulate_field)
+from exdep.fem import (BACKWARD_TOL, MAX_RATIO, RATIONAL_TOL, FemSystem, TypeGNoise,
+                       basis_matrix, dual_cell_areas, fem_assemble,
+                       fem_coefficients, inverse_sqrt_quadrature, simulate_field)
 from exdep.kernels import matern_kernel
 from exdep.lintrans import (CoefficientMatrix, Regime, classify,
                             eta_closed_form)
@@ -50,24 +55,147 @@ def test_k_alpha_polynomial_solve_round_trip():
     for alpha in (2, 4, 6):
         system = fem_assemble(mesh, 2.0, alpha)
         rhs = np.arange(float(mesh.n_nodes)) + 1.0
-        x = system.solve_k_alpha(rhs, check_residual=True)
+        x = system.solve_k_alpha(rhs)
         assert np.allclose(system.k_alpha @ x, rhs, rtol=1e-9, atol=1e-9)
+        assert system.backward_error(x, rhs) < 1e-14
+
+
+def spectral_solve(system, rhs):
+    """Dense oracle K_alpha^{-1} rhs = C^{-1/2} Q diag(l^{-alpha/2}) Q^T C^{-1/2} rhs,
+    from the eigendecomposition Q diag(l) Q^T of S = C^{-1/2} K_2 C^{-1/2}."""
+    root = np.sqrt(system.mass_lumped)[:, None]
+    eigvals, q = np.linalg.eigh(system.base.toarray() / root / root.T)
+    return q @ (eigvals[:, None] ** (-system.alpha / 2.0) * (q.T @ (rhs / root))) / root
 
 
 def test_k_alpha_spectral_matches_polynomial():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
     system = fem_assemble(mesh, 2.0, 4)
-    rhs = np.random.default_rng(0).random(mesh.n_nodes)
+    rhs = np.random.default_rng(0).random((mesh.n_nodes, 2))
     x_poly = system.solve_k_alpha(rhs)
-    x_spec = system._spectral_op(rhs, -2.0, inverse=True)
+    x_spec = spectral_solve(system, rhs)
     assert np.allclose(x_poly, x_spec, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("side,rings", [(8, 1), (25, 2), (40, 6)])
+def test_rational_odd_alpha_solve_matches_spectral_oracle(side, rings):
+    mesh = lattice_mesh_2d((0, 0, 1, 1), side, rings)
+    base = fem_assemble(mesh, 2.0, 2)
+    phi = basis_matrix(mesh, random_sites(np.random.default_rng(side), 12)).toarray().T
+    for alpha in (3, 5):
+        system = base.with_alpha(alpha)
+        x = system.solve_k_alpha(phi)
+        ref = spectral_solve(system, phi)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert base.quadrature.error <= RATIONAL_TOL / 2
+
+
+@pytest.mark.parametrize("side,rings", [(8, 1), (25, 2)])
+def test_apply_k_alpha_inverts_solve_k_alpha(side, rings):
+    mesh = lattice_mesh_2d((0, 0, 1, 1), side, rings)
+    base = fem_assemble(mesh, 2.0, 2)
+    rhs = np.random.default_rng(3).random((mesh.n_nodes, 3))
+    for alpha in (2, 3, 4, 5, 6):
+        system = base.with_alpha(alpha)
+        x = system.solve_k_alpha(rhs)
+        assert system.backward_error(x, rhs) < 1e-14
+        if side == 8:
+            assert np.abs(system.apply_k_alpha(x) - rhs).max() < 1e-10 * rhs.max()
+        assert np.allclose(system.solve_k_alpha(rhs[:, 0]), x[:, 0], rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("kappa,rtol", [(2.0, 1e-12), (0.05, 1e-12), (1e-4, 1e-10)])
+def test_odd_alpha_solve_twice_is_the_even_solve(kappa, rtol):
+    # K_6^{-1} = K_3^{-1} C K_3^{-1}: two rational solves against K_2 solves alone
+    mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
+    base = fem_assemble(mesh, kappa, 2)
+    rhs = np.random.default_rng(4).random((mesh.n_nodes, 2))
+    three = base.with_alpha(3)
+    twice = three.solve_k_alpha(base.mass_matrix @ three.solve_k_alpha(rhs))
+    ref = base.with_alpha(6).solve_k_alpha(rhs)
+    # at kappa 1e-4 S has condition 1.5e6 and K_6 its cube
+    assert np.abs(twice - ref).max() <= rtol * np.abs(ref).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(kappa=st.floats(0.01, 10.0), lift=st.floats(0.0, 2.0), span=st.floats(0.0, 8.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_inverse_sqrt_quadrature_bound_holds(kappa, lift, span, seed):
+    lower = kappa ** 2 * 10.0 ** lift
+    upper = lower * 10.0 ** span
+    quad = inverse_sqrt_quadrature(lower, upper)
+    assert quad.error <= RATIONAL_TOL / 2
+    assert np.all(quad.shifts > 0) and np.all(quad.weights > 0)
+    lam = np.concatenate([[lower, upper], lower * (upper / lower) **
+                          np.random.default_rng(seed).random(256)])
+    approx = np.sqrt(lam) * (quad.weights / (lam[:, None] + quad.shifts)).sum(axis=1)
+    assert np.abs(approx - 1.0).max() <= RATIONAL_TOL
+
+
+def test_inverse_sqrt_quadrature_rejects_bad_bounds():
+    for lower, upper in [(0.0, 1.0), (2.0, 1.0), (1.0, np.inf), (-1.0, 1.0), (1.0, 1e16),
+                         (np.nan, 1.0), (1.0, 1.01 * MAX_RATIO)]:
+        with pytest.raises(ParameterError):
+            inverse_sqrt_quadrature(lower, upper)
+
+
+def test_spectrum_bounds_enclose_the_spectrum():
+    mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
+    for lumped, boundary, kappa in [(True, "robin", 2.0), (False, "robin", 2.0),
+                                    (True, "robin", 1e-4), (True, "neumann", 2.0),
+                                    (True, "neumann", 1e-4)]:
+        system = fem_assemble(mesh, kappa, 2, lumped=lumped, boundary=boundary)
+        eigvals = linalg.eigh(system.base.toarray(), system.mass_matrix.toarray(),
+                              eigvals_only=True)
+        lower, upper = system.spectrum_bounds
+        # Neumann: kappa^2 is the exact minimum, which eigh finds to rounding
+        assert lower <= eigvals.min() * (1.0 + 1e-12) and eigvals.max() <= upper
+        if lumped:  # the inverse-iteration bound is tight to its 1% margin
+            assert lower >= 0.98 * eigvals.min()
+    # Robin: the smallest eigenvalue is of order kappa, far above kappa^2
+    assert fem_assemble(mesh, 1e-4, 2).spectrum_bounds[0] > 1e4 * 1e-4 ** 2
+
+
+def test_inverse_iteration_bound_needs_an_m_matrix():
+    # a fan of obtuse triangles gives K_2 positive off-diagonal entries
+    nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.1], [0.5, -0.1]])
+    mesh = Mesh2D(nodes, np.array([[0, 1, 2], [0, 3, 1]]))
+    system = fem_assemble(mesh, 1e-3, 2)
+    assert system._inverse_iteration_bound() == 0.0
+    assert system.spectrum_bounds[0] == 1e-3 ** 2
+
+
+def test_small_kappa_odd_alpha_solve_matches_spectral_oracle():
+    # kappa^2 alone would put the spectrum ratio at 5e8, past MAX_RATIO
+    mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
+    base = fem_assemble(mesh, 1e-3, 2)
+    lower, upper = base.spectrum_bounds
+    assert upper > MAX_RATIO * 1e-3 ** 2 and upper < 1e-2 * MAX_RATIO * lower
+    phi = basis_matrix(mesh, random_sites(np.random.default_rng(5), 4)).toarray().T
+    # S has condition 2e5 here: the dense oracle is itself 2e-12 of the max
+    # away from the alpha-2 LU solve, hence the wider tolerance
+    for alpha in (3, 5):
+        system = base.with_alpha(alpha)
+        ref = spectral_solve(system, phi)
+        assert np.abs(system.solve_k_alpha(phi) - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+def test_too_small_kappa_for_odd_alpha_is_a_parameter_error():
+    # with Neumann ends the smallest eigenvalue of S is kappa^2 itself
+    mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
+    system = fem_assemble(mesh, 1e-4, 3, boundary="neumann")
+    with pytest.raises(ParameterError, match="too small for odd alpha"):
+        system.solve_k_alpha(np.ones(mesh.n_nodes))
+    rhs = np.ones(mesh.n_nodes)  # even exponents need no quadrature
+    x = system.with_alpha(2).solve_k_alpha(rhs)
+    assert system.with_alpha(2).backward_error(x, rhs) < 1e-14
 
 
 def test_odd_alpha_solve_residual():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
     system = fem_assemble(mesh, 2.0, 3)
     rhs = np.random.default_rng(1).random(mesh.n_nodes)
-    system.solve_k_alpha(rhs, check_residual=True)
+    assert system.backward_error(system.solve_k_alpha(rhs), rhs) < 1e-14
     with pytest.raises(ParameterError):
         fem_assemble(mesh, 2.0, 3, lumped=False)
     with pytest.raises(ParameterError):
@@ -87,7 +215,7 @@ def test_consistent_mass_k4_has_no_explicit_matrix():
     with pytest.raises(ParameterError):
         system.k_alpha
     rhs = np.ones(mesh.n_nodes)
-    system.solve_k_alpha(rhs, check_residual=True)
+    assert system.backward_error(system.solve_k_alpha(rhs), rhs) < 1e-14
 
 
 def test_fem_coefficients_argmax_at_site_node():
@@ -251,21 +379,92 @@ def test_simulate_field_checks_site_weight_residual(monkeypatch):
 def test_with_alpha_shares_the_k2_factorizations(monkeypatch):
     mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
     calls = []
-    real_eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or real_eigh(a))
+    real_splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda a, **kw: calls.append(1) or real_splu(a, **kw))
+    for module in (np.linalg, linalg):
+        monkeypatch.setattr(module, "eigh", lambda *a, **k: pytest.fail("dense eigh called"))
     base = fem_assemble(mesh, 2.0, 2)
+    n_shifts = len(base.quadrature.shifts)
     rhs = np.linspace(0.5, 1.5, mesh.n_nodes)
     for alpha in (3, 5, 2, 4):
         view = base.with_alpha(alpha)
         assert view.alpha == alpha and base.alpha == 2
         fresh = fem_assemble(mesh, 2.0, alpha)
         assert np.array_equal(view.solve_k_alpha(rhs), fresh.solve_k_alpha(rhs))
-    # one eigh for the views, one for each of the two fresh odd systems
-    assert len(calls) == 3
+    # the views factor K_2 and its shifts once; each fresh system its own
+    assert len(calls) == (1 + n_shifts) + 2 * (1 + n_shifts) + 2 * 1
     with pytest.raises(ParameterError):
         base.with_alpha(2.5)
     with pytest.raises(ParameterError):
         fem_assemble(mesh, 2.0, 2, lumped=False).with_alpha(3)
+
+
+def test_odd_alpha_has_no_explicit_k_alpha():
+    mesh = lattice_mesh_2d((0, 0, 1, 1), 5, 0)
+    with pytest.raises(ParameterError):
+        fem_assemble(mesh, 2.0, 3).k_alpha
+
+
+def test_fem_coefficients_checks_backward_error(monkeypatch):
+    mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
+    sites = [[0.4, 0.6], [0.3, 0.35]]
+    for alpha in (2, 3, 4, 5):
+        system = fem_assemble(mesh, 2.0, alpha)
+        phi = basis_matrix(mesh, sites).toarray().T
+        assert system.backward_error(system.solve_k_alpha(phi), phi) < 1e-14
+    real = FemSystem._factor  # K_2 solves off by a relative 1e-6
+    monkeypatch.setattr(FemSystem, "_factor", lambda self: SimpleNamespace(
+        solve=lambda rhs, lu=real(self): lu.solve(rhs) * (1.0 + 1e-6)))
+    for alpha in (2, 3):
+        system = fem_assemble(mesh, 2.0, alpha)
+        with pytest.raises(SolveError, match="backward error"):
+            fem_coefficients(system, sites)
+    assert BACKWARD_TOL == 1e-12
+
+
+def test_backward_error_of_a_zero_solution_is_infinite():
+    mesh = lattice_mesh_2d((0, 0, 1, 1), 5, 0)
+    system = fem_assemble(mesh, 2.0, 3)
+    rhs = np.zeros((mesh.n_nodes, 2))
+    rhs[3, 1] = 1.0
+    assert system.backward_error(np.zeros_like(rhs), rhs) == np.inf
+    assert system.backward_error(np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes)) == 0.0
+
+
+def test_nan_solution_fails_the_backward_error_check(monkeypatch):
+    mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
+    system = fem_assemble(mesh, 2.0, 2)
+    rhs = np.ones((mesh.n_nodes, 2))
+    x = system.solve_k_alpha(rhs)
+    x[5, 1] = np.nan
+    assert np.isnan(system.backward_error(x, rhs))
+    real = FemSystem._factor  # K_2 solves that put NaN in one entry
+
+    def nan_solve(rhs, lu):
+        out = lu.solve(rhs)
+        out.flat[7] = np.nan
+        return out
+
+    monkeypatch.setattr(FemSystem, "_factor", lambda self: SimpleNamespace(
+        solve=lambda rhs, lu=real(self): nan_solve(rhs, lu)))
+    for alpha in (2, 3):
+        with pytest.raises(SolveError, match="backward error nan"):
+            fem_coefficients(fem_assemble(mesh, 2.0, alpha), [[0.4, 0.6], [0.3, 0.35]])
+
+
+def test_fem_coefficients_rejects_a_nan_row(monkeypatch):
+    mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 0)
+    system = fem_assemble(mesh, 2.0, 2)
+    real_solve = system.solve_k_alpha
+
+    def nan_solve(rhs):
+        out = real_solve(rhs)
+        out[3, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(system, "solve_k_alpha", nan_solve)
+    with pytest.raises(SolveError, match="NaN row"):
+        fem_coefficients(system, [[0.4, 0.5]])
 
 
 def test_simulate_field_accepts_coefficient_matrix():
@@ -279,7 +478,7 @@ def test_negative_coefficient_guard(monkeypatch):
     mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 0)
     system = fem_assemble(mesh, 2.0, 2)
 
-    def bad_solve(rhs, check_residual=False):
+    def bad_solve(rhs):
         out = np.abs(np.asarray(rhs, dtype=float))
         out.flat[0] = -1.0  # material negative, far beyond round-off
         return out
@@ -294,7 +493,7 @@ def test_tiny_negative_coefficients_are_clamped(monkeypatch):
     system = fem_assemble(mesh, 2.0, 2)
     real_solve = system.solve_k_alpha
 
-    def noisy_solve(rhs, check_residual=False):
+    def noisy_solve(rhs):
         out = real_solve(rhs)
         out.flat[0] = -1e-13 * out.max()
         return out
