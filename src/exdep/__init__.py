@@ -9,8 +9,8 @@ from .kernels import (Kernel, exponential_kernel, gaussian_ou_eta,
                       ou_eta, ou_kernel)
 from .lintrans import (CoefficientMatrix, Regime, RegimeSplit, TailSummary,
                        chi_gh_two, chi_limit_a22, chi_mc, classify,
-                       eta_closed_form, eta_gauge_oracle, pearson_correlation,
-                       simulate_linear, tail_summary)
+                       eta_closed_form, eta_gauge_oracle, eta_pairs,
+                       pearson_correlation, simulate_linear, tail_summary)
 from .mesh import (Mesh2D, Partition1D, integral_coefficients,
                    lattice_mesh_2d, ou_coefficients, partition_1d)
 from .fem import (FemSystem, TypeGNoise, basis_matrix, dual_cell_areas,

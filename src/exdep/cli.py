@@ -19,8 +19,8 @@ import numpy as np
 from . import estimate, fem, kernels, mesh
 from .errors import ExdepError, ParameterError
 from .exptail import GhParams
-from .lintrans import (CoefficientMatrix, chi_gh_two, chi_limit_a22,
-                       eta_closed_form, tail_summary)
+from .lintrans import (CoefficientMatrix, chi_gh_two, chi_limit_a22, eta_pairs,
+                       tail_summary)
 
 DEFAULT_NIG_NOISE = {"mu": -1.0, "gamma": 1.0, "psi": 1.0, "tau": 1.0}
 
@@ -47,6 +47,10 @@ def _positive_int(text):
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
+
+
+def _positive_int_list(text):
+    return [_positive_int(v) for v in text.split(",")]
 
 
 def _threads(args):
@@ -104,8 +108,13 @@ def cmd_ou_convergence(args):
     for delta in args.deltas:
         pad = math.ceil(25.0 / delta) * delta  # grid-aligned left padding below s1
         part = mesh.partition_1d(args.s1 - pad, args.T, delta=delta)
-        for h in h_grid:
-            eta_n = eta_closed_form(mesh.ou_coefficients(args.a, args.s1, args.s1 + h, part))
+        # row 0 is the site s1, row t + 1 the site s1 + h_t; zero columns pad the short rows
+        mats = [mesh.ou_coefficients(args.a, args.s1, args.s1 + h, part) for h in h_grid]
+        rows = np.zeros((1 + len(mats), max(m.shape[1] for m in mats)))
+        for t, m in enumerate(mats):
+            rows[[0, t + 1], :m.shape[1]] = m.entries
+        etas = eta_pairs(rows, [(0, t + 1) for t in range(len(mats))])
+        for h, eta_n in zip(h_grid, etas.tolist()):
             eta_limit = kernels.ou_eta(args.a, h)
             if eta_n < eta_limit - 1e-9:
                 raise ExdepError(f"eta_n below the limit at delta={delta}, h={h}")
@@ -131,30 +140,32 @@ def random_sites(rng, n_sites, bbox=(0.05, 0.05, 0.95, 0.95)):
 
 
 def cmd_matern_eta(args):
-    nodes = 40
-    n_sites = args.n_sites or (225 if args.paper_scale else 50)
-    nodes = args.mesh_nodes or nodes
-    grid = mesh.lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), nodes, args.extension)
+    n_sites = args.n_sites if args.n_sites is not None else (225 if args.paper_scale else 50)
+    grid = mesh.lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), args.mesh_nodes, args.extension)
     rng = np.random.default_rng(args.seed)
     sites = random_sites(rng, n_sites)
+    pairs = np.column_stack(np.triu_indices(n_sites, 1))  # i < j, row by row
+    # one norm per pair, as a 1-d vector: its BLAS dot fixes the last bit of h
+    h = np.array([np.linalg.norm(sites[i] - sites[j]) for i, j in pairs])
     lines = ["alpha,method,h,eta,eta_thm1,eta_conjecture"]
     assembled = fem.fem_assemble(grid, args.kappa, 2, lumped=True)  # shares K_2 factors across alphas
     for alpha in args.alphas:
         kern = kernels.matern_kernel(args.kappa, alpha, 2)
         g0 = kern.value_at_zero
         system = assembled.with_alpha(alpha)
+        # both matrices before any eta: eta's temporaries between the two builds
+        # fragment the heap, and peak RSS grows over repeated runs in one process
         coeff_int = mesh.integral_coefficients(kern, sites, grid)
         coeff_fem = fem.fem_coefficients(system, sites)
-        rows_int = coeff_int.normalized
-        rows_fem = coeff_fem.normalized
-        for i in range(n_sites):
-            for j in range(i + 1, n_sites):
-                h = float(np.linalg.norm(sites[i] - sites[j]))
-                thm1 = 0.5 if math.isinf(g0) else 0.5 + float(kern(h)) / (2.0 * g0)
-                conj = kernels.limit_eta_conjecture(kern, h)
-                for method, rows in (("integral", rows_int), ("fem", rows_fem)):
-                    eta = eta_closed_form(CoefficientMatrix(rows[[i, j]]))
-                    lines.append(f"{alpha!r},{method},{h!r},{eta!r},{thm1!r},{conj!r}")
+        eta_int = eta_pairs(coeff_int.normalized, pairs)
+        eta_fem = eta_pairs(coeff_fem.normalized, pairs)
+        thm1 = np.full(h.size, 0.5) if math.isinf(g0) else 0.5 + kern(h) / (2.0 * g0)
+        conj = kernels.limit_eta_conjecture(kern, h)
+        # tolist(): repr of a Python float, not of np.float64
+        for d, e_int, e_fem, t, c in zip(h.tolist(), eta_int.tolist(), eta_fem.tolist(),
+                                         thm1.tolist(), conj.tolist()):
+            lines.append(f"{alpha!r},integral,{d!r},{e_int!r},{t!r},{c!r}")
+            lines.append(f"{alpha!r},fem,{d!r},{e_fem!r},{t!r},{c!r}")
     _atomic_write(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -166,13 +177,13 @@ def cmd_matern_eta(args):
 def cmd_simulate_and_chi(args):
     threads = _threads(args)
     noise = fem.TypeGNoise("nig", **DEFAULT_NIG_NOISE)
-    mesh_sides = [args.mesh_nodes or 20]
+    mesh_sides = [args.mesh_nodes]
     default_n = 10 ** 5 if args.appendix_d else 10 ** 6
     if args.appendix_d:
         mesh_sides = [5, 10, 25]
     n = args.samples if args.samples is not None else default_n
     rng = np.random.default_rng(args.seed)
-    sites = random_sites(rng, args.n_sites or 20)
+    sites = random_sites(rng, args.n_sites)
     lines = ["mesh_side,pair_id,h,q,chi_hat,se"]
     for side in mesh_sides:
         if n == 0:
@@ -241,7 +252,7 @@ def cmd_eta(args):
 
 def cmd_counterexample(args):
     rng = np.random.default_rng(args.seed)
-    n_samples = args.samples or 10 ** 6
+    n_samples = args.samples
     q = 0.999
     lines = ["n,q,chi_hat,se"]
     for n in args.n_values:
@@ -295,8 +306,9 @@ def build_parser():
                    help="Matern range parameter; odd alphas need kappa above about "
                         "5e-5 on the default mesh (spectrum ratio of S at most 1e8)")
     p.add_argument("--alphas", type=_float_list, default=[2.0, 3.0, 4.0, 5.0])
-    p.add_argument("--mesh-nodes", type=int, default=None, help="lattice nodes per side")
-    p.add_argument("--n-sites", type=int, default=None)
+    p.add_argument("--mesh-nodes", type=_positive_int, default=40, help="lattice nodes per side")
+    p.add_argument("--n-sites", type=_positive_int, default=None,
+                   help="random sites (default 50, or 225 with --paper-scale)")
     p.add_argument("--extension", type=int, default=6, help="outer extension rings")
 
     p = command("simulate-and-chi", cmd_simulate_and_chi,
@@ -306,10 +318,11 @@ def build_parser():
     p.add_argument("--kappa", type=float, default=2.0)
     p.add_argument("--alpha", type=int, default=2)
     meshes = p.add_mutually_exclusive_group()
-    meshes.add_argument("--mesh-nodes", type=int, default=None, help="lattice nodes per side")
+    meshes.add_argument("--mesh-nodes", type=_positive_int, default=20,
+                        help="lattice nodes per side")
     meshes.add_argument("--appendix-d", action="store_true",
                         help="coarse/fine mesh comparison (25/100/625-node lattices)")
-    p.add_argument("--n-sites", type=int, default=20)
+    p.add_argument("--n-sites", type=_positive_int, default=20)
     p.add_argument("--extension", type=int, default=2)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--q", type=_float_list, default=[0.95, 0.975, 0.99])
@@ -321,9 +334,8 @@ def build_parser():
 
     p = command("counterexample", cmd_counterexample,
                 "pre-asymptotic chi of X/n + noise (illustration only)", seeded=True)
-    p.add_argument("--n-values", type=lambda s: [int(v) for v in s.split(",")],
-                   default=[1, 10, 100])
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--n-values", type=_positive_int_list, default=[1, 10, 100])
+    p.add_argument("--samples", type=_positive_int, default=10 ** 6)
     return parser
 
 

@@ -192,18 +192,19 @@ def limit_eta_symmetric(kernel, h):
 
 def limit_eta_conjecture(kernel, h):
     """Conjectured limit for non-convex kernels:
-    max{1/2 + G(h)/(2 G(0)), G(h/2)/G(0)}.
+    max{1/2 + G(h)/(2 G(0)), G(h/2)/G(0)}, elementwise over an array h.
 
     Unproven; downstream outputs label values from this function as
     CONJECTURE.  For convex kernels it coincides with the proven limit.
     """
-    h = float(h)
-    if h == 0.0:
-        return 1.0
-    if math.isinf(kernel.value_at_zero):
-        return 0.5
+    h = np.asarray(h, dtype=float)
     g0 = kernel.value_at_zero
-    return max(0.5 + float(kernel(h)) / (2.0 * g0), float(kernel(h / 2.0)) / g0)
+    if math.isinf(g0):
+        out = np.full(h.shape, 0.5)
+    else:
+        out = np.maximum(0.5 + kernel(h) / (2.0 * g0), kernel(h / 2.0) / g0)
+    out = np.where(h == 0.0, 1.0, out)
+    return out if out.ndim else float(out)
 
 
 def limit_eta_onesided(kernel, h):

@@ -1,13 +1,16 @@
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.sparse import linalg as spla
 
+import exdep
 from exdep.cli import main
 from exdep.fem import FemSystem, fem_assemble
 from exdep.mesh import lattice_mesh_2d
@@ -17,16 +20,20 @@ def run_cli(args):
     return main(args)
 
 
+def run_module(*args):
+    """``python -m exdep.cli`` in a child process that imports the same exdep."""
+    path = [str(Path(exdep.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run([sys.executable, "-m", "exdep.cli", *args], capture_output=True,
+                          env=env)
+
+
 def test_unknown_subcommand_exits_2():
-    proc = subprocess.run([sys.executable, "-m", "exdep.cli", "frobnicate"],
-                          capture_output=True)
-    assert proc.returncode == 2
+    assert run_module("frobnicate").returncode == 2
 
 
 def test_missing_required_flag_exits_2():
-    proc = subprocess.run([sys.executable, "-m", "exdep.cli", "matern-eta"],
-                          capture_output=True)
-    assert proc.returncode == 2
+    assert run_module("matern-eta").returncode == 2
 
 
 def test_eta_subcommand_matches_closed_form(tmp_path, capsys):
@@ -269,3 +276,47 @@ def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, argv):
         run_cli(argv + ["--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["matern-eta", "--seed", "1", "--n-sites", "0"],
+    ["matern-eta", "--seed", "1", "--mesh-nodes", "0"],
+    ["simulate-and-chi", "--seed", "1", "--n-sites", "0"],
+    ["simulate-and-chi", "--seed", "1", "--mesh-nodes", "0"],
+    ["counterexample", "--seed", "1", "--samples", "0"],
+    ["counterexample", "--seed", "1", "--n-values", "0"],
+    ["counterexample", "--seed", "1", "--n-values", "1,-10"],
+])
+def test_flags_zero_count_exits_2(tmp_path, argv):
+    out = tmp_path / "c.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_matern_eta_rows_equal_the_per_pair_closed_form(tmp_path):
+    from exdep import fem, kernels, mesh
+    from exdep.cli import random_sites
+    from exdep.lintrans import CoefficientMatrix, eta_closed_form
+
+    out = tmp_path / "m.csv"
+    assert run_cli(["matern-eta", "--seed", "4", "--alphas", "2,3,5", "--mesh-nodes", "8",
+                    "--extension", "1", "--n-sites", "5", "--out", str(out)]) == 0
+    grid = mesh.lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), 8, 1)
+    sites = random_sites(np.random.default_rng(4), 5)
+    lines = ["alpha,method,h,eta,eta_thm1,eta_conjecture"]
+    for alpha in (2.0, 3.0, 5.0):
+        kern = kernels.matern_kernel(2.0, alpha, 2)
+        g0 = kern.value_at_zero
+        rows = {"integral": mesh.integral_coefficients(kern, sites, grid).normalized,
+                "fem": fem.fem_coefficients(fem.fem_assemble(grid, 2.0, alpha), sites).normalized}
+        for i in range(5):
+            for j in range(i + 1, 5):
+                h = float(np.linalg.norm(sites[i] - sites[j]))
+                thm1 = 0.5 if np.isinf(g0) else 0.5 + float(kern(h)) / (2.0 * g0)
+                conj = kernels.limit_eta_conjecture(kern, h)
+                for method in ("integral", "fem"):
+                    eta = eta_closed_form(CoefficientMatrix(rows[method][[i, j]]))
+                    lines.append(f"{alpha!r},{method},{h!r},{eta!r},{thm1!r},{conj!r}")
+    assert out.read_text().splitlines() == lines

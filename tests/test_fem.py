@@ -15,7 +15,7 @@ from exdep.fem import (BACKWARD_TOL, MAX_RATIO, RATIONAL_TOL, FemSystem, TypeGNo
                        fem_coefficients, inverse_sqrt_quadrature, simulate_field)
 from exdep.kernels import matern_kernel
 from exdep.lintrans import (CoefficientMatrix, Regime, classify,
-                            eta_closed_form)
+                            eta_closed_form, eta_pairs)
 from exdep.mesh import Mesh2D, lattice_mesh_2d, integral_coefficients
 from exdep.exptail import NoiseDistribution, substreams
 
@@ -244,6 +244,37 @@ def test_fem_vs_integral_eta_close_on_fine_mesh():
     e_fem = eta_closed_form(fem_coefficients(system, sites))
     e_int = eta_closed_form(integral_coefficients(kern, sites, mesh))
     assert abs(e_fem - e_int) < 0.05
+
+
+def eta_by_all_terms(b1, b2):
+    """The closed form over every column pair and column, as the
+    ``lintrans`` docstring writes it, on normalized rows."""
+    diff = np.abs(b2 - b1)
+    det = np.abs(b2[:, None] * b1[None, :] - b1[:, None] * b2[None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pair = np.where(det > 0.0, (diff[:, None] + diff[None, :]) / det, np.inf)
+        single = np.where(np.minimum(b1, b2) > 0.0, np.maximum(1.0 / b1, 1.0 / b2), np.inf)
+    np.fill_diagonal(pair, np.inf)
+    return min(1.0, 1.0 / min(pair.min(), single.min()))
+
+
+@pytest.mark.parametrize("alpha", [2.0, 3.0, 4.0, 5.0])
+def test_eta_pairs_on_matern_rows_equals_all_terms(alpha):
+    # real integral and FEM rows pin the front and the stop of the walk,
+    # whatever the machine: each pair is compared bit for bit
+    mesh = lattice_mesh_2d((0, 0, 1, 1), 6, 1)
+    sites = random_sites(np.random.default_rng(3), 6)
+    pairs = [(i, j) for i in range(6) for j in range(6) if i != j]
+    kern = matern_kernel(2.0, alpha, 2)
+    system = fem_assemble(mesh, 2.0, 2).with_alpha(alpha)
+    for matrix in (integral_coefficients(kern, sites, mesh), fem_coefficients(system, sites)):
+        rows = matrix.normalized
+        for (i, j), eta in zip(pairs, eta_pairs(rows, pairs).tolist()):
+            m = CoefficientMatrix(rows[[i, j]])
+            if classify(m).regime is Regime.ASYMPTOTIC_INDEPENDENCE:
+                assert eta == eta_by_all_terms(*m.normalized)
+            else:
+                assert eta == 1.0
 
 
 def test_dual_cell_areas_partition_the_mesh():

@@ -91,6 +91,25 @@ def test_conjecture_second_branch_dominates_for_rough_kernel():
     assert limit_eta_conjecture(k5, 0.0) == 1.0
 
 
+@pytest.mark.parametrize("alpha", [2.0, 3.0, 5.0])
+def test_conjecture_on_an_array_equals_each_distance(alpha):
+    k = matern_kernel(2.0, alpha, 2)
+    hs = np.concatenate([[0.0], np.geomspace(1e-4, 3.0, 50)])
+    g0 = k.value_at_zero
+
+    def one(h):  # the formula on one float at a time
+        if h == 0.0:
+            return 1.0
+        if math.isinf(g0):
+            return 0.5
+        return max(0.5 + float(k(h)) / (2.0 * g0), float(k(h / 2.0)) / g0)
+
+    values = limit_eta_conjecture(k, hs)
+    assert values.shape == hs.shape
+    assert values.tolist() == [one(h) for h in hs.tolist()]
+    assert [limit_eta_conjecture(k, h) for h in hs.tolist()] == [one(h) for h in hs.tolist()]
+
+
 def test_limit_eta_onesided():
     e = exponential_kernel(0.2)
     assert limit_eta_onesided(e, 0.0) == 1.0

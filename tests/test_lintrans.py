@@ -12,7 +12,7 @@ from exdep.errors import (DomainError, OracleSizeError, ParameterError,
 from exdep.exptail import GhParams, NoiseDistribution
 from exdep.lintrans import (CoefficientMatrix, Regime, TailSummary, chi_gh_two,
                             chi_limit_a22, chi_mc, classify, eta_closed_form,
-                            eta_gauge_oracle, pearson_correlation,
+                            eta_gauge_oracle, eta_pairs, pearson_correlation,
                             simulate_linear, tail_summary, _welford_combine)
 
 
@@ -230,6 +230,82 @@ def test_eta_property_equals_closed_form_terms(a):
 def test_eta_property_matches_oracle(a):
     m = CoefficientMatrix(a)
     assert eta_closed_form(m) == pytest.approx(eta_gauge_oracle(m), abs=1e-9)
+
+
+# -- eta of many row pairs ------------------------------------------------------
+
+@st.composite
+def row_stacks(draw, max_rows=5, max_columns=10):
+    """k >= 3 rows and a list of distinct-row pairs.  Entries include 1 -
+    1e-13 (in the argmax set of a row with maximum 1); columns may be
+    copied, nudged by one ulp, put on the diagonal or zeroed."""
+    k = draw(st.integers(3, max_rows))
+    n = draw(st.integers(1, max_columns))
+    entry = st.one_of(_entry, st.just(1.0 - 1e-13))
+    a = np.array([draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(k)])
+    for _ in range(draw(st.integers(0, 3))):
+        src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        edit = draw(st.sampled_from(["copy", "nudge", "diagonal", "zero"]))
+        if edit == "copy":
+            a[:, dst] = a[:, src]
+        elif edit == "nudge":
+            a[:, dst] = np.nextafter(a[:, src], draw(st.sampled_from([0.0, 2.0])))
+        elif edit == "diagonal":
+            a[:, dst] = a[draw(st.integers(0, k - 1)), src]
+        else:
+            a[:, dst] = 0.0
+    for r in range(k):  # every row needs a positive maximum
+        if a[r].max() == 0.0:
+            a[r, draw(st.integers(0, n - 1))] = 1.0
+    pair = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)).filter(lambda p: p[0] != p[1])
+    return a, draw(st.lists(pair, min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_stacks())
+def test_eta_pairs_property_equals_closed_form_terms(case):
+    a, pairs = case
+    got = eta_pairs(a, pairs)
+    assert got.shape == (len(pairs),)
+    for (i, j), eta in zip(pairs, got.tolist()):
+        m = CoefficientMatrix(a[[i, j]])
+        independent = classify(m).regime is Regime.ASYMPTOTIC_INDEPENDENCE
+        assert eta == (eta_by_all_pairs(m) if independent else 1.0)
+        assert eta == eta_closed_form(m)
+
+
+@pytest.mark.parametrize("a", [
+    [[1.0, 0.47, 1.0000000000000002], [0.31, 1.0, 0.31000000000000005]],
+    [[1.0, 0.9999999999999999, 0.31], [0.36, 0.35999999999999993, 0.78]],
+    [[1.0, 0.34, 0.44, 0.34, 0.9999999999999999], [0.39, 1.0, 0.22, 0.74, 0.38999999999999996]],
+])
+def test_eta_pairs_walks_past_near_copies_of_a_row_maximum(a):
+    # a column one ulp from the maximal column of a row moves the last bit
+    # of eta, so the walk must not stop at the maximal column itself
+    a = np.array(a)
+    expected = [eta_by_all_pairs(CoefficientMatrix(a)), eta_by_all_pairs(CoefficientMatrix(a[::-1]))]
+    assert eta_pairs(a, [(0, 1), (1, 0)]).tolist() == expected
+
+
+def test_eta_pairs_of_no_pairs_is_empty():
+    assert eta_pairs(np.eye(3), np.empty((0, 2), dtype=int)).shape == (0,)
+
+
+@pytest.mark.parametrize("rows, pairs, error", [
+    ([[1.0, 0.2], [0.3, 1.0], [0.5, 0.5]], [(1, 1)], PreconditionError),
+    ([[1.0, 0.2], [0.3, 1.0], [0.5, 0.5]], [(0, 3)], ParameterError),
+    ([[1.0, 0.2], [0.3, 1.0], [0.5, 0.5]], [(-1, 0)], ParameterError),
+    ([[1.0, 0.2], [0.3, 1.0], [0.5, 0.5]], [(0.0, 1.0)], ParameterError),
+    ([[1.0, 0.2], [0.3, 1.0], [0.5, 0.5]], [0, 1], ParameterError),
+    ([[1.0, 0.2], [0.3, 1.0], [-0.5, 0.5]], [(0, 1)], ParameterError),
+    ([[1.0, 0.2], [0.3, 1.0], [math.nan, 0.5]], [(0, 1)], ParameterError),
+    ([[1.0, 0.2], [0.3, 1.0], [math.inf, 0.5]], [(0, 1)], ParameterError),
+    ([[1.0, 0.2], [0.3, 1.0], [0.0, 0.0]], [(0, 1)], ParameterError),
+    ([1.0, 0.2], [(0, 1)], ParameterError),
+])
+def test_eta_pairs_rejects_bad_input(rows, pairs, error):
+    with pytest.raises(error):
+        eta_pairs(rows, pairs)
 
 
 # -- gauge oracle -----------------------------------------------------------
