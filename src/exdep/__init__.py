@@ -15,8 +15,9 @@ from .mesh import (Mesh2D, Partition1D, integral_coefficients,
                    lattice_mesh_2d, ou_coefficients, partition_1d)
 from .fem import (FemSystem, TypeGNoise, basis_matrix, dual_cell_areas,
                   fem_assemble, fem_coefficients, simulate_field)
-from .estimate import (BivariateSample, ChiCurve, chi_curve, empirical_chi,
-                       empirical_eta, eta_vs_distance, rank_columns,
+from .estimate import (BivariateSample, ChiCurve, chi_curve,
+                       chi_from_exceedances, empirical_chi, empirical_eta,
+                       eta_vs_distance, exceedances, rank_columns,
                        rank_transform)
 
 __version__ = "0.1.0"

@@ -42,11 +42,26 @@ def _float_list(text):
     return [float(v) for v in text.split(",") if v.strip()]
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" message
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
+def _levels(text):
+    levels = _float_list(text)
+    if not levels or not all(0.0 < q < 1.0 for q in levels):
+        raise argparse.ArgumentTypeError(
+            f"expected quantile levels strictly inside (0, 1), got {text!r}")
+    return levels
 
 
 def _positive_int_list(text):
@@ -191,15 +206,15 @@ def cmd_simulate_and_chi(args):
         grid = mesh.lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), side, args.extension)
         system = fem.fem_assemble(grid, args.kappa, args.alpha, lumped=True)
         x = fem.simulate_field(system, sites, noise, n, args.seed, threads=threads)
-        u = estimate.rank_columns(x)
+        # site columns contiguous, for the partitions and for the masks they give
+        x = np.asfortranarray(x)
+        above = [estimate.exceedances(x, q) for q in args.q]
         pair_id = 0
         for i in range(len(sites)):
             for j in range(i + 1, len(sites)):
                 h = float(np.linalg.norm(sites[i] - sites[j]))
-                sample = estimate.BivariateSample(x[:, i], x[:, j],
-                                                  ranks=(u[:, i], u[:, j]))
-                for q in args.q:
-                    est = estimate.empirical_chi(sample, q)
+                for q, mask in zip(args.q, above):
+                    est = estimate.chi_from_exceedances(mask[:, i], mask[:, j], q)
                     lines.append(
                         f"{side},{pair_id},{h!r},{q!r},{est.value!r},{est.se!r}"
                     )
@@ -322,10 +337,14 @@ def build_parser():
                         help="lattice nodes per side")
     meshes.add_argument("--appendix-d", action="store_true",
                         help="coarse/fine mesh comparison (25/100/625-node lattices)")
-    p.add_argument("--n-sites", type=_positive_int, default=20)
+    p.add_argument("--n-sites", type=_int_at_least(2), default=20,
+                   help="random sites, at least two (one pair)")
     p.add_argument("--extension", type=int, default=2)
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--q", type=_float_list, default=[0.95, 0.975, 0.99])
+    p.add_argument("--samples", type=_int_at_least(0), default=None,
+                   help="replicates (default 10^6, or 10^5 with --appendix-d); "
+                        "0 writes the header alone")
+    p.add_argument("--q", type=_levels, default=[0.95, 0.975, 0.99],
+                   help="quantile levels strictly inside (0, 1)")
 
     p = sub.add_parser("eta", help="tail summary (JSON) of a coefficient matrix CSV")
     p.add_argument("--matrix", required=True, help="CSV with one row per component")

@@ -7,7 +7,6 @@ the min-structure variable T = min{1/(1-U1), 1/(1-U2)} on pseudo-uniform
 margins.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -25,7 +24,9 @@ __all__ = [
     "LowCountWarning",
     "rank_columns",
     "rank_transform",
+    "exceedances",
     "empirical_chi",
+    "chi_from_exceedances",
     "empirical_eta",
     "chi_curve",
     "eta_vs_distance",
@@ -37,27 +38,18 @@ class LowCountWarning(UserWarning):
 
 
 class BivariateSample:
-    """Paired observations with lazily computed pseudo-uniform ranks.
+    """Paired observations with lazily computed pseudo-uniform ranks."""
 
-    ``ranks`` optionally passes the pseudo-uniforms (u1, u2) of x1 and x2
-    already computed, e.g. by :func:`rank_columns` over many columns at
-    once; they are taken as given.
-    """
-
-    def __init__(self, x1, x2, ranks=None):
+    def __init__(self, x1, x2):
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
         if x1.shape != x2.shape or x1.ndim != 1:
             raise PreconditionError("x1 and x2 must be equal-length 1-d arrays")
         if x1.size < 2:
             raise PreconditionError("need at least two observations")
-        if ranks is not None:
-            ranks = tuple(np.asarray(u, dtype=float) for u in ranks)
-            if len(ranks) != 2 or any(u.shape != x1.shape for u in ranks):
-                raise PreconditionError("ranks must be two arrays shaped like x1 and x2")
         self.x1 = x1
         self.x2 = x2
-        self._u = ranks
+        self._u = None
 
     @property
     def n(self):
@@ -67,23 +59,6 @@ class BivariateSample:
         if self._u is None:
             self._u = rank_transform(self)
         return self._u
-
-    @classmethod
-    def from_csv(cls, path):
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["x1", "x2"]:
-                raise DomainError("bivariate CSV needs the header 'x1,x2'")
-            data = [(float(r[0]), float(r[1])) for r in reader if r]
-        arr = np.asarray(data)
-        return cls(arr[:, 0], arr[:, 1])
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write("x1,x2\n")
-            for a, b in zip(self.x1, self.x2):
-                fh.write(f"{float(a)!r},{float(b)!r}\n")
 
 
 def rank_columns(x):
@@ -116,18 +91,52 @@ class EtaEstimate:
     k: int
 
 
+def exceedances(x, q):
+    """The mask ``rank_columns(x) > q`` of each column of an (n, k) array
+    (or of a 1-d array of n values), computed without ranking.
+
+    Ranks r / (n + 1) with r = 1..n increase with r, so the c ranks above
+    q are the top c.  Two order statistics per column, n - c and
+    n - c + 1, come from one ``np.partition``.  Where they differ, no
+    tie group straddles the gap: a group below it has an average rank of
+    at most n - c, one above of at least n - c + 1, and division by
+    n + 1 keeps that order.  The mask is then x >= x_(n-c+1).  Where they
+    tie, the group's average rank may land on either side, and the
+    column is ranked in full.  NaN or infinite values raise
+    :class:`EstimateError`; they have no place among the ranks.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise EstimateError("cannot rank NaN or infinite values")
+    n = x.shape[0]
+    c = int(np.count_nonzero(np.arange(1, n + 1) / (n + 1.0) > q))
+    if c == 0 or c == n:
+        return np.full(x.shape, c == n)
+    columns = x.reshape(n, -1)
+    part = np.partition(columns, (n - c - 1, n - c), axis=0)
+    above = columns >= part[n - c]
+    for j in np.flatnonzero(part[n - c - 1] == part[n - c]):
+        above[:, j] = rank_columns(columns[:, j]) > q
+    return above.reshape(x.shape)
+
+
 def empirical_chi(sample, q):
-    """chi(q) = #{U1 > q and U2 > q} / #{U2 > q} with a binomial
-    standard error; warns when fewer than 20 exceedances condition the
-    estimate."""
+    """chi(q) = #{U1 > q and U2 > q} / #{U2 > q} on the pseudo-uniform
+    margins, counted from the :func:`exceedances` of x1 and x2 without
+    ranking; see :func:`chi_from_exceedances`."""
     if not 0.0 < q < 1.0:
         raise DomainError("q must lie strictly inside (0, 1)")
-    u1, u2 = sample.pseudo_uniforms()
-    cond = u2 > q
-    m = int(np.count_nonzero(cond))
+    return chi_from_exceedances(exceedances(sample.x1, q), exceedances(sample.x2, q), q)
+
+
+def chi_from_exceedances(above1, above2, q):
+    """chi(q) from the masks U1 > q and U2 > q, with a binomial standard
+    error; warns when fewer than 20 exceedances condition the
+    estimate."""
+    m = int(np.count_nonzero(above2))
     if m == 0:
         raise EstimateError(f"no exceedances of the conditioning margin at q={q}")
-    joint = int(np.count_nonzero(cond & (u1 > q)))
+    joint = int(np.count_nonzero(above2 & above1))
     p = joint / m
     se = float(np.sqrt(p * (1.0 - p) / m))
     low = m < 20
@@ -168,18 +177,6 @@ class ChiCurve:
     chi: np.ndarray
     se: np.ndarray
 
-    def write_csv(self, path_or_buf):
-        def _write(fh):
-            fh.write("q,chi,se\n")
-            for row in zip(self.q, self.chi, self.se):
-                fh.write(f"{float(row[0])!r},{float(row[1])!r},{float(row[2])!r}\n")
-
-        if isinstance(path_or_buf, (str, bytes)):
-            with open(path_or_buf, "w") as fh:
-                _write(fh)
-        else:
-            _write(path_or_buf)
-
 
 def chi_curve(sample, levels):
     """Batched empirical chi over a strictly increasing level grid."""
@@ -208,17 +205,3 @@ def eta_vs_distance(coefficients_for_pair, site_pairs, method="closed_form"):
         h = float(np.linalg.norm(s2 - s1))
         rows.append((h, eta_closed_form(coefficients_for_pair(s1, s2)), method))
     return rows
-
-
-def write_eta_table(rows, path_or_buf):
-    """CSV writer for eta_vs_distance rows: header h,eta,method."""
-    def _write(fh):
-        fh.write("h,eta,method\n")
-        for h, eta, method in rows:
-            fh.write(f"{float(h)!r},{float(eta)!r},{method}\n")
-
-    if isinstance(path_or_buf, (str, bytes)):
-        with open(path_or_buf, "w") as fh:
-            _write(fh)
-    else:
-        _write(path_or_buf)

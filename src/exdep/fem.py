@@ -23,6 +23,7 @@ whose mixing variables must come from a convolution-closed GIG subclass
 
 import copy
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,8 +46,6 @@ __all__ = [
     "basis_matrix",
     "dual_cell_areas",
     "simulate_field",
-    "write_field_csv",
-    "write_matrix_coo",
 ]
 
 
@@ -104,6 +103,7 @@ MAX_RATIO = 1e8        # largest spectrum ratio upper/lower the quadrature accep
 _LOG_GRID = 4097        # points of the log grid the quadrature error is taken on
 _MAX_NODES = 60         # ratios up to MAX_RATIO need at most 40
 _INVERSE_STEPS = 8      # inverse iterations behind the lower spectrum bound
+_ROW_BLOCK = 256        # rows of cell noise simulate_field builds per step
 
 
 class InverseSqrtQuadrature(NamedTuple):
@@ -480,27 +480,33 @@ def dual_cell_areas(mesh):
 
 def simulate_field(system, sites, noise, n, rng, constant_mixing=None,
                    batch=8192, threads=1):
-    """Replicates of the approximated field at the given sites, (n, k).
+    """Replicates of the approximated FEM field at the given sites, (n, k).
 
-    Accepts either an assembled :class:`FemSystem` with a
-    :class:`TypeGNoise`, or a plain CoefficientMatrix with a
-    :class:`NoiseDistribution` for the generic linear model.  The FEM
-    field at the sites is the linear model X = W rhs: the site weights
-    W = phi K_alpha^{-1} come from one solve with a right-hand side per
-    site, checked by its backward error, and each replicate batch of
-    cell noises rhs = mu*|D| + gamma*v + sqrt(v)*Z is mapped through W.
-    ``rng`` is an integer root seed (split into per-batch sub-streams,
-    which ``threads`` workers may draw in parallel) or a Generator
-    (single sequential stream).  ``constant_mixing`` freezes the mixing
-    variables at a constant, which makes the field Gaussian (debugging
-    hook).
+    The field at the sites is the linear model X = W rhs: the site
+    weights W = phi K_alpha^{-1} come from one solve with a right-hand
+    side per site, checked by its backward error, and each replicate
+    batch of cell noises rhs = mu*|D| + gamma*v + sqrt(v)*Z is mapped
+    through W.  ``rng`` is an integer root seed (split into per-batch
+    sub-streams, which ``threads`` workers may draw in parallel) or a
+    Generator (single sequential stream).  ``constant_mixing`` freezes
+    the mixing variables at a constant, which makes the field Gaussian
+    (debugging hook).
+
+    Each worker thread builds its batches in one buffer of
+    min(batch, n) x n_nodes values, reused from batch to batch, in blocks
+    of ``_ROW_BLOCK`` rows.  The mixing values of the whole batch are
+    drawn first, block by block, then the normals, and each block of the
+    buffer becomes mu*|D| + gamma*v + sqrt(v)*Z in place.  Both samplers
+    fill row-major, one value after the other, so the block draws equal
+    one draw of the whole batch; each term is rounded as in the formula,
+    and the in-place steps only swap the operands of a product or a sum,
+    which is exact.  So the noise is bit-equal to building it in one
+    piece.  The map through W stays one matrix product per batch: split
+    into row blocks, it may round differently, depending on how the BLAS
+    library blocks the product.
     """
     if n < 0:
         raise DomainError("n must be non-negative")
-    if isinstance(system, CoefficientMatrix):
-        from .lintrans import simulate_linear
-
-        return simulate_linear(system, noise, n, rng)
     if not isinstance(noise, TypeGNoise):
         raise ParameterError("FEM simulation needs a TypeGNoise specification")
     phi = basis_matrix(system.mesh, sites)
@@ -508,46 +514,28 @@ def simulate_field(system, sites, noise, n, rng, constant_mixing=None,
     if n == 0:
         return np.empty((0, phi.shape[0]))
     weights_t = system.solve_k_alpha(phi.toarray().T)  # W^T
+    shift = noise.mu * areas
+    buffers = threading.local()  # concurrent batches must not share a buffer
 
     def one_batch(size, stream):
+        if not hasattr(buffers, "rhs"):
+            buffers.rhs = np.empty((min(batch, n), areas.size))
+            buffers.z = np.empty((_ROW_BLOCK, areas.size))
+            buffers.root = np.empty((_ROW_BLOCK, areas.size))
+        rhs = buffers.rhs[:size]
+        blocks = [slice(r, min(r + _ROW_BLOCK, size)) for r in range(0, size, _ROW_BLOCK)]
         if constant_mixing is not None:
-            v = np.full((size, areas.size), float(constant_mixing))
+            rhs.fill(float(constant_mixing))
         else:
-            v = noise.draw_mixing(stream, areas, size)
-        z = stream.standard_normal((size, areas.size))
-        rhs = noise.mu * areas[None, :] + noise.gamma * v + np.sqrt(v) * z
+            for rows in blocks:
+                rhs[rows] = noise.draw_mixing(stream, areas, rows.stop - rows.start)
+        for rows in blocks:
+            v = rhs[rows]
+            z = stream.standard_normal(out=buffers.z[:len(v)])
+            z *= np.sqrt(v, out=buffers.root[:len(v)])  # sqrt(v)*Z
+            v *= noise.gamma
+            v += shift      # mu*|D| + gamma*v
+            v += z
         return rhs @ weights_t
 
     return np.vstack(map_chunks(one_batch, n, batch, rng, threads))
-
-
-def write_field_csv(path_or_buf, samples):
-    """Stream a replicate matrix to CSV with the header site_1,...,site_m."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-
-    def _write(fh):
-        fh.write(",".join(f"site_{j + 1}" for j in range(samples.shape[1])) + "\n")
-        for row in samples:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-    if isinstance(path_or_buf, (str, bytes)):
-        with open(path_or_buf, "w") as fh:
-            _write(fh)
-    else:
-        _write(path_or_buf)
-
-
-def write_matrix_coo(path_or_buf, matrix):
-    """Export a sparse matrix as 'row,col,value' text (one entry per line)."""
-    coo = sparse.coo_matrix(matrix)
-
-    def _write(fh):
-        fh.write("row,col,value\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i},{j},{float(v)!r}\n")
-
-    if isinstance(path_or_buf, (str, bytes)):
-        with open(path_or_buf, "w") as fh:
-            _write(fh)
-    else:
-        _write(path_or_buf)

@@ -122,6 +122,28 @@ def test_simulate_and_chi_header_only_when_empty(tmp_path):
     assert out.read_text().splitlines() == ["mesh_side,pair_id,h,q,chi_hat,se"]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--q", "1.5"],
+    ["--q", "0.9,1"],
+    ["--q", "0"],
+    ["--q", "nan"],
+    ["--q", ","],
+    ["--samples", "-1"],
+    ["--n-sites", "1"],
+])
+def test_simulate_and_chi_usage_errors_exit_2_before_simulating(tmp_path, monkeypatch, flags):
+    from exdep import fem
+
+    monkeypatch.setattr(fem, "simulate_field",
+                        lambda *a, **k: pytest.fail("simulated despite a usage error"))
+    out = tmp_path / "sim.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate-and-chi", "--seed", "5", "--samples", "100", "--mesh-nodes", "5",
+                 "--n-sites", "3", "--extension", "1", *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_simulate_and_chi_small_run(tmp_path):
     out = tmp_path / "sim.csv"
     code = run_cli(["simulate-and-chi", "--seed", "5", "--out", str(out),

@@ -1,13 +1,14 @@
-import io
-import math
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from exdep.errors import DomainError, EstimateError, PreconditionError
 from exdep.estimate import (BivariateSample, LowCountWarning, chi_curve,
-                            empirical_chi, empirical_eta, eta_vs_distance,
-                            rank_columns, rank_transform, write_eta_table)
+                            chi_from_exceedances, empirical_chi, empirical_eta,
+                            eta_vs_distance, exceedances, rank_columns,
+                            rank_transform)
 from exdep.kernels import matern_kernel
 from exdep.mesh import integral_coefficients, lattice_mesh_2d
 
@@ -45,22 +46,56 @@ def test_rank_columns_equal_rank_transform_of_every_pair():
     assert u.shape == x.shape
     for i in range(5):
         for j in range(i + 1, 5):
-            u1, u2 = rank_transform(BivariateSample(x[:, i], x[:, j]))
+            sample = BivariateSample(x[:, i], x[:, j])
+            u1, u2 = rank_transform(sample)
             assert np.array_equal(u[:, i], u1) and np.array_equal(u[:, j], u2)
-            ranked = BivariateSample(x[:, i], x[:, j], ranks=(u[:, i], u[:, j]))
             for q in (0.5, 0.9):
-                assert empirical_chi(ranked, q) == empirical_chi(
-                    BivariateSample(x[:, i], x[:, j]), q)
+                assert empirical_chi(sample, q) == chi_from_exceedances(u1 > q, u2 > q, q)
 
 
-@pytest.mark.parametrize("ranks", [
-    ([0.5, 0.5],),
-    ([0.5, 0.5], [0.5]),
-    ([0.5, 0.5], [0.5, 0.5], [0.5, 0.5]),
-])
-def test_bivariate_sample_rejects_misshaped_ranks(ranks):
-    with pytest.raises(PreconditionError):
-        BivariateSample([1.0, 2.0], [3.0, 4.0], ranks=ranks)
+@st.composite
+def tied_columns(draw):
+    """Small-integer draws, so most values tie, in one or several columns."""
+    n = draw(st.integers(2, 60))
+    shape = draw(st.sampled_from([(n,), (n, 1), (n, draw(st.integers(2, 6)))]))
+    x = draw(hnp.arrays(np.float64, shape, elements=st.integers(-3, 3).map(float)))
+    # levels at every rank boundary r / (n + 1), one ulp either side, and near 0 and 1
+    r = draw(st.integers(0, n + 1))
+    edge = r / (n + 1.0)
+    q = draw(st.sampled_from([edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0),
+                              1e-12, 0.5 / (n + 1.0), 1.0 - 1e-12, 1.0 - 0.5 / (n + 1.0)]))
+    return x, float(q)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tied_columns())
+def test_exceedances_equal_the_ranked_mask(case):
+    x, q = case
+    above = exceedances(x, q)
+    assert above.shape == x.shape
+    assert np.array_equal(above, rank_columns(x) > q)
+
+
+def test_exceedances_at_the_extreme_levels():
+    x = np.array([[1.0, 4.0], [2.0, 4.0], [2.0, 4.0], [3.0, 5.0]])  # n = 4
+    assert exceedances(x, 0.1).all()       # c = n: every rank / 5 is above q
+    assert not exceedances(x, 0.8).any()   # c = 0: no rank / 5 is above q
+    assert np.array_equal(exceedances(x, 0.5), rank_columns(x) > 0.5)  # ties at the cut
+    sample = BivariateSample(x[:, 0], x[:, 1])
+    with pytest.warns(LowCountWarning):
+        assert empirical_chi(sample, 0.1).value == 1.0
+    with pytest.raises(EstimateError, match="no exceedances"):
+        empirical_chi(sample, 0.8)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_values_fail_loudly(bad):
+    x = np.linspace(0.0, 1.0, 50)
+    x[7] = bad
+    with pytest.raises(EstimateError, match="NaN or infinite"):
+        exceedances(np.column_stack([x, x]), 0.9)
+    with pytest.raises(EstimateError, match="NaN or infinite"):
+        empirical_chi(BivariateSample(x, np.linspace(0.0, 1.0, 50)), 0.9)
 
 
 def test_chi_comonotone_is_one():
@@ -116,31 +151,14 @@ def test_eta_k_range_validated():
         empirical_eta(s, k=80)
 
 
-def test_chi_curve_csv():
+def test_chi_curve_levels():
     rng = np.random.default_rng(6)
     s = BivariateSample(rng.random(50_000), rng.random(50_000))
     curve = chi_curve(s, [0.9, 0.95, 0.99])
     assert np.all(np.diff(curve.q) > 0)
-    buf = io.StringIO()
-    curve.write_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "q,chi,se"
-    assert len(lines) == 4
+    assert curve.chi.tolist() == [empirical_chi(s, q).value for q in curve.q]
     with pytest.raises(PreconditionError):
         chi_curve(s, [0.95, 0.9])
-
-
-def test_bivariate_csv_round_trip(tmp_path):
-    s = BivariateSample([1.0, 2.0, 3.0], [-1.0, 0.5, 2.5])
-    path = tmp_path / "pairs.csv"
-    s.to_csv(path)
-    back = BivariateSample.from_csv(path)
-    assert np.array_equal(back.x1, s.x1)
-    assert np.array_equal(back.x2, s.x2)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("a,b\n1,2\n")
-    with pytest.raises(DomainError):
-        BivariateSample.from_csv(bad)
 
 
 def test_eta_vs_distance_table():
@@ -155,9 +173,7 @@ def test_eta_vs_distance_table():
     assert len(rows) == 2
     assert rows[0][0] == pytest.approx(0.4)
     assert 0.5 <= rows[0][1] <= 1.0
-    buf = io.StringIO()
-    write_eta_table(rows, buf)
-    assert buf.getvalue().splitlines()[0] == "h,eta,method"
+    assert rows[1][2] == "integral"
 
 
 def test_eta_vs_distance_empty():

@@ -17,7 +17,7 @@ from exdep.kernels import matern_kernel
 from exdep.lintrans import (CoefficientMatrix, Regime, classify,
                             eta_closed_form, eta_pairs)
 from exdep.mesh import Mesh2D, lattice_mesh_2d, integral_coefficients
-from exdep.exptail import NoiseDistribution, substreams
+from exdep.exptail import substreams
 
 
 def unit_triangle():
@@ -386,6 +386,48 @@ def test_simulate_field_matches_per_batch_solve(alpha):
     np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
+def _one_shot_reference(system, sites, noise, sizes, streams, constant_mixing=None):
+    """Each batch's noise built in one piece, then mapped by W^T in one product."""
+    weights_t = system.solve_k_alpha(basis_matrix(system.mesh, sites).toarray().T)
+    areas = dual_cell_areas(system.mesh)
+    chunks = []
+    for size, stream in zip(sizes, streams):
+        if constant_mixing is None:
+            v = noise.draw_mixing(stream, areas, size)
+        else:
+            v = np.full((size, areas.size), float(constant_mixing))
+        z = stream.standard_normal((size, areas.size))
+        rhs = noise.mu * areas + noise.gamma * v + np.sqrt(v) * z
+        chunks.append(rhs @ weights_t)
+    return np.vstack(chunks)
+
+
+@pytest.mark.parametrize("noise", [
+    TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0),
+    TypeGNoise("variance_gamma", mu=0.3, gamma=-0.7, psi=2.0, lam=1.5),
+])
+def test_simulate_field_equals_the_one_shot_batch(noise):
+    mesh = lattice_mesh_2d((0, 0, 1, 1), 6, 1)
+    system = fem_assemble(mesh, 2.0, 3)
+    sites = [[0.3, 0.4], [0.7, 0.55], [0.5, 0.5]]
+    sizes = [600, 600, 300]  # 600 rows are two row blocks and 88 rows
+    ref = _one_shot_reference(system, sites, noise, sizes, substreams(4, 3))
+    for threads in (1, 2):
+        x = simulate_field(system, sites, noise, 1500, 4, batch=600, threads=threads)
+        assert np.array_equal(x, ref)
+    ref = _one_shot_reference(system, sites, noise, sizes, substreams(4, 3), 0.8)
+    for threads in (1, 2):
+        x = simulate_field(system, sites, noise, 1500, 4, constant_mixing=0.8, batch=600,
+                           threads=threads)
+        assert np.array_equal(x, ref)
+    ref = _one_shot_reference(system, sites, noise, sizes, [np.random.default_rng(9)] * 3)
+    x = simulate_field(system, sites, noise, 1500, np.random.default_rng(9), batch=600)
+    assert np.array_equal(x, ref)
+    # fewer replicates than one batch: the buffer holds only those
+    ref = _one_shot_reference(system, sites, noise, [300], substreams(4, 1))
+    assert np.array_equal(simulate_field(system, sites, noise, 300, 4, batch=600), ref)
+
+
 def test_simulate_field_threads_do_not_change_draws():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 6, 1)
     system = fem_assemble(mesh, 2.0, 2)
@@ -498,13 +540,6 @@ def test_fem_coefficients_rejects_a_nan_row(monkeypatch):
         fem_coefficients(system, [[0.4, 0.5]])
 
 
-def test_simulate_field_accepts_coefficient_matrix():
-    dist = NoiseDistribution.nig(1.0, 1.0)
-    matrix = CoefficientMatrix([[1.0, 0.3], [0.5, 1.0]])
-    x = simulate_field(matrix, None, dist, 100, 5)
-    assert x.shape == (100, 2)
-
-
 def test_negative_coefficient_guard(monkeypatch):
     mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 0)
     system = fem_assemble(mesh, 2.0, 2)
@@ -532,28 +567,3 @@ def test_tiny_negative_coefficients_are_clamped(monkeypatch):
     monkeypatch.setattr(system, "solve_k_alpha", noisy_solve)
     matrix = fem_coefficients(system, [[0.4, 0.5]])
     assert np.all(matrix.entries >= 0.0)
-
-
-def test_write_field_csv(tmp_path):
-    from exdep.fem import write_field_csv
-
-    path = tmp_path / "field.csv"
-    write_field_csv(str(path), np.array([[1.0, 2.0], [3.0, 4.5]]))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "site_1,site_2"
-    assert lines[1] == "1.0,2.0"
-    assert len(lines) == 3
-
-
-def test_write_matrix_coo(tmp_path):
-    from exdep.fem import write_matrix_coo
-
-    mesh = lattice_mesh_2d((0, 0, 1, 1), 4, 0)
-    system = fem_assemble(mesh, 2.0, 2)
-    path = tmp_path / "k.csv"
-    write_matrix_coo(str(path), system.k_alpha)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "row,col,value"
-    i, j, v = lines[1].split(",")
-    assert float(v) != 0.0
-    assert len(lines) - 1 == system.k_alpha.nnz
