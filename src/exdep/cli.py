@@ -23,6 +23,7 @@ from .lintrans import (CoefficientMatrix, chi_gh_two, chi_limit_a22, eta_pairs,
                        tail_summary)
 
 DEFAULT_NIG_NOISE = {"mu": -1.0, "gamma": 1.0, "psi": 1.0, "tau": 1.0}
+COUNTEREXAMPLE_Q = 0.999
 
 
 def _atomic_write(path, text):
@@ -66,6 +67,15 @@ def _levels(text):
 
 def _positive_int_list(text):
     return [_positive_int(v) for v in text.split(",")]
+
+
+def _min_samples(q):
+    """Fewest samples, at least two, with a pseudo-uniform rank r/(n+1)
+    above q, compared as :func:`exdep.estimate.exceedances` does."""
+    n = max(2, math.floor(q / (1.0 - q)))
+    while not n / (n + 1.0) > q:
+        n += 1
+    return n
 
 
 def _threads(args):
@@ -268,7 +278,7 @@ def cmd_eta(args):
 def cmd_counterexample(args):
     rng = np.random.default_rng(args.seed)
     n_samples = args.samples
-    q = 0.999
+    q = COUNTEREXAMPLE_Q
     lines = ["n,q,chi_hat,se"]
     for n in args.n_values:
         heavy = rng.pareto(1.0, n_samples) + 1.0  # survival x^{-1} on [1, inf)
@@ -283,7 +293,10 @@ def cmd_counterexample(args):
 
 # ----------------------------------------------------------------------
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; its list defaults are
+    tuples, so no call can change what the next one reads."""
     parser = argparse.ArgumentParser(
         prog="exdep",
         description="Extremal dependence of exponential-tailed moving averages: "
@@ -310,7 +323,7 @@ def build_parser():
     p.add_argument("--a", type=float, default=0.2)
     p.add_argument("--s1", type=float, default=0.0)
     p.add_argument("--T", type=float, default=4.0)
-    p.add_argument("--deltas", type=_float_list, default=[0.4, 0.2, 0.05])
+    p.add_argument("--deltas", type=_float_list, default=(0.4, 0.2, 0.05))
     p.add_argument("--h-grid", type=_float_list, default=None)
 
     p = command("matern-eta", cmd_matern_eta, "FEM vs integral eta across smoothness",
@@ -320,7 +333,7 @@ def build_parser():
     p.add_argument("--kappa", type=float, default=2.0,
                    help="Matern range parameter; odd alphas need kappa above about "
                         "5e-5 on the default mesh (spectrum ratio of S at most 1e8)")
-    p.add_argument("--alphas", type=_float_list, default=[2.0, 3.0, 4.0, 5.0])
+    p.add_argument("--alphas", type=_float_list, default=(2.0, 3.0, 4.0, 5.0))
     p.add_argument("--mesh-nodes", type=_positive_int, default=40, help="lattice nodes per side")
     p.add_argument("--n-sites", type=_positive_int, default=None,
                    help="random sites (default 50, or 225 with --paper-scale)")
@@ -343,7 +356,7 @@ def build_parser():
     p.add_argument("--samples", type=_int_at_least(0), default=None,
                    help="replicates (default 10^6, or 10^5 with --appendix-d); "
                         "0 writes the header alone")
-    p.add_argument("--q", type=_levels, default=[0.95, 0.975, 0.99],
+    p.add_argument("--q", type=_levels, default=(0.95, 0.975, 0.99),
                    help="quantile levels strictly inside (0, 1)")
 
     p = sub.add_parser("eta", help="tail summary (JSON) of a coefficient matrix CSV")
@@ -353,8 +366,11 @@ def build_parser():
 
     p = command("counterexample", cmd_counterexample,
                 "pre-asymptotic chi of X/n + noise (illustration only)", seeded=True)
-    p.add_argument("--n-values", type=_positive_int_list, default=[1, 10, 100])
-    p.add_argument("--samples", type=_positive_int, default=10 ** 6)
+    p.add_argument("--n-values", type=_positive_int_list, default=(1, 10, 100))
+    min_samples = _min_samples(COUNTEREXAMPLE_Q)
+    p.add_argument("--samples", type=_int_at_least(min_samples), default=10 ** 6,
+                   help=f"replicates, at least {min_samples}: fewer leave no rank above "
+                        f"q = {COUNTEREXAMPLE_Q}")
     return parser
 
 

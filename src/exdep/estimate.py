@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import DomainError, EstimateError, PreconditionError
 from .lintrans import eta_closed_form
@@ -64,6 +63,11 @@ class BivariateSample:
 def rank_columns(x):
     """Pseudo-uniforms rank / (n + 1) of each column of an (n, k) array
     (or of a 1-d array of n values), average ranks on ties."""
+    # imported here: scipy.stats is slow to import, and no subcommand
+    # ranks on its usual path (only rank_transform and exceedances' tie
+    # fallback call this)
+    from scipy.stats import rankdata
+
     x = np.asarray(x, dtype=float)
     return rankdata(x, method="average", axis=0) / (x.shape[0] + 1.0)
 

@@ -10,15 +10,14 @@ Z = mu + gamma*R + sqrt(R)*W with R ~ GIG and W standard normal.  The
 boundary families tau=0 (gamma mixing) and psi=0 (inverse-gamma mixing)
 are handled as explicit special cases rather than numerical limits.
 
-CDF and quantile have no closed form; they are computed from a cached
-1024-segment quadrature grid with Brent refinement (1e-9 absolute
-tolerance on probabilities).  The moment generating function is the
-closed form of the GIG mixing law, E[exp(u R)] with u = t (GIG) or
-gamma*t + t^2/2 (GH); divergence is detected from the tail exponents and
-reported as ``inf``, never as a silent overflow.  Partial integrals of
-exp(t*y) against the density, as chi needs, use adaptive quadrature.
-Every adaptive quadrature raises ``QuadratureError`` when QUADPACK
-reports that it missed its tolerance.
+The moment generating function is the closed form of the GIG mixing
+law, E[exp(u R)] with u = t (GIG) or gamma*t + t^2/2 (GH); divergence
+is detected from the tail exponents and reported as ``inf``, never as a
+silent overflow.  Partial integrals of exp(t*y) against the density, as
+chi needs, use adaptive quadrature, which raises ``QuadratureError``
+when QUADPACK reports that it missed its tolerance.  The boundary
+families are written with ``scipy.special`` in the form ``scipy.stats``
+uses, so that importing the package does not load ``scipy.stats``.
 
 The densities take a float route on a Python float, as QUADPACK passes
 to its callbacks: the operations of the array route in the same order,
@@ -34,7 +33,6 @@ from functools import cached_property
 import numpy as np
 from scipy import integrate, optimize
 from scipy import special as _sp
-from scipy import stats as _st
 
 from .errors import (DomainError, MgfDivergenceError, ParameterError,
                      PreconditionError, QuadratureError, UnsupportedTailError)
@@ -47,11 +45,7 @@ __all__ = [
     "map_chunks",
     "quantile_shift",
     "substreams",
-    "write_sample_csv",
-    "read_sample_csv",
 ]
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def _quad(func, a, b, **options):
@@ -222,147 +216,11 @@ class _GigLogSampler:
         return np.exp(out)
 
 
-# ----------------------------------------------------------------------
-# Quadrature engine shared by the CDF / quantile / MGF machinery.
-# ----------------------------------------------------------------------
-
-class _QuadratureTable:
-    """Cached cumulative-probability grid over the effective support.
-
-    1024 panels with 16-point Gauss-Legendre quadrature each; forced
-    panel boundaries at density kinks keep every panel analytic.  For
-    positive-support laws the panels live on the log scale, which keeps
-    the resolution uniform across wide dynamic ranges.
-    """
-
-    N_PANELS = 1024
-
-    def __init__(self, dist):
-        self.dist = dist
-        self.log_space = dist._support[0] == 0.0
-        lo, hi = dist._window()
-        self.lo_native, self.hi_native = lo, hi
-        glo, ghi = (math.log(lo), math.log(hi)) if self.log_space else (lo, hi)
-        knots = [self._coord(k) for k in dist._kinks() if lo < k < hi]
-        edges = np.linspace(glo, ghi, self.N_PANELS + 1 - len(knots))
-        self.edges = np.unique(np.concatenate([edges, knots]))
-        masses = self._panel(self.edges[:-1], self.edges[1:])
-        # density kinks can carry integrable singularities; redo the
-        # adjacent panels adaptively
-        self._singular = set()
-        for k in knots:
-            i = int(np.searchsorted(self.edges, k))
-            for j in (i - 1, i):
-                if 0 <= j < len(masses):
-                    self._singular.add(j)
-                    masses[j] = self._quad_panel(self.edges[j], self.edges[j + 1])
-        if np.any(masses < -1e-15):
-            raise RuntimeError("quantile grid is not monotone")
-        # left and right accumulations keep both tails at full relative
-        # precision (no 1 - cdf cancellation)
-        self.cum = np.concatenate([[0.0], np.cumsum(masses)])
-        self.rcum = np.concatenate([np.cumsum(masses[::-1])[::-1], [0.0]])
-        self.mass_below = dist._tail_integral(-np.inf, lo)
-        self.mass_above = dist._tail_integral(hi, np.inf)
-
-    def _coord(self, x):
-        return math.log(x) if self.log_space else float(x)
-
-    def _native(self, u):
-        return math.exp(u) if self.log_space else float(u)
-
-    def _panel(self, a, b):
-        # integral of the density over the panel, in grid coordinates
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        u = mid[..., None] + half[..., None] * _GL_NODES
-        if self.log_space:
-            x = np.exp(u)
-            vals = self.dist.pdf(x.ravel()).reshape(x.shape) * x
-        else:
-            vals = self.dist.pdf(u.ravel()).reshape(u.shape)
-        return half * (vals @ _GL_WEIGHTS)
-
-    def _quad_panel(self, a, b):
-        if b <= a:
-            return 0.0
-        return _quad(self.dist.pdf, self._native(a), self._native(b),
-                     epsabs=1e-13, epsrel=1e-11, limit=200)
-
-    def _partial(self, i, a, b):
-        if i in self._singular:
-            return self._quad_panel(float(a), float(b))
-        return float(self._panel(np.asarray(a, float), np.asarray(b, float)))
-
-    def cdf(self, x):
-        x = float(x)
-        if x <= self.lo_native:
-            return self.dist._tail_integral(-np.inf, x)
-        if x >= self.hi_native:
-            return 1.0 - self.dist._tail_integral(x, np.inf)
-        u = self._coord(x)
-        i = np.searchsorted(self.edges, u) - 1
-        return self.mass_below + self.cum[i] + self._partial(i, self.edges[i], u)
-
-    def survival(self, x):
-        x = float(x)
-        if x >= self.hi_native:
-            return self.dist._tail_integral(x, np.inf)
-        if x <= self.lo_native:
-            return 1.0 - self.dist._tail_integral(-np.inf, x)
-        u = self._coord(x)
-        i = np.searchsorted(self.edges, u) - 1
-        return self.mass_above + self.rcum[i + 1] + self._partial(i, u, self.edges[i + 1])
-
-    def quantile(self, u):
-        if u >= 0.999:
-            return self._tail_quantile(u, right=True)
-        if u <= 0.001:
-            return self._tail_quantile(u, right=False)
-        grid_u = self.mass_below + self.cum
-        i = int(np.clip(np.searchsorted(grid_u, u) - 1, 0, len(self.edges) - 2))
-        a, b = self._native(self.edges[i]), self._native(self.edges[i + 1])
-        fa, fb = grid_u[i] - u, grid_u[i + 1] - u
-        if fa > 0 or fb < 0:  # u outside panel due to tail mass; widen
-            a, b = self.lo_native, self.hi_native
-        return optimize.brentq(lambda x: self.cdf(x) - u, a, b, xtol=1e-12, rtol=8.9e-16)
-
-    def _tail_quantile(self, u, right):
-        lo, hi = self.lo_native, self.hi_native
-        step = max(hi - lo, 1.0) / 8.0
-        if right:
-            target = 1.0 - u
-
-            def fun(x):
-                return self.survival(x) - target  # decreasing in x
-
-            a, b = lo, hi
-            while fun(b) > 0.0:
-                a, b = b, b + step
-                step *= 2.0
-        else:
-            target = u
-
-            def fun(x):
-                return self.cdf(x) - target  # increasing in x
-
-            a, b = lo, hi
-            if self.dist._support[0] == 0.0:
-                while fun(a) > 0.0 and a > 1e-290:
-                    b, a = a, a / 8.0
-            else:
-                while fun(a) > 0.0:
-                    b, a = a, a - step
-                    step *= 2.0
-        return optimize.brentq(fun, a, b, xtol=1e-12, rtol=8.9e-16)
-
-
 class NoiseDistribution:
     """An exponential-tailed GIG or GH noise law.
 
     Instances are immutable after construction and safe to share across
-    threads; the density normalizer and the quadrature table are cached
-    lazily on first use.
+    threads; the density normalizer is cached lazily on first use.
     Samplers take an explicit generator (or integer seed) per caller and
     are bit-reproducible on a single stream.
     """
@@ -377,7 +235,6 @@ class NoiseDistribution:
         else:
             raise ParameterError("params must be GigParams or GhParams")
         self.params = params
-        self._table = None
         self._gig_sampler = None
 
     # -- constructors --------------------------------------------------
@@ -443,10 +300,14 @@ class NoiseDistribution:
         x = np.asarray(x, dtype=float)
         out = np.full(x.shape, -np.inf)
         pos = x > 0
-        if p.tau == 0.0:  # gamma(lam, rate psi/2)
-            out[pos] = _st.gamma.logpdf(x[pos], a=p.lam, scale=2.0 / p.psi)
-        elif p.psi == 0.0:  # inverse gamma(-lam, scale tau/2)
-            out[pos] = _st.invgamma.logpdf(x[pos], a=-p.lam, scale=p.tau / 2.0)
+        if p.tau == 0.0:  # gamma(lam, rate psi/2), as scipy.stats.gamma.logpdf
+            scale = 2.0 / p.psi
+            y = x[pos] / scale
+            out[pos] = _sp.xlogy(p.lam - 1.0, y) - y - _sp.gammaln(p.lam) - np.log(scale)
+        elif p.psi == 0.0:  # inverse gamma(-lam, scale tau/2), as scipy.stats.invgamma.logpdf
+            a, scale = -p.lam, p.tau / 2.0
+            y = x[pos] / scale
+            out[pos] = -(a + 1.0) * np.log(y) - _sp.gammaln(a) - 1.0 / y - np.log(scale)
         else:
             xx = x[pos]
             out[pos] = (
@@ -539,115 +400,26 @@ class NoiseDistribution:
             return p.psi / 2.0
         return math.sqrt(p.psi + p.gamma * p.gamma) - p.gamma
 
-    # -- support window and kinks for the quadrature grid ------------------
+    # -- quadrature anchors and kinks -------------------------------------
 
     def _center_scale(self):
         p = self.params
         if self.family == "GIG":
-            if p.tau == 0.0:
-                m = _st.gamma.ppf(0.5, a=p.lam, scale=2.0 / p.psi)
+            if p.tau == 0.0:  # median, as scipy.stats.gamma.ppf(0.5)
+                m = _sp.gammaincinv(p.lam, 0.5) * (2.0 / p.psi)
                 return m, m
-            if p.psi == 0.0:
-                m = _st.invgamma.ppf(0.5, a=-p.lam, scale=p.tau / 2.0)
+            if p.psi == 0.0:  # median, as scipy.stats.invgamma.ppf(0.5)
+                m = (1.0 / _sp.gammainccinv(-p.lam, 0.5)) * (p.tau / 2.0)
                 return m, m
             mode = ((p.lam - 1.0) + math.sqrt((p.lam - 1.0) ** 2 + p.tau * p.psi)) / p.psi
             return mode, max(mode, 1.0 / p.psi, math.sqrt(p.tau / p.psi))
         scale = 1.0 + math.sqrt(p.tau + 1.0) + abs(p.gamma)
         return p.mu, scale
 
-    def _window(self):
-        center, scale = self._center_scale()
-        peak = float(self.logpdf(center))
-        if not np.isfinite(peak):
-            peak = float(self.logpdf(center + 0.01 * scale))
-
-        if self._support[0] == 0.0:
-            # positive support: expand multiplicatively (log-scale grid)
-            lo = center
-            while float(self.logpdf(lo)) > peak - 80.0 and lo > 1e-290:
-                lo /= 1.7
-            hi = center
-            for _ in range(800):
-                if float(self.logpdf(hi)) < peak - 80.0:
-                    break
-                hi *= 1.7
-            return lo, hi
-
-        def expand(direction):
-            step = scale
-            x = center + direction * step
-            for _ in range(400):
-                if float(self.logpdf(x)) < peak - 80.0:
-                    break
-                step *= 1.5
-                x = center + direction * step
-            return x
-
-        return expand(-1.0), expand(+1.0)
-
     def _kinks(self):
         if self.family == "GH":
             return [self.params.mu]
         return []
-
-    def _grid(self):
-        if self._table is None:
-            self._table = _QuadratureTable(self)
-        return self._table
-
-    def _tail_integral(self, lo, hi):
-        lo_s = max(lo, self._support[0])
-        if hi <= lo_s:
-            return 0.0
-        return _quad(self.pdf, lo_s, hi, epsabs=1e-13, epsrel=1e-11, limit=300)
-
-    # -- cdf / quantile -----------------------------------------------------
-
-    def _scipy_frozen(self):
-        """Exact scipy counterpart for the boundary families; None when
-        the generic quadrature machinery applies."""
-        p = self.params
-        if self.family == "GIG":
-            if p.tau == 0.0:
-                return _st.gamma(a=p.lam, scale=2.0 / p.psi)
-            if p.psi == 0.0:
-                return _st.invgamma(a=-p.lam, scale=p.tau / 2.0)
-            return None
-        if p.psi == 0.0:
-            if p.gamma == 0.0:
-                df = -2.0 * p.lam
-                return _st.t(df=df, loc=p.mu, scale=math.sqrt(p.tau / df))
-            raise UnsupportedTailError(
-                "cdf/quantile not provided for the skewed psi = 0 family"
-            )
-        return None
-
-    def cdf(self, x):
-        x = float(x)
-        if x <= self._support[0]:
-            return 0.0
-        frozen = self._scipy_frozen()
-        if frozen is not None:
-            return float(frozen.cdf(x))
-        return float(np.clip(self._grid().cdf(x), 0.0, 1.0))
-
-    def sf(self, x):
-        x = float(x)
-        if x <= self._support[0]:
-            return 1.0
-        frozen = self._scipy_frozen()
-        if frozen is not None:
-            return float(frozen.sf(x))
-        return float(np.clip(self._grid().survival(x), 0.0, 1.0))
-
-    def quantile(self, u):
-        u = float(u)
-        if not 0.0 < u < 1.0:
-            raise DomainError("quantile level must lie strictly inside (0, 1)")
-        frozen = self._scipy_frozen()
-        if frozen is not None:
-            return float(frozen.ppf(u))
-        return float(self._grid().quantile(u))
 
     # -- moment generating function ------------------------------------------
 
@@ -804,19 +576,3 @@ def quantile_shift(base, addend_coeffs):
         total += math.log(m)
     return total / beta
 
-
-def write_sample_csv(path, values):
-    """Write sampler output as CSV with the single header ``y``."""
-    arr = np.asarray(values, dtype=float)
-    with open(path, "w") as fh:
-        fh.write("y\n")
-        for v in arr:
-            fh.write(f"{float(v)!r}\n")
-
-
-def read_sample_csv(path):
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "y":
-            raise DomainError(f"expected header 'y', got {header!r}")
-        return np.array([float(line) for line in fh if line.strip()])

@@ -119,18 +119,6 @@ class CoefficientMatrix:
 
     # -- serialization --------------------------------------------------
 
-    def to_csv(self, path_or_buf):
-        def _write(fh):
-            writer = csv.writer(fh)
-            for row in self.entries:
-                writer.writerow([repr(float(v)) for v in row])
-
-        if isinstance(path_or_buf, (str, bytes)):
-            with open(path_or_buf, "w", newline="") as fh:
-                _write(fh)
-        else:
-            _write(path_or_buf)
-
     @classmethod
     def from_csv(cls, path_or_buf):
         if isinstance(path_or_buf, (str, bytes)):

@@ -20,12 +20,16 @@ def run_cli(args):
     return main(args)
 
 
-def run_module(*args):
-    """``python -m exdep.cli`` in a child process that imports the same exdep."""
+def run_python(*args):
+    """``python *args`` in a child process that imports the same exdep."""
     path = [str(Path(exdep.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    return subprocess.run([sys.executable, "-m", "exdep.cli", *args], capture_output=True,
-                          env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env)
+
+
+def run_module(*args):
+    """``python -m exdep.cli`` in a child process."""
+    return run_python("-m", "exdep.cli", *args)
 
 
 def test_unknown_subcommand_exits_2():
@@ -98,6 +102,87 @@ def test_counterexample_decreasing_with_n(tmp_path):
     assert lines[0] == "n,q,chi_hat,se"
     chi = [float(line.split(",")[2]) for line in lines[1:]]
     assert chi[0] > chi[-1]  # decays toward the noise-only level
+
+
+@pytest.mark.parametrize("samples", ["1", "999"])
+def test_counterexample_too_few_samples_exits_2_before_drawing(tmp_path, monkeypatch, samples):
+    # at q = 0.999 fewer than 1,000 samples leave no rank r/(n+1) above q
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda *a, **k: pytest.fail("drew samples despite a usage error"))
+    out = tmp_path / "counter.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["counterexample", "--seed", "1", "--samples", samples, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_counterexample_runs_at_the_fewest_samples(tmp_path):
+    from exdep.estimate import LowCountWarning
+
+    out = tmp_path / "counter.csv"
+    with pytest.warns(LowCountWarning, match="only 1 exceedances"):
+        assert run_cli(["counterexample", "--seed", "1", "--samples", "1000",
+                        "--n-values", "1,10", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 3
+
+
+def test_parser_is_built_once_and_shares_no_mutable_default():
+    from exdep.cli import build_parser
+
+    assert build_parser() is build_parser()
+    parse = build_parser().parse_args
+    assert parse(["matern-eta", "--seed", "1", "--out", "o", "--alphas", "3"]).alphas == [3.0]
+    assert parse(["matern-eta", "--seed", "1", "--out", "o"]).alphas == (2.0, 3.0, 4.0, 5.0)
+    minimal = {"chi-vs-a22": [], "ou-convergence": [], "matern-eta": ["--seed", "1"],
+               "simulate-and-chi": ["--seed", "1"], "eta": ["--matrix", "m.csv"],
+               "counterexample": ["--seed", "1"]}
+    for name, flags in minimal.items():
+        values = vars(parse([name, "--out", "o", *flags])).values()
+        assert not any(isinstance(v, (list, dict, set)) for v in values), name
+
+
+def test_usage_error_exits_2_after_a_successful_call(tmp_path):
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("1.0,0.3\n0.5,1.0\n")
+    out = tmp_path / "summary.json"
+    assert run_cli(["eta", "--matrix", str(matrix), "--out", str(out)]) == 0
+    for argv in (["eta", "--out", str(out)], ["eta", "--matrix", str(matrix), "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+    assert run_cli(["eta", "--matrix", str(matrix), "--out", str(out)]) == 0
+
+
+NO_STATS_SCRIPT = """
+import sys
+
+import exdep
+from exdep import cli, lintrans
+
+assert "scipy.stats" not in sys.modules, "loaded by the import"
+work = sys.argv[1]
+with open(f"{work}/m.csv", "w") as fh:
+    fh.write("1.0,0.3,0.0\\n0.5,1.0,0.25\\n")
+for argv in (
+    ["matern-eta", "--seed", "1", "--alphas", "2,3,4,5", "--mesh-nodes", "8",
+     "--extension", "1", "--n-sites", "4"],
+    ["simulate-and-chi", "--seed", "1", "--samples", "4000", "--mesh-nodes", "5",
+     "--n-sites", "4", "--extension", "1", "--q", "0.95,0.975,0.99"],
+    ["counterexample", "--seed", "1", "--samples", "4000", "--n-values", "1,10,100"],
+    ["chi-vs-a22", "--a12", "0.3", "--a22-grid", "0.5,0.9"],
+    ["ou-convergence", "--deltas", "0.4,0.2", "--h-grid", "0.4,0.8"],
+    ["eta", "--matrix", f"{work}/m.csv"],
+):
+    assert cli.main(argv + ["--out", f"{work}/{argv[0]}.out"]) == 0, argv
+lintrans.eta_gauge_oracle(lintrans.CoefficientMatrix([[1.0, 0.3, 0.0], [0.5, 1.0, 0.25]]))
+assert "scipy.stats" not in sys.modules, "loaded by a subcommand"
+"""
+
+
+def test_no_subcommand_loads_scipy_stats(tmp_path):
+    # a child process: pytest has already loaded scipy.stats in this one
+    proc = run_python("-c", NO_STATS_SCRIPT, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_matern_eta_small_run_byte_reproducible(tmp_path):
