@@ -213,24 +213,28 @@ def cmd_simulate_and_chi(args):
     for side in mesh_sides:
         if n == 0:
             break
-        grid = mesh.lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), side, args.extension)
-        system = fem.fem_assemble(grid, args.kappa, args.alpha, lumped=True)
-        x = fem.simulate_field(system, sites, noise, n, args.seed, threads=threads)
-        # site columns contiguous, for the partitions and for the masks they give
-        x = np.asfortranarray(x)
-        above = [estimate.exceedances(x, q) for q in args.q]
-        pair_id = 0
-        for i in range(len(sites)):
-            for j in range(i + 1, len(sites)):
-                h = float(np.linalg.norm(sites[i] - sites[j]))
-                for q, mask in zip(args.q, above):
-                    est = estimate.chi_from_exceedances(mask[:, i], mask[:, j], q)
-                    lines.append(
-                        f"{side},{pair_id},{h!r},{q!r},{est.value!r},{est.se!r}"
-                    )
-                pair_id += 1
+        lines += _mesh_chi_lines(args, side, sites, noise, n, threads)
     _atomic_write(args.out, "\n".join(lines) + "\n")
     return 0
+
+
+def _mesh_chi_lines(args, side, sites, noise, n, threads):
+    """The CSV lines of one mesh; its field and masks are freed on return,
+    before the next mesh is simulated."""
+    grid = mesh.lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), side, args.extension)
+    system = fem.fem_assemble(grid, args.kappa, args.alpha, lumped=True)
+    x = fem.simulate_field(system, sites, noise, n, args.seed, threads=threads)
+    above = [estimate.exceedances(x, q) for q in args.q]
+    lines = []
+    pair_id = 0
+    for i in range(len(sites)):
+        for j in range(i + 1, len(sites)):
+            h = float(np.linalg.norm(sites[i] - sites[j]))
+            for q, mask in zip(args.q, above):
+                est = estimate.chi_from_exceedances(mask[:, i], mask[:, j], q)
+                lines.append(f"{side},{pair_id},{h!r},{q!r},{est.value!r},{est.se!r}")
+            pair_id += 1
+    return lines
 
 
 # ----------------------------------------------------------------------
@@ -277,18 +281,27 @@ def cmd_eta(args):
 
 def cmd_counterexample(args):
     rng = np.random.default_rng(args.seed)
-    n_samples = args.samples
     q = COUNTEREXAMPLE_Q
     lines = ["n,q,chi_hat,se"]
     for n in args.n_values:
-        heavy = rng.pareto(1.0, n_samples) + 1.0  # survival x^{-1} on [1, inf)
-        eps1 = rng.standard_normal(n_samples)
-        eps2 = rng.standard_normal(n_samples)
-        sample = estimate.BivariateSample(heavy / n + eps1, heavy / n + eps2)
-        est = estimate.empirical_chi(sample, q)
+        est = _counterexample_chi(rng, n, args.samples, q)
         lines.append(f"{n},{q!r},{est.value!r},{est.se!r}")
     _atomic_write(args.out, "\n".join(lines) + "\n")
     return 0
+
+
+def _counterexample_chi(rng, n, n_samples, q):
+    """chi(q) of heavy / n + eps1 and heavy / n + eps2, built in place
+    with the rounding of that formula; the arrays are freed on return,
+    before the next n draws."""
+    heavy = rng.pareto(1.0, n_samples)
+    heavy += 1.0  # survival x^{-1} on [1, inf)
+    np.divide(heavy, n, out=heavy)
+    eps1 = rng.standard_normal(n_samples)
+    eps1 += heavy
+    eps2 = rng.standard_normal(n_samples)
+    eps2 += heavy
+    return estimate.empirical_chi(estimate.BivariateSample(eps1, eps2), q)
 
 
 # ----------------------------------------------------------------------

@@ -101,26 +101,36 @@ def exceedances(x, q):
 
     Ranks r / (n + 1) with r = 1..n increase with r, so the c ranks above
     q are the top c.  Two order statistics per column, n - c and
-    n - c + 1, come from one ``np.partition``.  Where they differ, no
-    tie group straddles the gap: a group below it has an average rank of
-    at most n - c, one above of at least n - c + 1, and division by
-    n + 1 keeps that order.  The mask is then x >= x_(n-c+1).  Where they
-    tie, the group's average rank may land on either side, and the
-    column is ranked in full.  NaN or infinite values raise
-    :class:`EstimateError`; they have no place among the ranks.
+    n - c + 1, come from one ``np.partition`` of a copy of that column
+    alone.  Where they differ, no tie group straddles the gap: a group
+    below it has an average rank of at most n - c, one above of at least
+    n - c + 1, and division by n + 1 keeps that order.  The mask is then
+    x >= x_(n-c+1).  Where they tie, the group's average rank may land on
+    either side, and the column is ranked in full.  NaN or infinite
+    values raise :class:`EstimateError`; they have no place among the
+    ranks.
+
+    The mask is column-major, like the field of
+    :func:`exdep.fem.simulate_field`, whose columns it reads in place.
+    Besides the mask (n x k booleans), memory is one column copy at a
+    time.
     """
     x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
+    # min and max propagate NaN and hold any infinity, without an (n, k) temporary
+    if not (np.isfinite(x.min(initial=0.0)) and np.isfinite(x.max(initial=0.0))):
         raise EstimateError("cannot rank NaN or infinite values")
     n = x.shape[0]
     c = int(np.count_nonzero(np.arange(1, n + 1) / (n + 1.0) > q))
     if c == 0 or c == n:
         return np.full(x.shape, c == n)
     columns = x.reshape(n, -1)
-    part = np.partition(columns, (n - c - 1, n - c), axis=0)
-    above = columns >= part[n - c]
-    for j in np.flatnonzero(part[n - c - 1] == part[n - c]):
-        above[:, j] = rank_columns(columns[:, j]) > q
+    above = np.empty(columns.shape, dtype=bool, order="F")
+    for j in range(columns.shape[1]):
+        low, cut = np.partition(columns[:, j], (n - c - 1, n - c))[n - c - 1:n - c + 1]
+        if low == cut:
+            above[:, j] = rank_columns(columns[:, j]) > q
+        else:
+            np.greater_equal(columns[:, j], cut, out=above[:, j])
     return above.reshape(x.shape)
 
 

@@ -480,7 +480,8 @@ def dual_cell_areas(mesh):
 
 def simulate_field(system, sites, noise, n, rng, constant_mixing=None,
                    batch=8192, threads=1):
-    """Replicates of the approximated FEM field at the given sites, (n, k).
+    """Replicates of the approximated FEM field at the given sites, an
+    (n, k) array in column-major order.
 
     The field at the sites is the linear model X = W rhs: the site
     weights W = phi K_alpha^{-1} come from one solve with a right-hand
@@ -504,6 +505,12 @@ def simulate_field(system, sites, noise, n, rng, constant_mixing=None,
     piece.  The map through W stays one matrix product per batch: split
     into row blocks, it may round differently, depending on how the BLAS
     library blocks the product.
+
+    The result is allocated once, column-major, so each site's column is
+    contiguous for :func:`exdep.estimate.exceedances`; each batch copies
+    its product into its own rows, and concurrent batches write disjoint
+    rows.  Memory is the result plus, per worker thread, the batch
+    buffer, two row-block buffers and one min(batch, n) x k product.
     """
     if n < 0:
         raise DomainError("n must be non-negative")
@@ -511,13 +518,14 @@ def simulate_field(system, sites, noise, n, rng, constant_mixing=None,
         raise ParameterError("FEM simulation needs a TypeGNoise specification")
     phi = basis_matrix(system.mesh, sites)
     areas = dual_cell_areas(system.mesh)
+    out = np.empty((n, phi.shape[0]), order="F")
     if n == 0:
-        return np.empty((0, phi.shape[0]))
+        return out
     weights_t = system.solve_k_alpha(phi.toarray().T)  # W^T
     shift = noise.mu * areas
     buffers = threading.local()  # concurrent batches must not share a buffer
 
-    def one_batch(size, stream):
+    def one_batch(start, size, stream):
         if not hasattr(buffers, "rhs"):
             buffers.rhs = np.empty((min(batch, n), areas.size))
             buffers.z = np.empty((_ROW_BLOCK, areas.size))
@@ -536,6 +544,7 @@ def simulate_field(system, sites, noise, n, rng, constant_mixing=None,
             v *= noise.gamma
             v += shift      # mu*|D| + gamma*v
             v += z
-        return rhs @ weights_t
+        out[start:start + size] = rhs @ weights_t
 
-    return np.vstack(map_chunks(one_batch, n, batch, rng, threads))
+    map_chunks(one_batch, n, batch, rng, threads)
+    return out

@@ -459,7 +459,7 @@ def chi_mc(matrix, dist, n_samples, rng, chunk=1 << 17, threads=1):
             raise MgfDivergenceError(f"residual MGF diverges at t = {c * beta}")
         log_m2 += math.log(m)
 
-    def one_chunk(size, stream):
+    def one_chunk(_start, size, stream):
         y = dist.sample(stream, size * r1.size).reshape(size, r1.size)
         vals = np.minimum(
             np.exp(beta * (y @ r1) - log_m1),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +88,21 @@ def test_exceedances_at_the_extreme_levels():
         assert empirical_chi(sample, 0.1).value == 1.0
     with pytest.raises(EstimateError, match="no exceedances"):
         empirical_chi(sample, 0.8)
+
+
+def test_exceedances_partition_one_column_at_a_time():
+    x = np.asfortranarray(np.random.default_rng(2).standard_normal((20_000, 16)))
+    tracemalloc.start()
+    try:
+        above = exceedances(x, 0.95)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert above.flags.f_contiguous
+    assert np.array_equal(above, rank_columns(x) > 0.95)
+    # the mask and one column copy, with 32 kB of slack; a partition of the
+    # whole field copies all 16 columns (2.56 MB)
+    assert peak <= above.nbytes + x[:, 0].nbytes + 32 * 1024
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,8 @@ from scipy.sparse import linalg as spla
 
 from exdep.cli import random_sites
 from exdep.errors import NonnegativityError, ParameterError, SolveError
-from exdep.fem import (BACKWARD_TOL, MAX_RATIO, RATIONAL_TOL, FemSystem, TypeGNoise,
+from exdep.fem import (_ROW_BLOCK, BACKWARD_TOL, MAX_RATIO, RATIONAL_TOL, FemSystem,
+                       TypeGNoise,
                        basis_matrix, dual_cell_areas, fem_assemble,
                        fem_coefficients, inverse_sqrt_quadrature, simulate_field)
 from exdep.kernels import matern_kernel
@@ -377,7 +379,7 @@ def test_simulate_field_matches_per_batch_solve(alpha):
     sizes = [256, 256, 256, 232]
     x = simulate_field(system, sites, noise, 1000, 11, batch=256)
     ref = _per_batch_reference(system, sites, noise, sizes, substreams(11, 4))
-    assert x.shape == (1000, 3)
+    assert x.shape == (1000, 3) and x.flags.f_contiguous
     np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
     # a Generator is one sequential stream over the same batches
     x = simulate_field(system, sites, noise, 1000, np.random.default_rng(11), batch=256)
@@ -414,18 +416,39 @@ def test_simulate_field_equals_the_one_shot_batch(noise):
     ref = _one_shot_reference(system, sites, noise, sizes, substreams(4, 3))
     for threads in (1, 2):
         x = simulate_field(system, sites, noise, 1500, 4, batch=600, threads=threads)
-        assert np.array_equal(x, ref)
+        assert x.flags.f_contiguous and np.array_equal(x, ref)
     ref = _one_shot_reference(system, sites, noise, sizes, substreams(4, 3), 0.8)
     for threads in (1, 2):
         x = simulate_field(system, sites, noise, 1500, 4, constant_mixing=0.8, batch=600,
                            threads=threads)
-        assert np.array_equal(x, ref)
+        assert x.flags.f_contiguous and np.array_equal(x, ref)
     ref = _one_shot_reference(system, sites, noise, sizes, [np.random.default_rng(9)] * 3)
     x = simulate_field(system, sites, noise, 1500, np.random.default_rng(9), batch=600)
-    assert np.array_equal(x, ref)
+    assert x.flags.f_contiguous and np.array_equal(x, ref)
     # fewer replicates than one batch: the buffer holds only those
     ref = _one_shot_reference(system, sites, noise, [300], substreams(4, 1))
-    assert np.array_equal(simulate_field(system, sites, noise, 300, 4, batch=600), ref)
+    x = simulate_field(system, sites, noise, 300, 4, batch=600)
+    assert x.flags.f_contiguous and np.array_equal(x, ref)
+
+
+def test_simulate_field_holds_one_copy_of_the_field():
+    mesh = lattice_mesh_2d((0, 0, 1, 1), 5, 2)
+    system = fem_assemble(mesh, 2.0, 2)
+    noise = TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0)
+    sites = random_sites(np.random.default_rng(0), 8)
+    simulate_field(system, sites, noise, 10, 1)  # factor K_2 outside the trace
+    n, batch, k, nodes = 40_000, 4096, len(sites), mesh.n_nodes
+    tracemalloc.start()
+    try:
+        x = simulate_field(system, sites, noise, n, 1, batch=batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the result, the batch buffer, two row-block buffers and W^T, then one
+    # batch product and 256 kB of slack; a per-batch list and its vstack add
+    # another copy of the result (2.56 MB)
+    held = x.nbytes + 8 * (batch * nodes + 2 * _ROW_BLOCK * nodes + nodes * k)
+    assert peak <= held + 8 * batch * k + 256 * 1024
 
 
 def test_simulate_field_threads_do_not_change_draws():
