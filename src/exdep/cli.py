@@ -173,7 +173,7 @@ def cmd_matern_eta(args):
     # one norm per pair, as a 1-d vector: its BLAS dot fixes the last bit of h
     h = np.array([np.linalg.norm(sites[i] - sites[j]) for i, j in pairs])
     lines = ["alpha,method,h,eta,eta_thm1,eta_conjecture"]
-    assembled = fem.fem_assemble(grid, args.kappa, 2, lumped=True)  # shares K_2 factors across alphas
+    assembled = fem.fem_assemble(grid, args.kappa, 2)  # shares K_2 factors across alphas
     for alpha in args.alphas:
         kern = kernels.matern_kernel(args.kappa, alpha, 2)
         g0 = kern.value_at_zero
@@ -222,7 +222,7 @@ def _mesh_chi_lines(args, side, sites, noise, n, threads):
     """The CSV lines of one mesh; its field and masks are freed on return,
     before the next mesh is simulated."""
     grid = mesh.lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), side, args.extension)
-    system = fem.fem_assemble(grid, args.kappa, args.alpha, lumped=True)
+    system = fem.fem_assemble(grid, args.kappa, args.alpha)
     x = fem.simulate_field(system, sites, noise, n, args.seed, threads=threads)
     above = [estimate.exceedances(x, q) for q in args.q]
     lines = []

@@ -7,19 +7,18 @@ the min-structure variable T = min{1/(1-U1), 1/(1-U2)} on pseudo-uniform
 margins.
 """
 
+import bisect
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, EstimateError, PreconditionError
-from .lintrans import eta_closed_form
 
 __all__ = [
     "BivariateSample",
     "ChiEstimate",
     "EtaEstimate",
-    "ChiCurve",
     "LowCountWarning",
     "rank_columns",
     "rank_transform",
@@ -27,8 +26,6 @@ __all__ = [
     "empirical_chi",
     "chi_from_exceedances",
     "empirical_eta",
-    "chi_curve",
-    "eta_vs_distance",
 ]
 
 
@@ -120,7 +117,7 @@ def exceedances(x, q):
     if not (np.isfinite(x.min(initial=0.0)) and np.isfinite(x.max(initial=0.0))):
         raise EstimateError("cannot rank NaN or infinite values")
     n = x.shape[0]
-    c = int(np.count_nonzero(np.arange(1, n + 1) / (n + 1.0) > q))
+    c = _ranks_above(n, q)
     if c == 0 or c == n:
         return np.full(x.shape, c == n)
     columns = x.reshape(n, -1)
@@ -132,6 +129,16 @@ def exceedances(x, q):
         else:
             np.greater_equal(columns[:, j], cut, out=above[:, j])
     return above.reshape(x.shape)
+
+
+def _ranks_above(n, q):
+    """How many of the ranks r / (n + 1), r = 1..n, are above q.
+
+    They increase with r, so a bisection over r finds the first one
+    above q with the comparison r / (n + 1.0) > q itself, and no array
+    of ranks is built.
+    """
+    return n - bisect.bisect_right(range(1, n + 1), q, key=lambda r: r / (n + 1.0))
 
 
 def empirical_chi(sample, q):
@@ -182,40 +189,3 @@ def empirical_eta(sample, k=None, z=1.959963984540054):
     return EtaEstimate(value=eta, ci_low=eta * (1.0 - half),
                        ci_high=eta * (1.0 + half), k=k)
 
-
-@dataclass
-class ChiCurve:
-    """chi(q) estimates over increasing quantile levels."""
-
-    q: np.ndarray
-    chi: np.ndarray
-    se: np.ndarray
-
-
-def chi_curve(sample, levels):
-    """Batched empirical chi over a strictly increasing level grid."""
-    levels = np.asarray(levels, dtype=float)
-    if np.any(np.diff(levels) <= 0.0):
-        raise PreconditionError("levels must be strictly increasing")
-    ests = [empirical_chi(sample, q) for q in levels]
-    return ChiCurve(
-        q=levels,
-        chi=np.array([e.value for e in ests]),
-        se=np.array([e.se for e in ests]),
-    )
-
-
-def eta_vs_distance(coefficients_for_pair, site_pairs, method="closed_form"):
-    """Table of (distance, eta, method) rows for a batch of site pairs.
-
-    ``coefficients_for_pair(s1, s2)`` must return the CoefficientMatrix
-    of the approximation at the two sites; eta is then the closed-form
-    value (1 outside asymptotic independence).
-    """
-    rows = []
-    for s1, s2 in site_pairs:
-        s1 = np.asarray(s1, dtype=float)
-        s2 = np.asarray(s2, dtype=float)
-        h = float(np.linalg.norm(s2 - s1))
-        rows.append((h, eta_closed_form(coefficients_for_pair(s1, s2)), method))
-    return rows

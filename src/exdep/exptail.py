@@ -25,7 +25,6 @@ so the bits agree, without the array overhead.  The Bessel function of
 the normalizing constant is computed once per distribution.
 """
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,8 +33,8 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy import special as _sp
 
-from .errors import (DomainError, MgfDivergenceError, ParameterError,
-                     PreconditionError, QuadratureError, UnsupportedTailError)
+from .errors import (DomainError, ParameterError, QuadratureError,
+                     UnsupportedTailError)
 from .special import log_bessel_k
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "GhParams",
     "NoiseDistribution",
     "map_chunks",
-    "quantile_shift",
     "substreams",
 ]
 
@@ -263,31 +261,6 @@ class NoiseDistribution:
 
     def __repr__(self):
         return f"NoiseDistribution({self.params!r})"
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self):
-        p = self.params
-        obj = {"family": self.family, "lambda": p.lam, "tau": p.tau, "psi": p.psi}
-        if self.family == "GH":
-            obj["mu"] = p.mu
-            obj["gamma"] = p.gamma
-        else:
-            obj["mu"] = None
-            obj["gamma"] = None
-        return obj
-
-    @classmethod
-    def from_json(cls, obj):
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        family = obj["family"].upper()
-        if family == "GIG":
-            return cls.gig(obj["lambda"], obj["tau"], obj["psi"])
-        if family == "GH":
-            return cls.gh(obj["lambda"], obj["tau"], obj["psi"],
-                          obj.get("mu") or 0.0, obj.get("gamma") or 0.0)
-        raise ParameterError(f"unknown family {obj['family']!r}")
 
     # -- density ---------------------------------------------------------
 
@@ -566,26 +539,4 @@ class NoiseDistribution:
     def variance(self):
         m1 = self.moment(1)
         return self.moment(2) - m1 * m1
-
-
-def quantile_shift(base, addend_coeffs):
-    """Limiting upper-quantile shift of X = Y + sum(a_i * Y_i').
-
-    For independent copies with coefficients 0 <= a_i < 1 the shift is
-    log(M_Z(beta)) / beta with M_Z the MGF of the addend, i.e. the sum of
-    log-MGFs of the base law at a_i * beta.
-    """
-    beta = base.tail_index
-    total = 0.0
-    for a in addend_coeffs:
-        a = float(a)
-        if not 0.0 <= a < 1.0:
-            raise PreconditionError("addend coefficients must lie in [0, 1)")
-        if a == 0.0:
-            continue
-        m = base.mgf(a * beta)
-        if not np.isfinite(m):
-            raise MgfDivergenceError(f"MGF diverges at t = {a * beta}")
-        total += math.log(m)
-    return total / beta
 

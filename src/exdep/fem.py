@@ -1,18 +1,19 @@
 """Finite element machinery for Whittle-Matern fields driven by type G noise.
 
-Piecewise-linear (hat) bases on a triangulation give the Gram matrices
-C_ij = <phi_i, phi_j> (consistent mass, with entries area/6 and area/12
-per element, or its row-sum lumped diagonal) and G_ij = <grad phi_i,
-grad phi_j> (stiffness).  The discretized fractional operator for even
-exponents is the matrix polynomial
+Piecewise-linear (hat) bases on a triangulation give the lumped mass
+C = diag(integral of phi_i), the row sums of the element mass with
+entries area/6 and area/12, and the stiffness G_ij = <grad phi_i,
+grad phi_j>; the diagonal C is the sparse choice of the SPDE approach
+(Lindgren, Rue & Lindstrom 2011).  The discretized fractional operator
+for even exponents is the matrix polynomial
 
     K_2 = kappa^2 C + G,      K_4 = K_2 C^{-1} K_2,      ...
 
-and with the lumped mass an odd exponent adds the half power
-K_1 = C^{1/2} S^{1/2} C^{1/2}, S = C^{-1/2} K_2 C^{-1/2}.  Its inverse is
-applied by a rational approximation of S^{-1/2} with real positive
-shifts (Hale, Higham & Trefethen, SIAM J. Numer. Anal. 2008), one sparse
-factorization of K_2 + d_j C per shift, so no dense matrix is formed.
+and an odd exponent adds the half power K_1 = C^{1/2} S^{1/2} C^{1/2},
+S = C^{-1/2} K_2 C^{-1/2}.  Its inverse is applied by a rational
+approximation of S^{-1/2} with real positive shifts (Hale, Higham &
+Trefethen, SIAM J. Numer. Anal. 2008), one sparse factorization of
+K_2 + d_j C per shift, so no dense matrix is formed.
 
 Weights solve K_alpha w = (integral of phi_1 dM, ..., integral of
 phi_n dM); with type G noise the cell values are normal mean-variance
@@ -154,27 +155,23 @@ def inverse_sqrt_quadrature(lower, upper):
 
 
 class FemSystem:
-    """Assembled mass/stiffness matrices and the K_alpha solve operator.
+    """Assembled lumped mass, stiffness and the K_alpha solve operator.
 
     Even exponents keep K_alpha a sparse matrix polynomial in K_2 and C.
-    Odd exponents (needed for the smoothness sweep alpha = 2..5) need the
-    lumped mass and go through R = sum_j c_j (K_2 + d_j C)^{-1}, the
-    rational approximation of K_1^{-1} = C^{-1/2} S^{-1/2} C^{-1/2} from
+    Odd exponents (needed for the smoothness sweep alpha = 2..5) go
+    through R = sum_j c_j (K_2 + d_j C)^{-1}, the rational approximation
+    of K_1^{-1} = C^{-1/2} S^{-1/2} C^{-1/2} from
     :func:`inverse_sqrt_quadrature` on the spectrum bounds of S.
     """
 
-    def __init__(self, mesh, kappa, alpha, lumped, mass, mass_lumped, stiffness,
-                 boundary_mass=None):
+    def __init__(self, mesh, kappa, alpha, mass_lumped, stiffness, boundary_mass=None):
         self.mesh = mesh
         self.kappa = kappa
         self.alpha = alpha
-        self.lumped = lumped
-        self.mass = mass                    # consistent C, CSR
-        self.mass_lumped = mass_lumped      # diagonal of lumped C
+        self.mass_lumped = mass_lumped      # diagonal of C
         self.stiffness = stiffness
         robin = kappa * boundary_mass if boundary_mass is not None else 0.0
-        self.base = (kappa ** 2 * (sparse.diags(mass_lumped) if lumped else mass)
-                     + stiffness + robin).tocsc()   # K_2
+        self.base = (kappa ** 2 * sparse.diags(mass_lumped) + stiffness + robin).tocsc()  # K_2
         self._factors = {}  # K_2 LU, quadrature and shifted LUs, shared with with_alpha views
 
     def with_alpha(self, alpha):
@@ -184,56 +181,29 @@ class FemSystem:
         once however many exponents use it.
         """
         view = copy.copy(self)
-        view.alpha = _check_alpha(alpha, self.lumped)
+        view.alpha = _check_alpha(alpha)
         return view
 
     @property
     def mass_matrix(self):
-        """C in the variant selected at assembly time."""
-        return sparse.diags(self.mass_lumped).tocsr() if self.lumped else self.mass
-
-    @property
-    def k_alpha(self):
-        """Explicit sparse K_alpha.
-
-        Available for alpha = 2 and, for higher even exponents, with the
-        lumped mass (the consistent-mass inverse is dense; use
-        :meth:`solve_k_alpha`, which factors through C and K_2).  Odd
-        exponents have no sparse K_alpha.
-        """
-        if self.alpha == 2:
-            return self.base.tocsr()
-        if self.alpha % 2 or not self.lumped:
-            raise ParameterError(
-                f"explicit K_alpha is dense for alpha = {self.alpha} with this mass; "
-                "use solve_k_alpha"
-            )
-        c_inv = sparse.diags(1.0 / self.mass_lumped)
-        k = self.base
-        for _ in range(self.alpha // 2 - 1):
-            k = k @ c_inv @ self.base
-        return k.tocsr()
+        """The lumped mass C as a sparse diagonal matrix."""
+        return sparse.diags(self.mass_lumped).tocsr()
 
     @property
     def spectrum_bounds(self):
         """(m, M) enclosing the spectrum of S = C^{-1/2} K_2 C^{-1/2}.
 
-        M is the Gershgorin bound of the sparse S of the lumped mass; the
-        consistent mass is at least a quarter of the lumped one, so its S
-        stays below four times that bound.  m = kappa^2 always holds, since
-        S - kappa^2 I = C^{-1/2} (G + kappa B) C^{-1/2} is positive
-        semidefinite.  With the Robin term B the smallest eigenvalue is of
-        order kappa, not kappa^2, and with the lumped mass m is raised to
-        the bound of :meth:`_inverse_iteration_bound` where that applies.
+        M is the Gershgorin bound of the sparse S.  kappa^2 is always a
+        lower bound, since S - kappa^2 I = C^{-1/2} (G + kappa B) C^{-1/2}
+        is positive semidefinite.  With the Robin term B the smallest
+        eigenvalue is of order kappa, not kappa^2, and m is raised to the
+        bound of :meth:`_inverse_iteration_bound` where that applies.
         """
         if "bounds" not in self._factors:
             root = 1.0 / np.sqrt(self.mass_lumped)
             upper = float(((abs(self.base) @ root) * root).max())
-            if self.lumped:
-                lower = max(self.kappa ** 2, self._inverse_iteration_bound())
-                self._factors["bounds"] = (lower, upper)
-            else:
-                self._factors["bounds"] = (self.kappa ** 2, 4.0 * upper)
+            lower = max(self.kappa ** 2, self._inverse_iteration_bound())
+            self._factors["bounds"] = (lower, upper)
         return self._factors["bounds"]
 
     def _inverse_iteration_bound(self):
@@ -320,12 +290,9 @@ class FemSystem:
         if self.alpha % 2:
             x = self._half_inverse(self.mass_matrix @ x)
         y = self.base @ x
+        scale = self.mass_lumped[:, None] if y.ndim == 2 else self.mass_lumped
         for _ in range((self.alpha + 1) // 2 - 1):
-            if self.lumped:
-                scale = self.mass_lumped[:, None] if y.ndim == 2 else self.mass_lumped
-                y = self.base @ (y / scale)
-            else:
-                y = self.base @ spla.spsolve(self.mass.tocsc(), y)
+            y = self.base @ (y / scale)
         return y
 
     def backward_error(self, x, rhs):
@@ -365,34 +332,33 @@ def _boundary_mass(mesh):
                              shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
 
 
-def _check_alpha(alpha, lumped):
+def _check_alpha(alpha):
     if alpha not in (2, 3, 4, 5, 6):  # 2.5 is rejected, 3.0 accepted as 3
         raise ParameterError(f"alpha must be an integer between 2 and 6, got {alpha!r}")
-    if alpha % 2 and not lumped:
-        raise ParameterError("odd alpha requires lumped=True")
     return int(alpha)
 
 
-def fem_assemble(mesh, kappa, alpha, lumped=True, boundary="robin"):
-    """Assemble mass, stiffness and the K_alpha operator on a mesh.
+def fem_assemble(mesh, kappa, alpha, boundary="robin"):
+    """Assemble the lumped mass, stiffness and the K_alpha operator on a mesh.
 
+    The lumped mass is the row sums of the assembled element mass.
     ``alpha`` must be an integer in 2..6.  Even values keep K_alpha a
-    sparse matrix polynomial; odd values (lumped mass only) add the
-    rational approximation of K_1^{-1}, one sparse factorization per
-    shift, so every exponent stays sparse.  Genuinely non-integer
-    exponents are out of scope.  Odd exponents need the spectrum ratio
-    M/m of :attr:`FemSystem.spectrum_bounds` to be at most MAX_RATIO
-    (1e8), else the solve raises :class:`ParameterError`.  With the Robin
-    ends m is of order kappa, so on the 2,704-node desk mesh (side 40, 6
-    rings) kappa down to about 5e-5 works; with Neumann ends m = kappa^2,
-    and the same mesh needs kappa above about 0.012.
+    sparse matrix polynomial; odd values add the rational approximation
+    of K_1^{-1}, one sparse factorization per shift, so every exponent
+    stays sparse.  Genuinely non-integer exponents are out of scope.  Odd
+    exponents need the spectrum ratio M/m of
+    :attr:`FemSystem.spectrum_bounds` to be at most MAX_RATIO (1e8), else
+    the solve raises :class:`ParameterError`.  With the Robin ends m is
+    of order kappa, so on the 2,704-node desk mesh (side 40, 6 rings)
+    kappa down to about 5e-5 works; with Neumann ends m = kappa^2, and
+    the same mesh needs kappa above about 0.012.
 
     ``boundary`` selects the default Robin condition du/dn + kappa*u = 0,
     which suppresses boundary reflection of the discrete Green's function
     on desk-scale extensions, or plain Neumann ("neumann", giving exactly
     K_2 = kappa^2 C + G).
     """
-    alpha = _check_alpha(alpha, lumped)
+    alpha = _check_alpha(alpha)
     if boundary not in ("robin", "neumann"):
         raise ParameterError("boundary must be 'robin' or 'neumann'")
     if kappa <= 0.0:
@@ -421,10 +387,11 @@ def fem_assemble(mesh, kappa, alpha, lumped=True, boundary="robin"):
 
     mass = sparse.coo_matrix((mass_vals, (ii, jj)), shape=(n, n)).tocsr()
     stiffness = sparse.coo_matrix((stiff_vals, (ii, jj)), shape=(n, n)).tocsr()
+    # the row sums of the element mass equal dual_cell_areas only up to
+    # rounding (up to 1e-17 on lattice meshes), and the weights depend on them
     mass_lumped = np.asarray(mass.sum(axis=1)).ravel()
     bnd = _boundary_mass(mesh) if boundary == "robin" else None
-    return FemSystem(mesh, kappa, alpha, lumped, mass, mass_lumped, stiffness,
-                     boundary_mass=bnd)
+    return FemSystem(mesh, kappa, alpha, mass_lumped, stiffness, boundary_mass=bnd)
 
 
 def basis_matrix(mesh, sites):

@@ -17,7 +17,6 @@ max{1/2 + G(h)/(2 G(0)), G(h/2)/G(0)}.  An infinite G(0) is carried as an
 explicit flag so the constant-1/2 branch is exact, never a float overflow.
 """
 
-import json
 import math
 
 import numpy as np
@@ -31,14 +30,11 @@ __all__ = [
     "matern_kernel",
     "ou_kernel",
     "exponential_kernel",
-    "custom_kernel",
     "limit_eta_symmetric",
     "limit_eta_conjecture",
     "limit_eta_onesided",
     "ou_eta",
     "gaussian_ou_eta",
-    "kernel_to_json",
-    "kernel_from_json",
 ]
 
 
@@ -50,12 +46,11 @@ class Kernel:
     limiting eta functions.
     """
 
-    def __init__(self, kind, func, value_at_zero, convex, params=None):
+    def __init__(self, kind, func, value_at_zero, convex):
         self.kind = kind
         self._func = func
         self.value_at_zero = value_at_zero
         self.convex = convex
-        self.params = dict(params or {})
 
     def __call__(self, h):
         h = np.asarray(h, dtype=float)
@@ -106,8 +101,8 @@ def _matern_convex(kappa, alpha, d):
     return _second_difference_convex(func)
 
 
-def _second_difference_convex(func, h_max=None, n=60, tol=1e-8):
-    hs = np.geomspace(1e-3, h_max or 5.0, n)
+def _second_difference_convex(func, n=60, tol=1e-8):
+    hs = np.geomspace(1e-3, 5.0, n)
     step = hs * 1e-2
     second = func(hs + step) + func(hs - step) - 2.0 * func(hs)
     scale = np.abs(func(hs)) * (step / hs) ** 2 + 1e-300
@@ -125,7 +120,6 @@ def matern_kernel(kappa, alpha, d=2):
         func=lambda h: matern_green(kappa, alpha, d, h),
         value_at_zero=g0,
         convex=_matern_convex(kappa, alpha, d),
-        params={"kappa": kappa, "alpha": alpha, "d": d},
     )
 
 
@@ -148,26 +142,7 @@ def exponential_kernel(a):
         func=lambda h: np.exp(-a * np.asarray(h, dtype=float)),
         value_at_zero=1.0,
         convex=True,
-        params={"a": a},
     )
-
-
-def custom_kernel(func, value_at_zero, convex, validate=True):
-    """Wrap a caller-supplied decreasing function.
-
-    The declared convexity flag is spot-checked numerically (second
-    differences on a grid) when ``validate`` is true.
-    """
-    k = Kernel(kind="custom", func=lambda h: np.asarray(func(h), dtype=float),
-               value_at_zero=value_at_zero, convex=bool(convex), params={})
-    if validate:
-        hs = np.linspace(0.05, 5.0, 40)
-        vals = k(hs)
-        if np.any(np.diff(vals) >= 0.0) or np.any(vals < 0.0):
-            raise ParameterError("custom kernel must be non-negative and strictly decreasing")
-        if convex and not _second_difference_convex(k):
-            raise ParameterError("custom kernel declared convex but fails the numeric check")
-    return k
 
 
 # ----------------------------------------------------------------------
@@ -228,23 +203,3 @@ def gaussian_ou_eta(a, h):
     correlation function."""
     return (1.0 + ou_kernel(a, h)) / 2.0
 
-
-# ----------------------------------------------------------------------
-# Serialization
-# ----------------------------------------------------------------------
-
-def kernel_to_json(kernel):
-    obj = {"kind": kernel.kind}
-    obj.update(kernel.params)
-    return obj
-
-
-def kernel_from_json(obj):
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    kind = obj["kind"]
-    if kind == "matern_green":
-        return matern_kernel(obj["kappa"], obj["alpha"], obj.get("d", 2))
-    if kind == "ou_exponential":
-        return exponential_kernel(obj["a"])
-    raise ParameterError(f"cannot rebuild kernel of kind {kind!r} from JSON")

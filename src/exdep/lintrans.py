@@ -31,7 +31,6 @@ independent of the closed form.
 
 import bisect
 import csv
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -55,7 +54,6 @@ __all__ = [
     "chi_mc",
     "chi_gh_two",
     "chi_limit_a22",
-    "pearson_correlation",
     "tail_summary",
     "simulate_linear",
 ]
@@ -127,15 +125,6 @@ class CoefficientMatrix:
         else:
             rows = [r for r in csv.reader(path_or_buf) if r]
         return cls([[float(v) for v in row] for row in rows])
-
-    def to_json(self):
-        return {"entries": self.entries.tolist()}
-
-    @classmethod
-    def from_json(cls, obj):
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return cls(obj["entries"])
 
 
 @dataclass
@@ -529,19 +518,6 @@ def chi_limit_a22(a12, params):
     return float(lo_part + hi_part)
 
 
-def pearson_correlation(matrix):
-    """Correlation of X1, X2 for i.i.d. finite-variance noise (variance
-    cancels, so only the rows enter)."""
-    if matrix.shape[0] != 2:
-        raise PreconditionError("correlation is defined for two rows")
-    r1, r2 = matrix.entries
-    n1 = float(np.linalg.norm(r1))
-    n2 = float(np.linalg.norm(r2))
-    if n1 == 0.0 or n2 == 0.0:
-        raise PreconditionError("rows must be non-zero")
-    return float(r1 @ r2 / (n1 * n2))
-
-
 # ----------------------------------------------------------------------
 # Tail summaries
 # ----------------------------------------------------------------------
@@ -566,19 +542,6 @@ class TailSummary:
             "eta": self.eta,
             "eta_method": self.eta_method,
         }
-
-    @classmethod
-    def from_json(cls, obj):
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return cls(
-            regime=Regime(obj["regime"]),
-            eta=obj["eta"],
-            eta_method=obj["eta_method"],
-            chi=obj.get("chi"),
-            chi_se=obj.get("chi_se"),
-            chi_method=obj.get("chi_method"),
-        )
 
 
 def tail_summary(matrix, dist=None, n_samples=0, rng=None):

@@ -4,12 +4,9 @@ One-dimensional one-sided partitions approximate the causal moving
 average u(s) = integral over (-inf, s] of G(s - t) dM(t) by left-endpoint
 sums over the cells [t_i, t_{i+1}) lying entirely below s.  Triangulated
 2-d lattices approximate the two-sided convolution by one representative
-point per cell (centroid by default; an "aligned" option places the
-representatives as close as possible to the segment joining the sites,
-which accelerates mesh-refinement convergence studies).
+point per cell, its centroid.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -111,11 +108,10 @@ class Mesh2D:
     """Triangulation given by nodes and node-index triples.
 
     Triangles must be non-degenerate; orientation is normalized to
-    counter-clockwise.  ``extension_rings`` records how many outer rings
-    of same-resolution cells pad the core bounding box.
+    counter-clockwise.
     """
 
-    def __init__(self, nodes, triangles, extension_rings=0):
+    def __init__(self, nodes, triangles):
         nodes = np.asarray(nodes, dtype=float)
         triangles = np.asarray(triangles, dtype=int)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
@@ -136,7 +132,6 @@ class Mesh2D:
         triangles.setflags(write=False)
         self.nodes = nodes
         self.triangles = triangles
-        self.extension_rings = extension_rings
 
     @property
     def n_nodes(self):
@@ -152,9 +147,6 @@ class Mesh2D:
 
     def centroids(self):
         return self.nodes[self.triangles].mean(axis=1)
-
-    def total_area(self):
-        return float(self.triangle_areas().sum())
 
     def barycentric(self, point):
         """Barycentric coordinates of ``point`` in every triangle, (m, 3)."""
@@ -177,19 +169,6 @@ class Mesh2D:
             raise DomainError(f"point {tuple(np.asarray(point).tolist())} lies outside the mesh")
         i = int(hits[0])
         return i, np.clip(bary[i], 0.0, None)
-
-    def to_json(self):
-        return {
-            "nodes": self.nodes.tolist(),
-            "triangles": self.triangles.tolist(),
-            "extension_rings": self.extension_rings,
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        return cls(obj["nodes"], obj["triangles"], obj.get("extension_rings", 0))
 
 
 def lattice_mesh_2d(bbox, nodes_per_side, extension_cells=0):
@@ -222,51 +201,16 @@ def lattice_mesh_2d(bbox, nodes_per_side, extension_cells=0):
             k = j * nx + i
             tris.append((k, k + 1, k + nx + 1))
             tris.append((k, k + nx + 1, k + nx))
-    return Mesh2D(nodes, np.array(tris, dtype=int), extension_rings=extension_cells)
+    return Mesh2D(nodes, np.array(tris, dtype=int))
 
 
-def _aligned_representatives(mesh, s1, s2, samples=256):
-    """One point per triangle, as close to the segment [s1, s2] as the
-    triangle allows (any in-cell representative is admissible)."""
-    s1 = np.asarray(s1, dtype=float)
-    s2 = np.asarray(s2, dtype=float)
-    ts = np.linspace(0.0, 1.0, samples)
-    seg = s1[None, :] + ts[:, None] * (s2 - s1)[None, :]
-    p = mesh.nodes[mesh.triangles]  # (m, 3, 2)
-    reps = np.empty((mesh.n_triangles, 2))
-    for i in range(mesh.n_triangles):
-        tri = p[i]
-        v0, v1 = tri[1] - tri[0], tri[2] - tri[0]
-        den = float(_cross2(v0, v1))
-        w = seg - tri[0]
-        l1 = _cross2(w, v1) / den
-        l2 = _cross2(v0, w) / den
-        l0 = 1.0 - l1 - l2
-        bary = np.stack([l0, l1, l2], axis=1)
-        clipped = np.clip(bary, 0.0, None)
-        clipped /= clipped.sum(axis=1, keepdims=True)
-        candidates = clipped @ tri
-        d = np.linalg.norm(candidates - seg, axis=1)
-        reps[i] = candidates[int(np.argmin(d))]
-    return reps
-
-
-def integral_coefficients(kernel, sites, mesh, representatives="centroid"):
+def integral_coefficients(kernel, sites, mesh):
     """Coefficient matrix of the two-sided integral approximation.
 
-    Entry (j, i) = G(||s_j - d_i||) with d_i the representative point of
-    cell i.  ``representatives`` is "centroid" or "aligned" (the latter
-    needs exactly two sites).
+    Entry (j, i) = G(||s_j - d_i||) with d_i the centroid of cell i.
     """
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
-    if representatives == "centroid":
-        reps = mesh.centroids()
-    elif representatives == "aligned":
-        if len(sites) != 2:
-            raise PreconditionError("aligned representatives need exactly two sites")
-        reps = _aligned_representatives(mesh, sites[0], sites[1])
-    else:
-        raise ParameterError(f"unknown representative rule {representatives!r}")
+    reps = mesh.centroids()
     dists = np.linalg.norm(sites[:, None, :] - reps[None, :, :], axis=2)
     if math.isinf(kernel.value_at_zero) and np.any(dists == 0.0):
         raise SingularCoefficientError(

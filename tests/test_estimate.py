@@ -7,12 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from exdep.errors import DomainError, EstimateError, PreconditionError
-from exdep.estimate import (BivariateSample, LowCountWarning, chi_curve,
+from exdep.estimate import (BivariateSample, LowCountWarning, _ranks_above,
                             chi_from_exceedances, empirical_chi, empirical_eta,
-                            eta_vs_distance, exceedances, rank_columns,
-                            rank_transform)
-from exdep.kernels import matern_kernel
-from exdep.mesh import integral_coefficients, lattice_mesh_2d
+                            exceedances, rank_columns, rank_transform)
 
 
 def test_rank_transform_two_points():
@@ -88,6 +85,26 @@ def test_exceedances_at_the_extreme_levels():
         assert empirical_chi(sample, 0.1).value == 1.0
     with pytest.raises(EstimateError, match="no exceedances"):
         empirical_chi(sample, 0.8)
+
+
+@st.composite
+def rank_levels(draw):
+    """n up to 10^6 and a level at a rank r / (n + 1), one or two ulps off
+    it, or outside the ranks."""
+    n = draw(st.one_of(st.integers(1, 100), st.integers(1, 10 ** 6)))
+    r = draw(st.integers(0, n + 1))
+    q = r / (n + 1.0)
+    for _ in range(draw(st.integers(0, 2))):
+        q = np.nextafter(q, draw(st.sampled_from([-np.inf, np.inf])))
+    outside = st.sampled_from([-np.inf, -1.0, 1.0, 2.0, np.inf, np.nan])
+    return n, float(draw(st.one_of(st.just(q), outside)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(rank_levels())
+def test_ranks_above_equal_the_counted_ranks(case):
+    n, q = case
+    assert _ranks_above(n, q) == np.count_nonzero(np.arange(1, n + 1) / (n + 1.0) > q)
 
 
 def test_exceedances_partition_one_column_at_a_time():
@@ -167,42 +184,3 @@ def test_eta_k_range_validated():
     with pytest.raises(PreconditionError):
         empirical_eta(s, k=80)
 
-
-def test_chi_curve_levels():
-    rng = np.random.default_rng(6)
-    s = BivariateSample(rng.random(50_000), rng.random(50_000))
-    curve = chi_curve(s, [0.9, 0.95, 0.99])
-    assert np.all(np.diff(curve.q) > 0)
-    assert curve.chi.tolist() == [empirical_chi(s, q).value for q in curve.q]
-    with pytest.raises(PreconditionError):
-        chi_curve(s, [0.95, 0.9])
-
-
-def test_eta_vs_distance_table():
-    mesh = lattice_mesh_2d((0, 0, 1, 1), 15, 1)
-    kern = matern_kernel(2.0, 3.0, 2)
-
-    def coeffs(s1, s2):
-        return integral_coefficients(kern, [s1, s2], mesh)
-
-    pairs = [([0.2, 0.5], [0.6, 0.5]), ([0.3, 0.3], [0.3, 0.9])]
-    rows = eta_vs_distance(coeffs, pairs, method="integral")
-    assert len(rows) == 2
-    assert rows[0][0] == pytest.approx(0.4)
-    assert 0.5 <= rows[0][1] <= 1.0
-    assert rows[1][2] == "integral"
-
-
-def test_eta_vs_distance_empty():
-    assert eta_vs_distance(lambda a, b: None, []) == []
-
-
-def test_eta_vs_distance_duplicate_site_gives_one():
-    mesh = lattice_mesh_2d((0, 0, 1, 1), 15, 1)
-    kern = matern_kernel(2.0, 3.0, 2)  # bounded kernel
-
-    def coeffs(s1, s2):
-        return integral_coefficients(kern, [s1, s2], mesh)
-
-    rows = eta_vs_distance(coeffs, [([0.31, 0.5], [0.31, 0.5])])
-    assert rows[0][1] == 1.0

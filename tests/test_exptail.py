@@ -6,10 +6,9 @@ import pytest
 from scipy import integrate, stats
 
 from exdep import exptail
-from exdep.errors import (DomainError, MgfDivergenceError, ParameterError,
-                          PreconditionError, QuadratureError, UnsupportedTailError)
-from exdep.exptail import (GhParams, GigParams, NoiseDistribution, map_chunks,
-                           quantile_shift, substreams)
+from exdep.errors import (DomainError, ParameterError, QuadratureError,
+                          UnsupportedTailError)
+from exdep.exptail import GhParams, GigParams, NoiseDistribution, map_chunks, substreams
 from exdep.special import bessel_k
 
 
@@ -385,44 +384,6 @@ def test_gh_sample_skewness_zero_when_symmetric():
     s = dist.sample(np.random.default_rng(1), 10 ** 6)
     se = math.sqrt(6.0 / s.size)  # rough; actual tails widen this
     assert abs(stats.skew(s)) < 4 * se * 5
-
-
-# -- quantile shift ----------------------------------------------------------
-
-def test_quantile_shift_trivial():
-    dist = NoiseDistribution.gh(-0.5, 1.0, 1.0)
-    assert quantile_shift(dist, []) == 0.0
-    assert quantile_shift(dist, [0.0]) == 0.0
-
-
-def test_quantile_shift_precondition():
-    dist = NoiseDistribution.gh(-0.5, 1.0, 1.0)
-    with pytest.raises(PreconditionError):
-        quantile_shift(dist, [1.0])
-
-
-def test_quantile_shift_matches_empirical_quantile_difference():
-    dist = NoiseDistribution.gh(-0.5, 1.0, 1.0)
-    shift = quantile_shift(dist, [0.3])
-    rng = np.random.default_rng(5)
-    n = 10 ** 7
-    y = dist.sample(rng, n)
-    y2 = dist.sample(rng, n)
-    u = 1 - 1e-5
-    emp = np.quantile(y + 0.3 * y2, u) - np.quantile(y, u)
-    assert abs(emp - shift) < 0.05
-
-
-# -- serialization -------------------------------------------------------------
-
-def test_params_json_round_trip():
-    dist = NoiseDistribution.gh(-0.5, 2.0, 3.0, mu=1.0, gamma=-0.5)
-    obj = dist.to_json()
-    assert set(obj) == {"family", "lambda", "tau", "psi", "mu", "gamma"}
-    back = NoiseDistribution.from_json(obj)
-    assert back.params == dist.params
-    gig = NoiseDistribution.gig(1.0, 0.0, 2.0)
-    assert NoiseDistribution.from_json(gig.to_json()).params == gig.params
 
 
 def test_survival_ratio_matches_exponential_tail():

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import linalg, stats
+from scipy import linalg, sparse, stats
 from scipy.sparse import linalg as spla
 
 from exdep.cli import random_sites
-from exdep.errors import NonnegativityError, ParameterError, SolveError
+from exdep.errors import DomainError, NonnegativityError, ParameterError, SolveError
 from exdep.fem import (_ROW_BLOCK, BACKWARD_TOL, MAX_RATIO, RATIONAL_TOL, FemSystem,
                        TypeGNoise,
                        basis_matrix, dual_cell_areas, fem_assemble,
@@ -27,12 +27,12 @@ def unit_triangle():
 
 
 def test_element_mass_matrix_exact():
-    sys1 = fem_assemble(unit_triangle(), 1.0, 2, lumped=False, boundary="neumann")
-    m = sys1.mass.toarray()
-    area = 0.5
-    assert np.allclose(np.diag(m), area / 6.0)
-    off = m[~np.eye(3, dtype=bool)]
-    assert np.allclose(off, area / 12.0)
+    # an element mass row, area/6 on the diagonal and area/12 off it, sums to area/3
+    sys1 = fem_assemble(unit_triangle(), 1.0, 2, boundary="neumann")
+    assert np.allclose(sys1.mass_lumped, 0.5 / 3.0)
+    # the two lattice triangles share the nodes 0 and 3 of their diagonal
+    square = fem_assemble(lattice_mesh_2d((0, 0, 1, 1), 2, 0), 1.0, 2, boundary="neumann")
+    assert np.allclose(square.mass_lumped, [1 / 3, 1 / 6, 1 / 6, 1 / 3])
 
 
 def test_stiffness_rows_sum_to_zero():
@@ -43,9 +43,9 @@ def test_stiffness_rows_sum_to_zero():
 
 def test_k2_neumann_is_mass_plus_stiffness_and_spd():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 5, 0)
-    system = fem_assemble(mesh, 2.0, 2, lumped=False, boundary="neumann")
-    k = system.k_alpha.toarray()
-    expected = 4.0 * system.mass.toarray() + system.stiffness.toarray()
+    system = fem_assemble(mesh, 2.0, 2, boundary="neumann")
+    k = system.base.toarray()
+    expected = 4.0 * np.diag(system.mass_lumped) + system.stiffness.toarray()
     assert np.allclose(k, expected, atol=1e-14)
     eigvals = np.linalg.eigvalsh(k)
     assert eigvals.min() > 0
@@ -56,9 +56,13 @@ def test_k_alpha_polynomial_solve_round_trip():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 5, 0)
     for alpha in (2, 4, 6):
         system = fem_assemble(mesh, 2.0, alpha)
+        # the explicit polynomial K_alpha = K_2 (C^{-1} K_2)^{alpha/2 - 1}
+        k = system.base
+        for _ in range(alpha // 2 - 1):
+            k = k @ sparse.diags(1.0 / system.mass_lumped) @ system.base
         rhs = np.arange(float(mesh.n_nodes)) + 1.0
         x = system.solve_k_alpha(rhs)
-        assert np.allclose(system.k_alpha @ x, rhs, rtol=1e-9, atol=1e-9)
+        assert np.allclose(k @ x, rhs, rtol=1e-9, atol=1e-9)
         assert system.backward_error(x, rhs) < 1e-14
 
 
@@ -143,17 +147,16 @@ def test_inverse_sqrt_quadrature_rejects_bad_bounds():
 
 def test_spectrum_bounds_enclose_the_spectrum():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
-    for lumped, boundary, kappa in [(True, "robin", 2.0), (False, "robin", 2.0),
-                                    (True, "robin", 1e-4), (True, "neumann", 2.0),
-                                    (True, "neumann", 1e-4)]:
-        system = fem_assemble(mesh, kappa, 2, lumped=lumped, boundary=boundary)
+    for boundary, kappa in [("robin", 2.0), ("robin", 1e-4), ("neumann", 2.0),
+                            ("neumann", 1e-4)]:
+        system = fem_assemble(mesh, kappa, 2, boundary=boundary)
         eigvals = linalg.eigh(system.base.toarray(), system.mass_matrix.toarray(),
                               eigvals_only=True)
         lower, upper = system.spectrum_bounds
         # Neumann: kappa^2 is the exact minimum, which eigh finds to rounding
         assert lower <= eigvals.min() * (1.0 + 1e-12) and eigvals.max() <= upper
-        if lumped:  # the inverse-iteration bound is tight to its 1% margin
-            assert lower >= 0.98 * eigvals.min()
+        # the inverse-iteration bound is tight to its 1% margin
+        assert lower >= 0.98 * eigvals.min()
     # Robin: the smallest eigenvalue is of order kappa, far above kappa^2
     assert fem_assemble(mesh, 1e-4, 2).spectrum_bounds[0] > 1e4 * 1e-4 ** 2
 
@@ -199,8 +202,6 @@ def test_odd_alpha_solve_residual():
     rhs = np.random.default_rng(1).random(mesh.n_nodes)
     assert system.backward_error(system.solve_k_alpha(rhs), rhs) < 1e-14
     with pytest.raises(ParameterError):
-        fem_assemble(mesh, 2.0, 3, lumped=False)
-    with pytest.raises(ParameterError):
         fem_assemble(mesh, 2.0, 7)
 
 
@@ -209,15 +210,6 @@ def test_non_integer_alpha_rejected():
     with pytest.raises(ParameterError):
         fem_assemble(mesh, 2.0, 2.5)
     assert fem_assemble(mesh, 2.0, 4.0).alpha == 4
-
-
-def test_consistent_mass_k4_has_no_explicit_matrix():
-    mesh = lattice_mesh_2d((0, 0, 1, 1), 5, 0)
-    system = fem_assemble(mesh, 2.0, 4, lumped=False)
-    with pytest.raises(ParameterError):
-        system.k_alpha
-    rhs = np.ones(mesh.n_nodes)
-    assert system.backward_error(system.solve_k_alpha(rhs), rhs) < 1e-14
 
 
 def test_fem_coefficients_argmax_at_site_node():
@@ -282,7 +274,7 @@ def test_eta_pairs_on_matern_rows_equals_all_terms(alpha):
 def test_dual_cell_areas_partition_the_mesh():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 9, 2)
     areas = dual_cell_areas(mesh)
-    assert areas.sum() == pytest.approx(mesh.total_area(), rel=1e-12)
+    assert areas.sum() == pytest.approx(mesh.triangle_areas().sum(), rel=1e-12)
     assert np.all(areas > 0)
     # dual areas equal the lumped mass rows (integral of each hat)
     system = fem_assemble(mesh, 1.0, 2)
@@ -295,6 +287,13 @@ def test_basis_matrix_rows_are_barycentric():
     row = phi.toarray()[0]
     assert row.sum() == pytest.approx(1.0)
     assert np.count_nonzero(row) <= 3
+    tri, bary = mesh.locate([0.3, 0.7])
+    assert bary.sum() == pytest.approx(1.0)
+    assert np.allclose(bary @ mesh.nodes[mesh.triangles[tri]], [0.3, 0.7])
+    with pytest.raises(DomainError):
+        mesh.locate([2.0, 2.0])
+    with pytest.raises(DomainError):
+        basis_matrix(mesh, [[2.0, 2.0]])
 
 
 def test_typeg_noise_validation():
@@ -491,14 +490,6 @@ def test_with_alpha_shares_the_k2_factorizations(monkeypatch):
     assert len(calls) == (1 + n_shifts) + 2 * (1 + n_shifts) + 2 * 1
     with pytest.raises(ParameterError):
         base.with_alpha(2.5)
-    with pytest.raises(ParameterError):
-        fem_assemble(mesh, 2.0, 2, lumped=False).with_alpha(3)
-
-
-def test_odd_alpha_has_no_explicit_k_alpha():
-    mesh = lattice_mesh_2d((0, 0, 1, 1), 5, 0)
-    with pytest.raises(ParameterError):
-        fem_assemble(mesh, 2.0, 3).k_alpha
 
 
 def test_fem_coefficients_checks_backward_error(monkeypatch):

@@ -1,12 +1,10 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
 from exdep.errors import DomainError, ParameterError, PreconditionError
-from exdep.kernels import (custom_kernel, exponential_kernel, gaussian_ou_eta,
-                           kernel_from_json, kernel_to_json,
+from exdep.kernels import (exponential_kernel, gaussian_ou_eta,
                            limit_eta_conjecture, limit_eta_onesided,
                            limit_eta_symmetric, matern_green, matern_kernel,
                            ou_eta, ou_kernel)
@@ -145,21 +143,3 @@ def test_limit_functions_range_and_monotonicity():
         assert vals[0] == 1.0
         assert np.all(np.diff(vals) <= 0)
 
-
-def test_custom_kernel_validation():
-    k = custom_kernel(lambda h: np.exp(-h), 1.0, convex=True)
-    assert k(0.5) == pytest.approx(math.exp(-0.5))
-    with pytest.raises(ParameterError):
-        custom_kernel(lambda h: np.exp(+h), 1.0, convex=True)   # increasing
-    with pytest.raises(ParameterError):
-        custom_kernel(lambda h: 2.0 - np.sqrt(h), 2.0, convex=True)  # concave
-
-
-def test_kernel_json_round_trip():
-    k = matern_kernel(2.0, 3.0, 2)
-    obj = kernel_to_json(k)
-    assert obj == {"kind": "matern_green", "kappa": 2.0, "alpha": 3.0, "d": 2}
-    back = kernel_from_json(json.dumps(obj))
-    assert back(0.7) == pytest.approx(k(0.7))
-    e = kernel_from_json(kernel_to_json(exponential_kernel(0.3)))
-    assert e(1.0) == pytest.approx(math.exp(-0.3))

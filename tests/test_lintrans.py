@@ -10,10 +10,10 @@ from exdep import lintrans
 from exdep.errors import (DomainError, OracleSizeError, ParameterError,
                           PreconditionError, RegimeError)
 from exdep.exptail import GhParams, NoiseDistribution
-from exdep.lintrans import (CoefficientMatrix, Regime, TailSummary, chi_gh_two,
+from exdep.lintrans import (CoefficientMatrix, Regime, chi_gh_two,
                             chi_limit_a22, chi_mc, classify, eta_closed_form,
-                            eta_gauge_oracle, eta_pairs, pearson_correlation,
-                            simulate_linear, tail_summary, _welford_combine)
+                            eta_gauge_oracle, eta_pairs, simulate_linear,
+                            tail_summary, _welford_combine)
 
 
 def random_matrix(rng, n_range=(2, 7)):
@@ -40,23 +40,18 @@ def test_rejects_zero_row():
         CoefficientMatrix([[0.0, 0.0], [0.5, 1.0]])
 
 
-def test_drops_zero_columns():
+def test_drops_zero_columns(tmp_path):
     m = CoefficientMatrix([[1.0, 0.0, 0.3], [0.5, 0.0, 1.0]])
     assert m.shape == (2, 2)
+    path = tmp_path / "m.csv"
+    path.write_text("1.0,0.0,0.3\n0.5,0.0,1.0\n")
+    for source in (str(path), io.StringIO(path.read_text())):
+        assert np.array_equal(CoefficientMatrix.from_csv(source).entries, m.entries)
 
 
 def test_argmax_tie_tolerance():
     m = CoefficientMatrix([[1.0, 1.0 - 1e-14], [0.5, 1.0]])
     assert m.argmax_sets[0] == frozenset({0, 1})
-
-
-def test_csv_json_round_trip(tmp_path):
-    m = CoefficientMatrix([[1.0, 0.3], [0.5, 1.0]])
-    path = tmp_path / "m.csv"
-    path.write_text("1.0,0.3\n0.5,1.0\n")
-    back = CoefficientMatrix.from_csv(str(path))
-    assert np.array_equal(back.entries, m.entries)
-    assert np.array_equal(CoefficientMatrix.from_json(m.to_json()).entries, m.entries)
 
 
 # -- classification ----------------------------------------------------------
@@ -112,8 +107,11 @@ def test_eta_is_one_without_disjoint_argmax():
 
 
 def test_eta_first_component_pass_through():
-    m = CoefficientMatrix([[1.0, 0.0, 0.0], [0.4, 1.0, 0.7]])
-    assert eta_closed_form(m) == pytest.approx(1.0 / (2 - 0.4), abs=1e-12)
+    base = eta_closed_form(CoefficientMatrix([[1.0, 0.0], [0.4, 1.0]]))
+    assert base == pytest.approx(1.0 / (2 - 0.4), abs=1e-12)
+    for extra in (0.5, 0.7):  # a column the first row does not load leaves eta alone
+        m = CoefficientMatrix([[1.0, 0.0, 0.0], [0.4, 1.0, extra]])
+        assert eta_closed_form(m) == pytest.approx(base, abs=1e-14)
 
 
 def test_eta_scale_invariance():
@@ -428,24 +426,6 @@ def test_chi_limit_a12_zero_simplification():
     assert chi_limit_a22(0.0, params) == pytest.approx(expected, abs=1e-8)
 
 
-# -- correlation ------------------------------------------------
-
-def test_pearson_orthogonal_rows():
-    assert pearson_correlation(CoefficientMatrix([[1.0, 0.0], [0.0, 1.0]])) == 0.0
-
-
-def test_pearson_example_value():
-    assert pearson_correlation(CoefficientMatrix([[1.0, 0.0], [0.4, 1.0]])) == pytest.approx(
-        0.4 / math.sqrt(1.16))
-
-
-def test_extra_column_lowers_correlation_not_eta():
-    base = CoefficientMatrix([[1.0, 0.0], [0.4, 1.0]])
-    extended = CoefficientMatrix([[1.0, 0.0, 0.0], [0.4, 1.0, 0.5]])
-    assert pearson_correlation(extended) < pearson_correlation(base)
-    assert eta_closed_form(extended) == pytest.approx(eta_closed_form(base), abs=1e-14)
-
-
 # -- summaries ------------------------------------------------------------------
 
 def test_tail_summary_asymptotic_independence():
@@ -453,6 +433,9 @@ def test_tail_summary_asymptotic_independence():
     assert summary.regime is Regime.ASYMPTOTIC_INDEPENDENCE
     assert summary.eta < 1.0
     assert summary.chi is None
+    assert summary.to_json() == {"regime": "AsymptoticIndependence", "chi": None,
+                                 "chi_se": None, "chi_method": None,
+                                 "eta": summary.eta, "eta_method": "closed_form"}
 
 
 def test_tail_summary_boundary_chi_undetermined():
@@ -471,14 +454,6 @@ def test_tail_summary_dependence_attaches_monte_carlo_chi():
     assert (summary.chi, summary.chi_se) == chi_mc(m, dist, 5000, 4)
     assert summary.chi_method == "monte_carlo"
     assert tail_summary(m).chi is None
-
-
-def test_tail_summary_json_round_trip():
-    summary = tail_summary(CoefficientMatrix([[1.0, 0.3], [0.5, 1.0]]))
-    obj = summary.to_json()
-    assert obj["regime"] == "AsymptoticIndependence"
-    back = TailSummary.from_json(obj)
-    assert back == summary
 
 
 def test_welford_merge_order_independent():

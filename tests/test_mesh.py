@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from exdep.errors import (DomainError, ParameterError, PreconditionError,
-                          SingularCoefficientError)
+from exdep.errors import ParameterError, PreconditionError, SingularCoefficientError
 from exdep.kernels import exponential_kernel, matern_kernel, ou_eta
 from exdep.lintrans import Regime, classify, eta_closed_form
 from exdep.mesh import (Mesh2D, integral_coefficients, lattice_mesh_2d,
@@ -93,36 +92,24 @@ def test_ou_requires_cell_below_first_site():
 def test_minimal_lattice():
     m = lattice_mesh_2d((0, 0, 1, 1), 2, 0)
     assert m.n_nodes == 4 and m.n_triangles == 2
-    assert m.total_area() == pytest.approx(1.0)
+    assert m.triangle_areas().sum() == pytest.approx(1.0)
 
 
 def test_forty_by_forty_lattice():
     m = lattice_mesh_2d((0, 0, 1, 1), 40, 0)
     assert m.n_nodes == 1600
-    assert m.total_area() == pytest.approx(1.0, abs=1e-12)
+    assert m.triangle_areas().sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_extension_rings_add_area():
     m = lattice_mesh_2d((0, 0, 1, 1), 10, 2)
     expected = (1.0 + 2 * 2.0 / 9.0) ** 2
-    assert m.total_area() == pytest.approx(expected, rel=1e-12)
-    assert m.extension_rings == 2
+    assert m.triangle_areas().sum() == pytest.approx(expected, rel=1e-12)
 
 
 def test_degenerate_triangle_rejected():
     with pytest.raises(ParameterError):
         Mesh2D([[0, 0], [1, 0], [2, 0]], [[0, 1, 2]])
-
-
-def test_locate_and_json_round_trip():
-    m = lattice_mesh_2d((0, 0, 1, 1), 5, 0)
-    tri, bary = m.locate([0.3, 0.7])
-    assert bary.sum() == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        m.locate([2.0, 2.0])
-    back = Mesh2D.from_json(m.to_json())
-    assert np.array_equal(back.nodes, m.nodes)
-    assert np.array_equal(back.triangles, m.triangles)
 
 
 # -- integral coefficients -----------------------------------------------------
@@ -158,18 +145,9 @@ def test_singular_coefficient_error_for_unbounded_kernel():
         integral_coefficients(k2, [c, [0.9, 0.9]], m)
 
 
-def test_aligned_representatives_stay_in_cells():
-    m = lattice_mesh_2d((0, 0, 1, 1), 8, 0)
-    k = matern_kernel(2.0, 3.0, 2)
-    sites = [[0.21, 0.5], [0.77, 0.5]]
-    matrix = integral_coefficients(k, sites, m, representatives="aligned")
-    assert matrix.shape[0] == 2
-    with pytest.raises(PreconditionError):
-        integral_coefficients(k, [[0.2, 0.2]], m, representatives="aligned")
-
-
 def test_duplicate_site_rows_give_eta_one():
-    m = lattice_mesh_2d((0, 0, 1, 1), 10, 0)
     k = matern_kernel(2.0, 3.0, 2)
-    matrix = integral_coefficients(k, [[0.31, 0.52], [0.31, 0.52]], m)
-    assert eta_closed_form(matrix) == 1.0
+    for m, site in [(lattice_mesh_2d((0, 0, 1, 1), 10, 0), [0.31, 0.52]),
+                    (lattice_mesh_2d((0, 0, 1, 1), 15, 1), [0.31, 0.5])]:
+        matrix = integral_coefficients(k, [site, site], m)
+        assert eta_closed_form(matrix) == 1.0
