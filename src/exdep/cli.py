@@ -3,6 +3,14 @@
 Each subcommand writes a plot-ready CSV (or JSON) artifact atomically
 (temp file + rename).  Exit codes: 0 success, 1 numerical/model error,
 2 usage error.  Identical configurations produce byte-identical output.
+
+A subcommand loads only the scipy subpackages it calls: ``kernels``
+(``scipy.special``) and ``exptail`` (``scipy.integrate``,
+``scipy.optimize``) are imported inside the commands that use them, so
+``simulate-and-chi``, ``counterexample`` and ``eta`` run on numpy and
+``scipy.sparse`` alone.  ``fem``, ``mesh`` and ``estimate`` stay at
+module level: loading ``scipy.sparse`` inside a command would move its
+import into the command's first call.
 """
 
 import argparse
@@ -16,14 +24,14 @@ from importlib import resources
 
 import numpy as np
 
-from . import estimate, fem, kernels, mesh
+from . import estimate, fem, mesh
 from .errors import ExdepError, ParameterError
-from .exptail import GhParams
 from .lintrans import (CoefficientMatrix, chi_gh_two, chi_limit_a22, eta_pairs,
                        tail_summary)
 
 DEFAULT_NIG_NOISE = {"mu": -1.0, "gamma": 1.0, "psi": 1.0, "tau": 1.0}
 COUNTEREXAMPLE_Q = 0.999
+OU_H_STEP = 0.1  # spacing of the default ou-convergence h grid, up to T
 
 
 def _atomic_write(path, text):
@@ -43,6 +51,37 @@ def _float_list(text):
     return [float(v) for v in text.split(",") if v.strip()]
 
 
+def _finite_float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _floats_inside(low, high, what):
+    """A parser of non-empty comma lists with every entry strictly inside (low, high)."""
+    def parse(text):
+        values = _float_list(text)
+        if not values or not all(low < v < high for v in values):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return values
+
+    return parse
+
+
+_levels = _floats_inside(0.0, 1.0, "quantile levels strictly inside (0, 1)")
+_positive_floats = _floats_inside(0.0, math.inf, "positive finite numbers")
+
+
+def _ou_horizon(text):
+    value = _finite_float(text)
+    if int(value / OU_H_STEP) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected T of at least {OU_H_STEP}, so that the default h grid has a "
+            f"point, got {text!r}")
+    return value
+
+
 def _int_at_least(low):
     def parse(text):
         value = int(text)
@@ -55,14 +94,6 @@ def _int_at_least(low):
 
 
 _positive_int = _int_at_least(1)
-
-
-def _levels(text):
-    levels = _float_list(text)
-    if not levels or not all(0.0 < q < 1.0 for q in levels):
-        raise argparse.ArgumentTypeError(
-            f"expected quantile levels strictly inside (0, 1), got {text!r}")
-    return levels
 
 
 def _positive_int_list(text):
@@ -94,6 +125,8 @@ def _threads(args):
 # ----------------------------------------------------------------------
 
 def cmd_chi_vs_a22(args):
+    from .exptail import GhParams
+
     grids = [
         [(lam, 1.0, 1.0) for lam in (-0.5, 1.0, 5.0, 30.0)],
         [(1.0, tau, 1.0) for tau in (0.5, 1.0, 5.0, 30.0)],
@@ -126,7 +159,10 @@ def cmd_chi_vs_a22(args):
 # ----------------------------------------------------------------------
 
 def cmd_ou_convergence(args):
-    h_grid = args.h_grid or [round(0.1 * i, 10) for i in range(1, int(args.T / 0.1) + 1)]
+    from . import kernels
+
+    h_grid = args.h_grid or [round(OU_H_STEP * i, 10)
+                             for i in range(1, int(args.T / OU_H_STEP) + 1)]
     lines = ["delta,h,eta_n,eta_limit"]
     sup_gap_finest = 0.0
     finest = min(args.deltas)
@@ -165,6 +201,8 @@ def random_sites(rng, n_sites, bbox=(0.05, 0.05, 0.95, 0.95)):
 
 
 def cmd_matern_eta(args):
+    from . import kernels
+
     n_sites = args.n_sites if args.n_sites is not None else (225 if args.paper_scale else 50)
     grid = mesh.lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), args.mesh_nodes, args.extension)
     rng = np.random.default_rng(args.seed)
@@ -333,11 +371,13 @@ def build_parser():
 
     p = command("ou-convergence", cmd_ou_convergence,
                 "one-sided partition eta vs the OU limit")
-    p.add_argument("--a", type=float, default=0.2)
-    p.add_argument("--s1", type=float, default=0.0)
-    p.add_argument("--T", type=float, default=4.0)
-    p.add_argument("--deltas", type=_float_list, default=(0.4, 0.2, 0.05))
-    p.add_argument("--h-grid", type=_float_list, default=None)
+    p.add_argument("--a", type=_finite_float, default=0.2)
+    p.add_argument("--s1", type=_finite_float, default=0.0)
+    p.add_argument("--T", type=_ou_horizon, default=4.0,
+                   help=f"right end of the partitions, at least {OU_H_STEP}; the default "
+                        f"h grid is {OU_H_STEP}, {2 * OU_H_STEP}, ... up to T")
+    p.add_argument("--deltas", type=_positive_floats, default=(0.4, 0.2, 0.05))
+    p.add_argument("--h-grid", type=_positive_floats, default=None)
 
     p = command("matern-eta", cmd_matern_eta, "FEM vs integral eta across smoothness",
                 seeded=True)
@@ -348,8 +388,8 @@ def build_parser():
                         "5e-5 on the default mesh (spectrum ratio of S at most 1e8)")
     p.add_argument("--alphas", type=_float_list, default=(2.0, 3.0, 4.0, 5.0))
     p.add_argument("--mesh-nodes", type=_positive_int, default=40, help="lattice nodes per side")
-    p.add_argument("--n-sites", type=_positive_int, default=None,
-                   help="random sites (default 50, or 225 with --paper-scale)")
+    p.add_argument("--n-sites", type=_int_at_least(2), default=None,
+                   help="random sites, at least two (default 50, or 225 with --paper-scale)")
     p.add_argument("--extension", type=int, default=6, help="outer extension rings")
 
     p = command("simulate-and-chi", cmd_simulate_and_chi,

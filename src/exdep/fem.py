@@ -30,13 +30,12 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy import special as _sp
 from scipy.sparse import linalg as spla
 
 from .errors import (AssemblyError, DomainError, NonnegativityError,
                      ParameterError, SolveError)
 from .lintrans import CoefficientMatrix
-from .exptail import NoiseDistribution, map_chunks
+from .streams import map_chunks
 
 __all__ = [
     "FemSystem",
@@ -91,6 +90,8 @@ class TypeGNoise:
 
     def marginal(self, area=1.0):
         """Cell-level noise law (a GH distribution), for cross-checks."""
+        from .exptail import NoiseDistribution  # loads scipy.integrate and scipy.special
+
         if self.family == "nig":
             return NoiseDistribution.gh(-0.5, self.tau * area * area, self.psi,
                                         self.mu * area, self.gamma)
@@ -130,15 +131,17 @@ def inverse_sqrt_quadrature(lower, upper):
     about 7e8 scipy's ``ellipj`` loses the relative accuracy of ``cn``
     and ``dn`` that the tolerance needs.
     """
+    from scipy.special import ellipj, ellipk  # odd alphas only
+
     if not 0.0 < lower <= upper <= MAX_RATIO * lower:
         raise ParameterError(f"need 0 < lower <= upper <= {MAX_RATIO:.0e} lower, "
                              f"got {lower!r}, {upper!r}")
     k2 = 1.0 - lower / upper
     top = lower / (1.0 - k2)  # the upper end the rounded k2 stands for
-    big_k = float(_sp.ellipk(k2))
+    big_k = float(ellipk(k2))
     grid = np.geomspace(lower, upper, _LOG_GRID)
     for n in range(1, _MAX_NODES + 1):
-        sn, cn, dn, _ = _sp.ellipj((np.arange(n) + 0.5) * big_k / n, k2)
+        sn, cn, dn, _ = ellipj((np.arange(n) + 0.5) * big_k / n, k2)
         # past K/2 cn loses relative accuracy; there the midpoint nodes
         # mirror those before it, and sn/cn, dn/cn^2 at K - u are
         # cn/(k' sn) and dn/(k' sn^2) at u, with k'^2 = lower/top
@@ -361,8 +364,8 @@ def fem_assemble(mesh, kappa, alpha, boundary="robin"):
     alpha = _check_alpha(alpha)
     if boundary not in ("robin", "neumann"):
         raise ParameterError("boundary must be 'robin' or 'neumann'")
-    if kappa <= 0.0:
-        raise ParameterError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise ParameterError(f"kappa must be positive and finite, got {kappa!r}")
     tris = mesh.triangles
     p = mesh.nodes[tris]
     x, y = p[..., 0], p[..., 1]

@@ -70,8 +70,8 @@ def matern_green(kappa, alpha, d, h):
     value is the finite small-argument limit for alpha > d and ``inf``
     for alpha = d.
     """
-    if kappa <= 0.0:
-        raise ParameterError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise ParameterError(f"kappa must be positive and finite, got {kappa!r}")
     if d not in (1, 2, 3):
         raise ParameterError("dimension must be 1, 2 or 3")
     nu = (alpha - d) / 2.0
@@ -110,10 +110,8 @@ def _second_difference_convex(func, n=60, tol=1e-8):
 
 
 def matern_kernel(kappa, alpha, d=2):
-    """Matern Green's function as a :class:`Kernel` value."""
-    nu = (alpha - d) / 2.0
-    if kappa <= 0.0 or nu < 0.0:
-        raise ParameterError("need kappa > 0 and alpha >= d")
+    """Matern Green's function as a :class:`Kernel` value; its parameters
+    are checked by :func:`matern_green`."""
     g0 = matern_green(kappa, alpha, d, 0.0)
     return Kernel(
         kind="matern_green",
@@ -125,8 +123,8 @@ def matern_kernel(kappa, alpha, d=2):
 
 def ou_kernel(a, h):
     """One-sided exponential kernel exp(-a h)."""
-    if a <= 0.0:
-        raise ParameterError("a must be positive")
+    if not 0.0 < a < math.inf:
+        raise ParameterError(f"a must be positive and finite, got {a!r}")
     h = np.asarray(h, dtype=float)
     if np.any(h < 0.0):
         raise DomainError("h must be non-negative")
@@ -135,8 +133,8 @@ def ou_kernel(a, h):
 
 
 def exponential_kernel(a):
-    if a <= 0.0:
-        raise ParameterError("a must be positive")
+    if not 0.0 < a < math.inf:
+        raise ParameterError(f"a must be positive and finite, got {a!r}")
     return Kernel(
         kind="ou_exponential",
         func=lambda h: np.exp(-a * np.asarray(h, dtype=float)),

@@ -27,6 +27,11 @@ value.  ``eta_closed_form`` is its one-pair call.  ``eta_gauge_oracle``
 recomputes eta for small instances by solving the gauge program as a
 linear program and checking the solver's primal-dual certificate,
 independent of the closed form.
+
+The oracle imports ``scipy.optimize``, and the exact chi of the GH
+model imports ``exptail`` (``scipy.integrate``), inside the functions
+that call them, so importing this module, and every eta computation,
+loads numpy and no scipy subpackage.
 """
 
 import bisect
@@ -36,11 +41,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (DomainError, MgfDivergenceError, OracleSizeError,
                      ParameterError, PreconditionError, RegimeError)
-from .exptail import NoiseDistribution, map_chunks
+from .streams import map_chunks
 
 __all__ = [
     "CoefficientMatrix",
@@ -365,6 +369,8 @@ def eta_gauge_oracle(matrix):
     be dual feasible (lambda >= 0, lambda_1 b_1i + lambda_2 b_2i <= 1),
     and primal and dual values must agree; otherwise RuntimeError.
     """
+    from scipy.optimize import linprog
+
     if matrix.shape[0] != 2:
         raise PreconditionError("oracle is defined for two rows")
     n = matrix.shape[1]
@@ -377,7 +383,7 @@ def eta_gauge_oracle(matrix):
     b_ub = np.concatenate([np.zeros(2 * n), [-1.0, -1.0]])
     c = np.concatenate([np.zeros(n), np.ones(n)])
     bounds = [(None, None)] * n + [(0, None)] * n
-    res = optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success:  # pragma: no cover - feasible bounded by construction
         raise RuntimeError(f"gauge LP failed: {res.message}")
     y = res.x[:n]
@@ -482,6 +488,8 @@ def chi_gh_two(a12, a22, params):
             raise DomainError("coefficients must lie in [0, 1)")
     if a12 == a22:
         return 1.0
+    from .exptail import NoiseDistribution  # loads scipy.integrate and scipy.special
+
     dist = NoiseDistribution(params)
     beta = math.sqrt(params.psi)
     m_12 = dist.mgf(a12 * beta)
@@ -508,6 +516,8 @@ def chi_limit_a22(a12, params):
         raise DomainError("a12 must lie in [0, 1)")
     if params.lam >= 0.0:
         return 0.0
+    from .exptail import NoiseDistribution  # loads scipy.integrate and scipy.special
+
     dist = NoiseDistribution(params)
     beta = math.sqrt(params.psi)
     m_1 = dist.mgf(beta)  # finite because lambda < 0

@@ -84,8 +84,8 @@ def ou_coefficients(a, s1, s2, partition):
     each row sits at the last full cell below the site.  Columns above
     s2's cells are dropped.
     """
-    if a <= 0.0:
-        raise ParameterError("a must be positive")
+    if not 0.0 < a < math.inf:
+        raise ParameterError(f"a must be positive and finite, got {a!r}")
     pts = partition.points
     if not (partition.start < s1 < s2 <= partition.end):
         raise PreconditionError("need start < s1 < s2 <= end of the partition")

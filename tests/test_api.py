@@ -31,36 +31,54 @@ def test_every_all_entry_resolves(name):
 
 def test_package_reexports_only_public_names():
     package = importlib.import_module("exdep")
-    for node in _tree("__init__").body:
-        if not isinstance(node, ast.ImportFrom):
+    assert package._EXPORTS, "exdep re-exports nothing"
+    for name, module_name in package._EXPORTS.items():
+        source = importlib.import_module(f"exdep.{module_name}")
+        assert hasattr(package, name), f"exdep.{name} is not bound"
+        assert name in source.__all__, (
+            f"exdep re-exports {name}, which exdep.{module_name}.__all__ lacks")
+
+
+def _imports(scope):
+    """The import statements of ``scope``, outside the functions nested in it."""
+    for node in ast.iter_child_nodes(scope):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _imports(node)
+
+
+def _unused_imports(scope, used):
+    """(bound name, line) of every name an import of ``scope`` binds outside ``used``."""
+    for node in _imports(scope):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
-        source = importlib.import_module(f"exdep.{node.module}")
         for alias in node.names:
-            name = alias.asname or alias.name
-            assert hasattr(package, name), f"exdep.{name} is not bound"
-            assert alias.name in source.__all__, (
-                f"exdep re-exports {alias.name}, which exdep.{node.module}.__all__ lacks")
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in used:
+                yield bound, node.lineno
 
 
-def _imported_names(tree):
-    """(bound name, line) of every module-level import statement."""
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                yield alias.asname or alias.name.split(".")[0], node.lineno
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                yield alias.asname or alias.name, node.lineno
+def _names(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_no_module_level_import_is_unused(name):
     tree = _tree(name)
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     module = importlib.import_module(f"exdep.{name}")
-    used.update(getattr(module, "__all__", []))  # an export is a use
-    unused = [(bound, line) for bound, line in _imported_names(tree) if bound not in used]
+    used = _names(tree) | set(getattr(module, "__all__", []))  # an export is a use
+    unused = list(_unused_imports(tree, used))
     assert not unused, f"src/exdep/{name}.py imports but never uses {unused}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_function_level_import_is_unused(name):
+    functions = [node for node in ast.walk(_tree(name))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    unused = [(func.name, *found) for func in functions
+              for found in _unused_imports(func, _names(func))]
+    assert not unused, f"src/exdep/{name}.py: a function imports but never uses {unused}"
 
 
 def _spans():

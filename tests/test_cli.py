@@ -153,36 +153,51 @@ def test_usage_error_exits_2_after_a_successful_call(tmp_path):
     assert run_cli(["eta", "--matrix", str(matrix), "--out", str(out)]) == 0
 
 
-NO_STATS_SCRIPT = """
+SCIPY_SUBPACKAGES = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.stats")
+
+LOADS_SCRIPT = """
+import json
 import sys
 
-import exdep
 from exdep import cli, lintrans
 
-assert "scipy.stats" not in sys.modules, "loaded by the import"
-work = sys.argv[1]
-with open(f"{work}/m.csv", "w") as fh:
-    fh.write("1.0,0.3,0.0\\n0.5,1.0,0.25\\n")
-for argv in (
-    ["matern-eta", "--seed", "1", "--alphas", "2,3,4,5", "--mesh-nodes", "8",
-     "--extension", "1", "--n-sites", "4"],
-    ["simulate-and-chi", "--seed", "1", "--samples", "4000", "--mesh-nodes", "5",
-     "--n-sites", "4", "--extension", "1", "--q", "0.95,0.975,0.99"],
-    ["counterexample", "--seed", "1", "--samples", "4000", "--n-values", "1,10,100"],
-    ["chi-vs-a22", "--a12", "0.3", "--a22-grid", "0.5,0.9"],
-    ["ou-convergence", "--deltas", "0.4,0.2", "--h-grid", "0.4,0.8"],
-    ["eta", "--matrix", f"{work}/m.csv"],
-):
-    assert cli.main(argv + ["--out", f"{work}/{argv[0]}.out"]) == 0, argv
-lintrans.eta_gauge_oracle(lintrans.CoefficientMatrix([[1.0, 0.3, 0.0], [0.5, 1.0, 0.25]]))
-assert "scipy.stats" not in sys.modules, "loaded by a subcommand"
-"""
+work, argv = sys.argv[1], json.loads(sys.argv[2])
+if argv == ["oracle"]:
+    lintrans.eta_gauge_oracle(lintrans.CoefficientMatrix([[1.0, 0.3, 0.0], [0.5, 1.0, 0.25]]))
+elif argv:
+    assert cli.main(argv + ["--out", f"{work}/out"]) == 0, argv
+print(json.dumps(sorted(m for m in %r if m in sys.modules)))
+""" % (SCIPY_SUBPACKAGES,)
+
+# (argv after ``from exdep import cli, lintrans``, the scipy subpackages it loads);
+# an empty argv only imports, and ["oracle"] calls eta_gauge_oracle
+SCIPY_LOADS = {
+    "import": ([], []),
+    "simulate-and-chi": (["simulate-and-chi", "--seed", "1", "--samples", "4000",
+                          "--mesh-nodes", "5", "--n-sites", "4", "--extension", "1",
+                          "--q", "0.95,0.975,0.99"], []),
+    "counterexample": (["counterexample", "--seed", "1", "--samples", "4000",
+                        "--n-values", "1,10,100"], []),
+    "eta": (["eta", "--matrix", "{work}/m.csv"], []),
+    "matern-eta": (["matern-eta", "--seed", "1", "--alphas", "2,3,4,5", "--mesh-nodes", "8",
+                    "--extension", "1", "--n-sites", "4"], ["scipy.special"]),
+    "ou-convergence": (["ou-convergence", "--deltas", "0.4,0.2", "--h-grid", "0.4,0.8"],
+                       ["scipy.special"]),
+    "chi-vs-a22": (["chi-vs-a22", "--a12", "0.3", "--a22-grid", "0.5,0.9"],
+                   ["scipy.integrate", "scipy.optimize", "scipy.special"]),
+    "oracle": (["oracle"], ["scipy.optimize", "scipy.special"]),
+}
 
 
-def test_no_subcommand_loads_scipy_stats(tmp_path):
-    # a child process: pytest has already loaded scipy.stats in this one
-    proc = run_python("-c", NO_STATS_SCRIPT, str(tmp_path))
+@pytest.mark.parametrize("row", SCIPY_LOADS)
+def test_scipy_subpackages_loaded_by(tmp_path, row):
+    # a fresh process per row: pytest has already loaded every subpackage in this one
+    argv, expected = SCIPY_LOADS[row]
+    (tmp_path / "m.csv").write_text("1.0,0.3,0.0\n0.5,1.0,0.25\n")
+    argv = [a.format(work=tmp_path) for a in argv]
+    proc = run_python("-c", LOADS_SCRIPT, str(tmp_path), json.dumps(argv))
     assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout.splitlines()[-1]) == expected  # after the command's prints
 
 
 def test_matern_eta_small_run_byte_reproducible(tmp_path):
@@ -427,3 +442,45 @@ def test_matern_eta_rows_equal_the_per_pair_closed_form(tmp_path):
                     eta = eta_closed_form(CoefficientMatrix(rows[method][[i, j]]))
                     lines.append(f"{alpha!r},{method},{h!r},{eta!r},{thm1!r},{conj!r}")
     assert out.read_text().splitlines() == lines
+
+
+@pytest.mark.parametrize("flags", [
+    ["--deltas", "0"],
+    ["--deltas", "0.4,-0.2"],
+    ["--deltas", ","],
+    ["--h-grid", "0,0.4"],
+    ["--h-grid", "inf"],
+    ["--T", "-1"],
+    ["--T", "0.05"],
+    ["--T", "nan"],
+    ["--s1", "nan"],
+    ["--a", "inf"],
+])
+def test_ou_convergence_usage_errors_exit_2_before_computing(tmp_path, monkeypatch, flags):
+    from exdep import mesh
+
+    monkeypatch.setattr(mesh, "partition_1d",
+                        lambda *a, **k: pytest.fail("computed despite a usage error"))
+    out = tmp_path / "ou.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["ou-convergence", *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_matern_eta_single_site_exits_2(tmp_path):
+    out = tmp_path / "m.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["matern-eta", "--seed", "1", "--n-sites", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kappa", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["matern-eta", "simulate-and-chi"])
+def test_non_finite_kappa_exits_1_naming_kappa(tmp_path, capsys, command, kappa):
+    out = tmp_path / "o.csv"
+    assert run_cli([command, "--seed", "1", "--kappa", kappa, "--mesh-nodes", "5",
+                    "--n-sites", "3", "--extension", "1", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "kappa must be positive and finite" in capsys.readouterr().err

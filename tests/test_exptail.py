@@ -8,7 +8,7 @@ from scipy import integrate, stats
 from exdep import exptail
 from exdep.errors import (DomainError, ParameterError, QuadratureError,
                           UnsupportedTailError)
-from exdep.exptail import GhParams, GigParams, NoiseDistribution, map_chunks, substreams
+from exdep.exptail import GhParams, GigParams, NoiseDistribution
 from exdep.special import bessel_k
 
 
@@ -329,33 +329,6 @@ def test_sample_reproducible_single_stream():
     a = dist.sample(np.random.default_rng(7), 1000)
     b = dist.sample(np.random.default_rng(7), 1000)
     assert np.array_equal(a, b)
-
-
-def test_substreams_independent_and_documented_split():
-    streams = substreams(99, 3)
-    draws = [s.random(4) for s in streams]
-    again = [s.random(4) for s in substreams(99, 3)]
-    for d, e in zip(draws, again):
-        assert np.array_equal(d, e)
-    assert not np.array_equal(draws[0], draws[1])
-
-
-def test_map_chunks_sizes_streams_and_threads():
-    def draw(start, size, stream):
-        return (start, size), stream.random(size)
-
-    out = map_chunks(draw, 10, 4, 99)
-    assert [chunk for chunk, _ in out] == [(0, 4), (4, 4), (8, 2)]
-    for (_, got), stream, size in zip(out, substreams(99, 3), (4, 4, 2)):
-        assert np.array_equal(got, stream.random(size))
-    threaded = map_chunks(draw, 10, 4, 99, threads=2)
-    assert [chunk for chunk, _ in threaded] == [(0, 4), (4, 4), (8, 2)]
-    assert all(np.array_equal(a[1], b[1]) for a, b in zip(out, threaded))
-    # a Generator is one sequential stream, whatever the thread count
-    seq = map_chunks(draw, 10, 4, np.random.default_rng(5), threads=2)
-    assert np.array_equal(np.concatenate([d for _, d in seq]),
-                          np.random.default_rng(5).random(10))
-    assert map_chunks(draw, 0, 4, 99) == []
 
 
 def test_gig_sampler_matches_scipy_distribution():

@@ -19,7 +19,7 @@ from exdep.kernels import matern_kernel
 from exdep.lintrans import (CoefficientMatrix, Regime, classify,
                             eta_closed_form, eta_pairs)
 from exdep.mesh import Mesh2D, lattice_mesh_2d, integral_coefficients
-from exdep.exptail import substreams
+from exdep.streams import substreams
 
 
 def unit_triangle():
@@ -183,6 +183,13 @@ def test_small_kappa_odd_alpha_solve_matches_spectral_oracle():
         system = base.with_alpha(alpha)
         ref = spectral_solve(system, phi)
         assert np.abs(system.solve_k_alpha(phi) - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf])
+def test_non_finite_kappa_is_a_parameter_error(kappa):
+    mesh = lattice_mesh_2d((0, 0, 1, 1), 4, 1)
+    with pytest.raises(ParameterError, match="kappa must be positive and finite"):
+        fem_assemble(mesh, kappa, 2)
 
 
 def test_too_small_kappa_for_odd_alpha_is_a_parameter_error():

@@ -44,6 +44,18 @@ def test_matern_rejects_alpha_below_d():
         matern_green(1.0, 3.0, 2, -0.1)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("build", [
+    lambda v: matern_green(v, 3.0, 2, 0.5),
+    lambda v: matern_kernel(v, 3.0, 2),
+    lambda v: ou_kernel(v, 0.5),
+    lambda v: exponential_kernel(v),
+], ids=["matern_green", "matern_kernel", "ou_kernel", "exponential_kernel"])
+def test_non_finite_rate_is_a_parameter_error(build, value):
+    with pytest.raises(ParameterError, match="must be positive and finite"):
+        build(value)
+
+
 def test_matern_convexity_threshold_2d():
     assert matern_kernel(2.0, 2.0, 2).convex
     assert matern_kernel(2.0, 3.0, 2).convex

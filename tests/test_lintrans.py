@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
-from exdep import lintrans
 from exdep.errors import (DomainError, OracleSizeError, ParameterError,
                           PreconditionError, RegimeError)
 from exdep.exptail import GhParams, NoiseDistribution
@@ -329,14 +329,14 @@ def test_oracle_size_limit():
 
 
 def test_oracle_rejects_uncertified_lp_result(monkeypatch):
-    solve = lintrans.optimize.linprog
+    solve = optimize.linprog
 
     def tampered(*args, **kwargs):
         res = solve(*args, **kwargs)
         res.fun *= 0.9  # a value below the optimum, as a faulty solver might report
         return res
 
-    monkeypatch.setattr(lintrans.optimize, "linprog", tampered)
+    monkeypatch.setattr(optimize, "linprog", tampered)
     with pytest.raises(RuntimeError, match="duality gap"):
         eta_gauge_oracle(CoefficientMatrix([[1.0, 0.3], [0.5, 1.0]]))
 

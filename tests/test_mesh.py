@@ -42,6 +42,13 @@ def test_ou_no_interior_point_is_dependent():
     assert classify(matrix).regime is Regime.ASYMPTOTIC_DEPENDENCE
 
 
+@pytest.mark.parametrize("a", [math.nan, math.inf])
+def test_ou_non_finite_rate_is_a_parameter_error(a):
+    part = partition_1d(-4.0, 4.0, delta=0.4)
+    with pytest.raises(ParameterError, match="a must be positive and finite"):
+        ou_coefficients(a, 0.0, 1.0, part)
+
+
 def test_ou_interior_point_gives_independence_with_known_eta():
     a = 0.2
     part = partition_1d(-4.0, 4.0, delta=0.4)
