@@ -25,7 +25,7 @@ from importlib import resources
 import numpy as np
 
 from . import estimate, fem, mesh
-from .errors import ExdepError, ParameterError
+from .errors import DomainError, ExdepError, ParameterError
 from .lintrans import (CoefficientMatrix, chi_gh_two, chi_limit_a22, eta_pairs,
                        tail_summary)
 
@@ -158,6 +158,15 @@ def cmd_chi_vs_a22(args):
 # ou-convergence: eta of one-sided partitions against the process limit
 # ----------------------------------------------------------------------
 
+def _ou_partition(s1, T, delta):
+    """Whole cells of width ``delta`` from about 25 below s1 to the first
+    grid point at or above T, so s1 is a grid point for every T (a grid
+    point within 1e-9 cells of T counts as T itself)."""
+    pad = math.ceil(25.0 / delta) * delta  # grid-aligned left padding below s1
+    end = s1 + math.ceil((T - s1) / delta - 1e-9) * delta
+    return mesh.partition_1d(s1 - pad, max(end, T), delta=delta)
+
+
 def cmd_ou_convergence(args):
     from . import kernels
 
@@ -167,8 +176,7 @@ def cmd_ou_convergence(args):
     sup_gap_finest = 0.0
     finest = min(args.deltas)
     for delta in args.deltas:
-        pad = math.ceil(25.0 / delta) * delta  # grid-aligned left padding below s1
-        part = mesh.partition_1d(args.s1 - pad, args.T, delta=delta)
+        part = _ou_partition(args.s1, args.T, delta)
         # row 0 is the site s1, row t + 1 the site s1 + h_t; zero columns pad the short rows
         mats = [mesh.ou_coefficients(args.a, args.s1, args.s1 + h, part) for h in h_grid]
         rows = np.zeros((1 + len(mats), max(m.shape[1] for m in mats)))
@@ -330,16 +338,21 @@ def cmd_counterexample(args):
 
 def _counterexample_chi(rng, n, n_samples, q):
     """chi(q) of heavy / n + eps1 and heavy / n + eps2, built in place
-    with the rounding of that formula; the arrays are freed on return,
-    before the next n draws."""
+    with the rounding of that formula.  The exceedances of the first
+    margin are taken before the second normal draw, which then fills the
+    same array, so two n_samples arrays are held, not three; all are
+    freed on return, before the next n draws."""
+    if not 0.0 < q < 1.0:
+        raise DomainError("q must lie strictly inside (0, 1)")
     heavy = rng.pareto(1.0, n_samples)
     heavy += 1.0  # survival x^{-1} on [1, inf)
     np.divide(heavy, n, out=heavy)
-    eps1 = rng.standard_normal(n_samples)
-    eps1 += heavy
-    eps2 = rng.standard_normal(n_samples)
-    eps2 += heavy
-    return estimate.empirical_chi(estimate.BivariateSample(eps1, eps2), q)
+    eps = rng.standard_normal(n_samples)
+    eps += heavy
+    above1 = estimate.exceedances(eps, q)
+    rng.standard_normal(out=eps)
+    eps += heavy
+    return estimate.chi_from_exceedances(above1, estimate.exceedances(eps, q), q)
 
 
 # ----------------------------------------------------------------------
@@ -374,8 +387,9 @@ def build_parser():
     p.add_argument("--a", type=_finite_float, default=0.2)
     p.add_argument("--s1", type=_finite_float, default=0.0)
     p.add_argument("--T", type=_ou_horizon, default=4.0,
-                   help=f"right end of the partitions, at least {OU_H_STEP}; the default "
-                        f"h grid is {OU_H_STEP}, {2 * OU_H_STEP}, ... up to T")
+                   help=f"horizon, at least {OU_H_STEP}; each partition ends at its first "
+                        f"grid point at or above T, and the default h grid is "
+                        f"{OU_H_STEP}, {2 * OU_H_STEP}, ... up to T")
     p.add_argument("--deltas", type=_positive_floats, default=(0.4, 0.2, 0.05))
     p.add_argument("--h-grid", type=_positive_floats, default=None)
 

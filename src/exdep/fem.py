@@ -20,6 +20,13 @@ phi_n dM); with type G noise the cell values are normal mean-variance
 mixtures over the dual cells D_j = {s : phi_j(s) >= phi_i(s) for all i},
 whose mixing variables must come from a convolution-closed GIG subclass
 (inverse Gaussian or gamma).
+
+:func:`simulate_field` draws replicates in batches of 256 rows by
+default.  Batch i draws from the i-th sub-stream of the root seed: first
+the mixing values of all its rows, then their normals.  So each worker
+thread holds three batch-sized cell-noise arrays (1.7 MB each on an
+841-node mesh), whatever the number of replicates, beside the one
+column-major result.
 """
 
 import copy
@@ -105,7 +112,6 @@ MAX_RATIO = 1e8        # largest spectrum ratio upper/lower the quadrature accep
 _LOG_GRID = 4097        # points of the log grid the quadrature error is taken on
 _MAX_NODES = 60         # ratios up to MAX_RATIO need at most 40
 _INVERSE_STEPS = 8      # inverse iterations behind the lower spectrum bound
-_ROW_BLOCK = 256        # rows of cell noise simulate_field builds per step
 
 
 class InverseSqrtQuadrature(NamedTuple):
@@ -449,7 +455,7 @@ def dual_cell_areas(mesh):
 
 
 def simulate_field(system, sites, noise, n, rng, constant_mixing=None,
-                   batch=8192, threads=1):
+                   batch=256, threads=1):
     """Replicates of the approximated FEM field at the given sites, an
     (n, k) array in column-major order.
 
@@ -457,30 +463,25 @@ def simulate_field(system, sites, noise, n, rng, constant_mixing=None,
     weights W = phi K_alpha^{-1} come from one solve with a right-hand
     side per site, checked by its backward error, and each replicate
     batch of cell noises rhs = mu*|D| + gamma*v + sqrt(v)*Z is mapped
-    through W.  ``rng`` is an integer root seed (split into per-batch
-    sub-streams, which ``threads`` workers may draw in parallel) or a
-    Generator (single sequential stream).  ``constant_mixing`` freezes
-    the mixing variables at a constant, which makes the field Gaussian
+    through W in one matrix product.  ``rng`` is an integer root seed
+    (batch i draws from the i-th of its sub-streams, and ``threads``
+    workers may draw batches in parallel) or a Generator (one sequential
+    stream over the batches in order).  ``constant_mixing`` freezes the
+    mixing variables at a constant, which makes the field Gaussian
     (debugging hook).
 
-    Each worker thread builds its batches in one buffer of
-    min(batch, n) x n_nodes values, reused from batch to batch, in blocks
-    of ``_ROW_BLOCK`` rows.  The mixing values of the whole batch are
-    drawn first, block by block, then the normals, and each block of the
-    buffer becomes mu*|D| + gamma*v + sqrt(v)*Z in place.  Both samplers
-    fill row-major, one value after the other, so the block draws equal
-    one draw of the whole batch; each term is rounded as in the formula,
-    and the in-place steps only swap the operands of a product or a sum,
-    which is exact.  So the noise is bit-equal to building it in one
-    piece.  The map through W stays one matrix product per batch: split
-    into row blocks, it may round differently, depending on how the BLAS
-    library blocks the product.
+    Each batch draws all its mixing values v, then all its normals Z,
+    both row-major.  v becomes mu*|D| + gamma*v + sqrt(v)*Z in place:
+    each term is rounded as in the formula, and the in-place steps only
+    swap the operands of a product or a sum, which is exact, so the noise
+    is bit-equal to building it in one piece.
 
     The result is allocated once, column-major, so each site's column is
     contiguous for :func:`exdep.estimate.exceedances`; each batch copies
     its product into its own rows, and concurrent batches write disjoint
-    rows.  Memory is the result plus, per worker thread, the batch
-    buffer, two row-block buffers and one min(batch, n) x k product.
+    rows.  Memory is the result and W^T plus, per worker thread, three
+    min(batch, n) x n_nodes arrays (v, and the reused Z and sqrt(v)
+    buffers) and one min(batch, n) x k product.
     """
     if n < 0:
         raise DomainError("n must be non-negative")
@@ -496,25 +497,19 @@ def simulate_field(system, sites, noise, n, rng, constant_mixing=None,
     buffers = threading.local()  # concurrent batches must not share a buffer
 
     def one_batch(start, size, stream):
-        if not hasattr(buffers, "rhs"):
-            buffers.rhs = np.empty((min(batch, n), areas.size))
-            buffers.z = np.empty((_ROW_BLOCK, areas.size))
-            buffers.root = np.empty((_ROW_BLOCK, areas.size))
-        rhs = buffers.rhs[:size]
-        blocks = [slice(r, min(r + _ROW_BLOCK, size)) for r in range(0, size, _ROW_BLOCK)]
+        if not hasattr(buffers, "z"):
+            buffers.z = np.empty((min(batch, n), areas.size))
+            buffers.root = np.empty((min(batch, n), areas.size))
         if constant_mixing is not None:
-            rhs.fill(float(constant_mixing))
+            v = np.full((size, areas.size), float(constant_mixing))
         else:
-            for rows in blocks:
-                rhs[rows] = noise.draw_mixing(stream, areas, rows.stop - rows.start)
-        for rows in blocks:
-            v = rhs[rows]
-            z = stream.standard_normal(out=buffers.z[:len(v)])
-            z *= np.sqrt(v, out=buffers.root[:len(v)])  # sqrt(v)*Z
-            v *= noise.gamma
-            v += shift      # mu*|D| + gamma*v
-            v += z
-        out[start:start + size] = rhs @ weights_t
+            v = noise.draw_mixing(stream, areas, size)
+        z = stream.standard_normal(out=buffers.z[:size])
+        z *= np.sqrt(v, out=buffers.root[:size])  # sqrt(v)*Z
+        v *= noise.gamma
+        v += shift      # mu*|D| + gamma*v
+        v += z
+        out[start:start + size] = v @ weights_t
 
     map_chunks(one_batch, n, batch, rng, threads)
     return out

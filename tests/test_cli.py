@@ -93,6 +93,19 @@ def test_ou_convergence_csv_and_gap(tmp_path, capsys):
     assert np.all(data[:, 2] >= data[:, 3] - 1e-12)
 
 
+@pytest.mark.parametrize("horizon", ["4.5", "5"])
+def test_ou_convergence_runs_at_horizons_off_the_delta_grid(tmp_path, horizon):
+    # 4.5 and 5 are no multiple of delta 0.4: the partition still runs on
+    # whole cells through s1, so no eta_n falls below its limit (beyond
+    # rounding: where the two agree, they differ in the last bits)
+    out = tmp_path / "ou.csv"
+    assert run_cli(["ou-convergence", "--T", horizon, "--out", str(out)]) == 0
+    data = np.array([[float(v) for v in line.split(",")]
+                     for line in out.read_text().splitlines()[1:]])
+    assert data[:, 1].max() == pytest.approx(float(horizon))
+    assert np.all(data[:, 2] >= data[:, 3] - 1e-12)
+
+
 def test_counterexample_decreasing_with_n(tmp_path):
     out = tmp_path / "counter.csv"
     code = run_cli(["counterexample", "--out", str(out), "--seed", "3",
@@ -102,6 +115,35 @@ def test_counterexample_decreasing_with_n(tmp_path):
     assert lines[0] == "n,q,chi_hat,se"
     chi = [float(line.split(",")[2]) for line in lines[1:]]
     assert chi[0] > chi[-1]  # decays toward the noise-only level
+
+
+def test_counterexample_holds_two_sample_arrays():
+    import tracemalloc
+
+    from exdep import cli
+
+    n_samples = 200_000
+    cli._counterexample_chi(np.random.default_rng(0), 10, 1000, 0.9)  # warm up
+    tracemalloc.start()
+    try:
+        est = cli._counterexample_chi(np.random.default_rng(1), 10, n_samples, 0.999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.n_conditioning == 200
+    # heavy and one noise array, the column copy np.partition makes, two
+    # masks and 256 kB of slack; a second noise array adds 1.6 MB
+    held = 8 * (2 * n_samples + n_samples) + 2 * n_samples
+    assert peak <= held + 256 * 1024
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, float("nan")])
+def test_counterexample_chi_checks_q(q):
+    from exdep import cli
+    from exdep.errors import DomainError
+
+    with pytest.raises(DomainError, match="strictly inside"):
+        cli._counterexample_chi(np.random.default_rng(0), 10, 1000, q)
 
 
 @pytest.mark.parametrize("samples", ["1", "999"])

@@ -11,8 +11,7 @@ from scipy.sparse import linalg as spla
 
 from exdep.cli import random_sites
 from exdep.errors import DomainError, NonnegativityError, ParameterError, SolveError
-from exdep.fem import (_ROW_BLOCK, BACKWARD_TOL, MAX_RATIO, RATIONAL_TOL, FemSystem,
-                       TypeGNoise,
+from exdep.fem import (BACKWARD_TOL, MAX_RATIO, RATIONAL_TOL, FemSystem, TypeGNoise,
                        basis_matrix, dual_cell_areas, fem_assemble,
                        fem_coefficients, inverse_sqrt_quadrature, simulate_field)
 from exdep.kernels import matern_kernel
@@ -418,7 +417,7 @@ def test_simulate_field_equals_the_one_shot_batch(noise):
     mesh = lattice_mesh_2d((0, 0, 1, 1), 6, 1)
     system = fem_assemble(mesh, 2.0, 3)
     sites = [[0.3, 0.4], [0.7, 0.55], [0.5, 0.5]]
-    sizes = [600, 600, 300]  # 600 rows are two row blocks and 88 rows
+    sizes = [600, 600, 300]  # two full batches and a shorter last one
     ref = _one_shot_reference(system, sites, noise, sizes, substreams(4, 3))
     for threads in (1, 2):
         x = simulate_field(system, sites, noise, 1500, 4, batch=600, threads=threads)
@@ -443,17 +442,18 @@ def test_simulate_field_holds_one_copy_of_the_field():
     noise = TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0)
     sites = random_sites(np.random.default_rng(0), 8)
     simulate_field(system, sites, noise, 10, 1)  # factor K_2 outside the trace
-    n, batch, k, nodes = 40_000, 4096, len(sites), mesh.n_nodes
+    n, batch, k, nodes = 40_000, 256, len(sites), mesh.n_nodes  # the default batch
     tracemalloc.start()
     try:
-        x = simulate_field(system, sites, noise, n, 1, batch=batch)
+        x = simulate_field(system, sites, noise, n, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the result, the batch buffer, two row-block buffers and W^T, then one
+    # the result, three one-batch buffers (v, Z, sqrt v) and W^T, then one
     # batch product and 256 kB of slack; a per-batch list and its vstack add
-    # another copy of the result (2.56 MB)
-    held = x.nbytes + 8 * (batch * nodes + 2 * _ROW_BLOCK * nodes + nodes * k)
+    # another copy of the result (2.56 MB), and a buffer of 8,192 rows of
+    # mixing values 5.3 MB
+    held = x.nbytes + 8 * (3 * batch * nodes + nodes * k)
     assert peak <= held + 8 * batch * k + 256 * 1024
 
 
@@ -465,6 +465,52 @@ def test_simulate_field_threads_do_not_change_draws():
     one = simulate_field(system, sites, noise, 5000, 8, batch=512, threads=1)
     two = simulate_field(system, sites, noise, 5000, 8, batch=512, threads=2)
     assert np.array_equal(one, two)
+
+
+@pytest.mark.parametrize("bad", [dict(batch=-3), dict(batch=0), dict(threads=0),
+                                 dict(threads=-1)])
+def test_simulate_field_rejects_chunking_below_one(bad):
+    mesh = lattice_mesh_2d((0, 0, 1, 1), 5, 1)
+    system = fem_assemble(mesh, 2.0, 2)
+    noise = TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0)
+    with pytest.raises(ParameterError, match="at least 1"):
+        simulate_field(system, [[0.4, 0.6]], noise, 100, 1, **bad)
+
+
+def _mixing_moments(noise, areas):
+    """E v and Var v of each cell's mixing variable."""
+    if noise.family == "nig":  # inverse Gaussian
+        return (areas * math.sqrt(noise.tau / noise.psi),
+                areas * math.sqrt(noise.tau) * noise.psi ** -1.5)
+    return 2.0 * noise.lam * areas / noise.psi, 4.0 * noise.lam * areas / noise.psi ** 2
+
+
+@pytest.mark.parametrize("batch", [256, 4096])
+@pytest.mark.parametrize("noise", [
+    TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0),
+    TypeGNoise("variance_gamma", mu=0.3, gamma=-0.7, psi=2.0, lam=1.5),
+])
+def test_simulate_field_mean_and_covariance_match_the_closed_form(noise, batch):
+    # the law of the field, whatever stream draws it: mean W (mu|D| + gamma E v)
+    # and covariance W diag(gamma^2 Var v + E v) W^T; cells of area 0.64 set
+    # E v^2 (of v Z in place of sqrt(v) Z) well apart from E v
+    mesh = lattice_mesh_2d((0, 0, 4, 4), 6, 1)
+    system = fem_assemble(mesh, 2.0, 2)
+    sites = [[1.2, 1.6], [1.8, 2.0], [2.8, 2.2]]
+    areas = dual_cell_areas(mesh)
+    w = system.solve_k_alpha(basis_matrix(mesh, sites).toarray().T).T
+    mean_v, var_v = _mixing_moments(noise, areas)
+    mean = w @ (noise.mu * areas + noise.gamma * mean_v)
+    cov = (w * (noise.gamma ** 2 * var_v + mean_v)) @ w.T
+    n = 40_000
+    x = simulate_field(system, sites, noise, n, 17, batch=batch)
+    centered = x - x.mean(axis=0)
+    assert np.all(np.abs(x.mean(axis=0) - mean) <= 5.0 * np.sqrt(np.diag(cov) / n))
+    for i in range(3):
+        for j in range(i, 3):
+            prod = centered[:, i] * centered[:, j]
+            se = prod.std() / math.sqrt(n)
+            assert abs(prod.sum() / (n - 1) - cov[i, j]) <= 5.0 * se, (i, j)
 
 
 def test_simulate_field_checks_site_weight_residual(monkeypatch):

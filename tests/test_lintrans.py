@@ -379,6 +379,12 @@ def test_chi_mc_substream_merge_independent_of_chunking():
     assert a[1] == pytest.approx(b[1], rel=1e-12)
 
 
+def test_chi_mc_rejects_a_chunk_below_one():
+    dist = NoiseDistribution.nig(1.0, 1.0)
+    with pytest.raises(ParameterError, match="chunk"):
+        chi_mc(CoefficientMatrix([[1.0, 0.3], [1.0, 0.7]]), dist, 1000, 0, chunk=-5)
+
+
 def test_chi_gh_two_comonotone_shortcut():
     assert chi_gh_two(0.5, 0.5, GhParams(-0.5, 1.0, 1.0)) == 1.0
 

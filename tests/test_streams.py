@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from exdep.errors import ParameterError
 from exdep.streams import map_chunks, substreams
 
 
@@ -10,6 +12,9 @@ def test_substreams_independent_and_documented_split():
     for d, e in zip(draws, again):
         assert np.array_equal(d, e)
     assert not np.array_equal(draws[0], draws[1])
+    # built one spawn(1) at a time, they are the children of one spawn(k)
+    for d, child in zip(draws, np.random.SeedSequence(99).spawn(3)):
+        assert np.array_equal(d, np.random.default_rng(child).random(4))
 
 
 def test_map_chunks_sizes_streams_and_threads():
@@ -28,3 +33,13 @@ def test_map_chunks_sizes_streams_and_threads():
     assert np.array_equal(np.concatenate([d for _, d in seq]),
                           np.random.default_rng(5).random(10))
     assert map_chunks(draw, 0, 4, 99) == []
+
+
+@pytest.mark.parametrize("chunk, threads", [(0, 1), (-5, 1), (2.5, 1), (4, 0), (4, -1),
+                                            (4, 1.0)])
+def test_map_chunks_rejects_chunking_below_one_or_not_an_integer(chunk, threads):
+    calls = []
+    for rng in (99, np.random.default_rng(5)):
+        with pytest.raises(ParameterError, match="integer of at least 1"):
+            map_chunks(lambda *args: calls.append(args), 10, chunk, rng, threads)
+    assert calls == []
