@@ -265,21 +265,25 @@ def cmd_simulate_and_chi(args):
 
 
 def _mesh_chi_lines(args, side, sites, noise, n, threads):
-    """The CSV lines of one mesh; its field and masks are freed on return,
-    before the next mesh is simulated."""
+    """The CSV lines of one mesh, pair by pair and level by level.  The
+    masks are taken one level at a time, each freed before the next, and
+    the field is freed on return, before the next mesh is simulated."""
     grid = mesh.lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), side, args.extension)
     system = fem.fem_assemble(grid, args.kappa, args.alpha)
     x = fem.simulate_field(system, sites, noise, n, args.seed, threads=threads)
-    above = [estimate.exceedances(x, q) for q in args.q]
+    pairs = [(i, j) for i in range(len(sites)) for j in range(i + 1, len(sites))]
+    per_level = []  # per_level[l][p]: the estimate of pair p at level l
+    for q in args.q:
+        mask = estimate.exceedances(x, q)
+        per_level.append([estimate.chi_from_exceedances(mask[:, i], mask[:, j], q)
+                          for i, j in pairs])
+        del mask  # before the next level's mask is taken
     lines = []
-    pair_id = 0
-    for i in range(len(sites)):
-        for j in range(i + 1, len(sites)):
-            h = float(np.linalg.norm(sites[i] - sites[j]))
-            for q, mask in zip(args.q, above):
-                est = estimate.chi_from_exceedances(mask[:, i], mask[:, j], q)
-                lines.append(f"{side},{pair_id},{h!r},{q!r},{est.value!r},{est.se!r}")
-            pair_id += 1
+    for pair_id, (i, j) in enumerate(pairs):
+        h = float(np.linalg.norm(sites[i] - sites[j]))
+        for q, ests in zip(args.q, per_level):
+            est = ests[pair_id]
+            lines.append(f"{side},{pair_id},{h!r},{q!r},{est.value!r},{est.se!r}")
     return lines
 
 

@@ -22,11 +22,15 @@ whose mixing variables must come from a convolution-closed GIG subclass
 (inverse Gaussian or gamma).
 
 :func:`simulate_field` draws replicates in batches of 256 rows by
-default.  Batch i draws from the i-th sub-stream of the root seed: first
-the mixing values of all its rows, then their normals.  So each worker
-thread holds three batch-sized cell-noise arrays (1.7 MB each on an
-841-node mesh), whatever the number of replicates, beside the one
-column-major result.
+default, batch i from the i-th SFC64 sub-stream of the root seed.  The
+nodes are grouped once by the exact value of their dual-cell area (4,
+27 and 37 classes on the 81-, 196- and 841-node meshes of
+``simulate-and-chi --appendix-d``), and a batch is node-major: for
+each class in ascending area, one scalar-parameter call draws the
+mixing values of its nodes, then one call draws the normals.  So each
+worker thread holds two batch-sized cell-noise arrays (1.7 MB each on
+an 841-node mesh) and at most one temporary of that size, whatever the
+number of replicates, beside the one column-major result.
 """
 
 import copy
@@ -86,14 +90,12 @@ class TypeGNoise:
         if self.family == "variance_gamma" and self.lam <= 0.0:
             raise ParameterError("variance_gamma mixing needs lam > 0")
 
-    def draw_mixing(self, rng, areas, size):
-        """Mixing values for cells with the given areas, (size, n)."""
-        shape = (size, areas.size)
-        if self.family == "nig":
-            lam_w = self.tau * areas * areas  # shape parameter of the Wald law
-            mu_w = areas * math.sqrt(self.tau / self.psi)
-            return rng.wald(np.broadcast_to(mu_w, shape), np.broadcast_to(lam_w, shape))
-        return rng.gamma(np.broadcast_to(self.lam * areas, shape), scale=2.0 / self.psi)
+    def draw_mixing(self, rng, area, shape):
+        """Mixing values of cells of one ``area``, an array of ``shape``,
+        from one call of the sampler with scalar parameters."""
+        if self.family == "nig":  # Wald law with mean area*sqrt(tau/psi), shape tau*area^2
+            return rng.wald(area * math.sqrt(self.tau / self.psi), self.tau * area * area, shape)
+        return rng.gamma(self.lam * area, 2.0 / self.psi, shape)
 
     def marginal(self, area=1.0):
         """Cell-level noise law (a GH distribution), for cross-checks."""
@@ -468,48 +470,63 @@ def simulate_field(system, sites, noise, n, rng, constant_mixing=None,
     workers may draw batches in parallel) or a Generator (one sequential
     stream over the batches in order).  ``constant_mixing`` freezes the
     mixing variables at a constant, which makes the field Gaussian
-    (debugging hook).
+    (debugging hook).  ``batch`` and ``threads`` are checked as
+    :func:`exdep.streams.map_chunks` checks them, also when n = 0.
 
-    Each batch draws all its mixing values v, then all its normals Z,
-    both row-major.  v becomes mu*|D| + gamma*v + sqrt(v)*Z in place:
-    each term is rounded as in the formula, and the in-place steps only
-    swap the operands of a product or a sum, which is exact, so the noise
-    is bit-equal to building it in one piece.
+    The nodes are grouped by the exact value of their dual-cell area, in
+    ascending order of the classes (``np.unique``; no rounding), and the
+    columns of W are permuted to that order once.  A batch's noise is
+    node-major, (n_nodes, size), so each class owns a contiguous block
+    of rows: one ``draw_mixing`` call per class fills its block, class
+    by class, then one call fills the batch's normals Z.  v becomes
+    mu*|D| + gamma*v + sqrt(v)*Z in place: each term is rounded as in
+    the formula, and the in-place steps only swap the operands of a
+    product or a sum, which is exact, so the noise is bit-equal to
+    building it in one piece.
 
     The result is allocated once, column-major, so each site's column is
     contiguous for :func:`exdep.estimate.exceedances`; each batch copies
-    its product into its own rows, and concurrent batches write disjoint
-    rows.  Memory is the result and W^T plus, per worker thread, three
-    min(batch, n) x n_nodes arrays (v, and the reused Z and sqrt(v)
-    buffers) and one min(batch, n) x k product.
+    its product W v into its own rows, and concurrent batches write
+    disjoint rows.  Memory is the result and W plus, per worker thread,
+    two reused n_nodes x min(batch, n) arrays (v and Z), one temporary
+    of at most that size (a class's mixing values, then sqrt(v)) and one
+    k x min(batch, n) product.
     """
     if n < 0:
         raise DomainError("n must be non-negative")
     if not isinstance(noise, TypeGNoise):
         raise ParameterError("FEM simulation needs a TypeGNoise specification")
     phi = basis_matrix(system.mesh, sites)
-    areas = dual_cell_areas(system.mesh)
     out = np.empty((n, phi.shape[0]), order="F")
     if n == 0:
+        map_chunks(None, 0, batch, rng, threads)  # checks batch and threads, draws nothing
         return out
-    weights_t = system.solve_k_alpha(phi.toarray().T)  # W^T
-    shift = noise.mu * areas
+    areas = dual_cell_areas(system.mesh)
+    classes, inverse, counts = np.unique(areas, return_inverse=True, return_counts=True)
+    order = np.argsort(inverse, kind="stable")  # node indices, class by class
+    ends = np.cumsum(counts).tolist()
+    blocks = list(zip([0] + ends[:-1], ends, classes))  # (first row, end row, area)
+    weights = system.solve_k_alpha(phi.toarray().T)[order].T  # W, columns in class order
+    shift = (noise.mu * areas[order])[:, None]
+    cells = areas.size * min(batch, n)
     buffers = threading.local()  # concurrent batches must not share a buffer
 
     def one_batch(start, size, stream):
-        if not hasattr(buffers, "z"):
-            buffers.z = np.empty((min(batch, n), areas.size))
-            buffers.root = np.empty((min(batch, n), areas.size))
+        if not hasattr(buffers, "v"):
+            buffers.v = np.empty(cells)
+            buffers.z = np.empty(cells)
+        v = buffers.v[:areas.size * size].reshape(areas.size, size)
         if constant_mixing is not None:
-            v = np.full((size, areas.size), float(constant_mixing))
+            v.fill(float(constant_mixing))
         else:
-            v = noise.draw_mixing(stream, areas, size)
-        z = stream.standard_normal(out=buffers.z[:size])
-        z *= np.sqrt(v, out=buffers.root[:size])  # sqrt(v)*Z
+            for first, end, area in blocks:
+                v[first:end] = noise.draw_mixing(stream, area, (end - first, size))
+        z = stream.standard_normal(out=buffers.z[:v.size].reshape(v.shape))
+        z *= np.sqrt(v)  # sqrt(v)*Z
         v *= noise.gamma
         v += shift      # mu*|D| + gamma*v
         v += z
-        out[start:start + size] = v @ weights_t
+        out.T[:, start:start + size] = weights @ v
 
     map_chunks(one_batch, n, batch, rng, threads)
     return out

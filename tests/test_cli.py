@@ -297,6 +297,45 @@ def test_simulate_and_chi_small_run(tmp_path):
     assert len(lines) == 1 + 6 * 2  # six pairs, two levels
 
 
+def test_simulate_and_chi_takes_one_mask_at_a_time(tmp_path, monkeypatch):
+    import weakref
+
+    from exdep import cli, estimate, fem
+
+    argv = ["simulate-and-chi", "--seed", "5", "--samples", "20000", "--mesh-nodes", "6",
+            "--n-sites", "4", "--extension", "1", "--q", "0.9,0.95,0.99"]
+    real = estimate.exceedances
+    masks = []
+
+    def tracked(x, q):
+        assert all(ref() is None for ref in masks)  # the last level's mask is freed
+        mask = real(x, q)
+        masks.append(weakref.ref(mask))
+        return mask
+
+    monkeypatch.setattr(estimate, "exceedances", tracked)
+    out = tmp_path / "one.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    assert len(masks) == 3
+    # the same rows as every level's mask held at once, pair by pair
+    args = cli.build_parser().parse_args(argv + ["--out", "-"])
+    sites = cli.random_sites(np.random.default_rng(5), 4)
+    system = fem.fem_assemble(lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), 6, 1), 2.0, 2)
+    x = fem.simulate_field(system, sites, fem.TypeGNoise("nig", **cli.DEFAULT_NIG_NOISE),
+                           20000, 5)
+    above = [real(x, q) for q in args.q]
+    lines = ["mesh_side,pair_id,h,q,chi_hat,se"]
+    pair_id = 0
+    for i in range(4):
+        for j in range(i + 1, 4):
+            h = float(np.linalg.norm(sites[i] - sites[j]))
+            for q, mask in zip(args.q, above):
+                est = estimate.chi_from_exceedances(mask[:, i], mask[:, j], q)
+                lines.append(f"6,{pair_id},{h!r},{q!r},{est.value!r},{est.se!r}")
+            pair_id += 1
+    assert out.read_text() == "\n".join(lines) + "\n"
+
+
 def test_simulate_and_chi_bytes_do_not_depend_on_threads(tmp_path):
     args = ["simulate-and-chi", "--seed", "5", "--samples", "20000", "--mesh-nodes", "6",
             "--n-sites", "4", "--extension", "1"]

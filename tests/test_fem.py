@@ -311,14 +311,15 @@ def test_typeg_noise_validation():
 
 def test_typeg_mixing_scales_linearly_in_area():
     noise = TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0)
-    rng = np.random.default_rng(0)
-    areas = np.array([0.5, 2.0])
-    v = noise.draw_mixing(rng, areas, 200_000)
-    # inverse Gaussian mean is delta/gamma_ig = area * sqrt(tau/psi)
-    assert v.mean(axis=0) == pytest.approx(areas, rel=0.02)
     vg = TypeGNoise("variance_gamma", mu=0.0, gamma=0.0, psi=2.0, lam=1.5)
-    w = vg.draw_mixing(rng, areas, 200_000)
-    assert w.mean(axis=0) == pytest.approx(1.5 * areas * 2.0 / 2.0, rel=0.02)
+    rng = np.random.default_rng(0)
+    for area in (0.5, 2.0):
+        v = noise.draw_mixing(rng, area, (2, 100_000))
+        assert v.shape == (2, 100_000)
+        # inverse Gaussian mean is delta/gamma_ig = area * sqrt(tau/psi)
+        assert v.mean() == pytest.approx(area, rel=0.02)
+        w = vg.draw_mixing(rng, area, (2, 100_000))
+        assert w.mean() == pytest.approx(1.5 * area * 2.0 / 2.0, rel=0.02)
 
 
 def test_simulate_field_empty():
@@ -362,16 +363,31 @@ def test_simulate_field_nig_skewed_marginals():
     assert np.all(skew > 0.2)  # clearly non-Gaussian
 
 
+def _draw_noise(noise, areas, size, stream, constant_mixing=None):
+    """One batch's node-major cell noise, nodes grouped by exact area,
+    built in one piece: each class's mixing values in ascending area,
+    then the normals.  Returns the noise and its node order."""
+    classes, inverse, counts = np.unique(areas, return_inverse=True, return_counts=True)
+    order = np.argsort(inverse, kind="stable")
+    if constant_mixing is None:
+        v = np.vstack([noise.draw_mixing(stream, area, (count, size))
+                       for area, count in zip(classes, counts)])
+    else:
+        v = np.full((areas.size, size), float(constant_mixing))
+    z = stream.standard_normal((areas.size, size))
+    return noise.mu * areas[order][:, None] + noise.gamma * v + np.sqrt(v) * z, order
+
+
 def _per_batch_reference(system, sites, noise, sizes, streams):
     """The field as one K_alpha solve per batch, mapped to the sites by phi."""
     phi = basis_matrix(system.mesh, sites)
     areas = dual_cell_areas(system.mesh)
     chunks = []
     for size, stream in zip(sizes, streams):
-        v = noise.draw_mixing(stream, areas, size)
-        z = stream.standard_normal((size, areas.size))
-        rhs = noise.mu * areas[None, :] + noise.gamma * v + np.sqrt(v) * z
-        chunks.append((phi @ system.solve_k_alpha(rhs.T)).T)
+        rhs_perm, order = _draw_noise(noise, areas, size, stream)
+        rhs = np.empty_like(rhs_perm)
+        rhs[order] = rhs_perm  # back to node order
+        chunks.append((phi @ system.solve_k_alpha(rhs)).T)
     return np.vstack(chunks)
 
 
@@ -394,18 +410,13 @@ def test_simulate_field_matches_per_batch_solve(alpha):
 
 
 def _one_shot_reference(system, sites, noise, sizes, streams, constant_mixing=None):
-    """Each batch's noise built in one piece, then mapped by W^T in one product."""
+    """Each batch's noise built in one piece, then mapped by W in one product."""
     weights_t = system.solve_k_alpha(basis_matrix(system.mesh, sites).toarray().T)
     areas = dual_cell_areas(system.mesh)
     chunks = []
     for size, stream in zip(sizes, streams):
-        if constant_mixing is None:
-            v = noise.draw_mixing(stream, areas, size)
-        else:
-            v = np.full((size, areas.size), float(constant_mixing))
-        z = stream.standard_normal((size, areas.size))
-        rhs = noise.mu * areas + noise.gamma * v + np.sqrt(v) * z
-        chunks.append(rhs @ weights_t)
+        rhs, order = _draw_noise(noise, areas, size, stream, constant_mixing)
+        chunks.append((weights_t[order].T @ rhs).T)
     return np.vstack(chunks)
 
 
@@ -473,8 +484,9 @@ def test_simulate_field_rejects_chunking_below_one(bad):
     mesh = lattice_mesh_2d((0, 0, 1, 1), 5, 1)
     system = fem_assemble(mesh, 2.0, 2)
     noise = TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0)
-    with pytest.raises(ParameterError, match="at least 1"):
-        simulate_field(system, [[0.4, 0.6]], noise, 100, 1, **bad)
+    for n in (100, 0):  # also with no rows to draw
+        with pytest.raises(ParameterError, match="at least 1"):
+            simulate_field(system, [[0.4, 0.6]], noise, n, 1, **bad)
 
 
 def _mixing_moments(noise, areas):
@@ -485,16 +497,10 @@ def _mixing_moments(noise, areas):
     return 2.0 * noise.lam * areas / noise.psi, 4.0 * noise.lam * areas / noise.psi ** 2
 
 
-@pytest.mark.parametrize("batch", [256, 4096])
-@pytest.mark.parametrize("noise", [
-    TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0),
-    TypeGNoise("variance_gamma", mu=0.3, gamma=-0.7, psi=2.0, lam=1.5),
-])
-def test_simulate_field_mean_and_covariance_match_the_closed_form(noise, batch):
-    # the law of the field, whatever stream draws it: mean W (mu|D| + gamma E v)
-    # and covariance W diag(gamma^2 Var v + E v) W^T; cells of area 0.64 set
-    # E v^2 (of v Z in place of sqrt(v) Z) well apart from E v
-    mesh = lattice_mesh_2d((0, 0, 4, 4), 6, 1)
+def _assert_closed_form_moments(mesh, noise, batch):
+    """The law of the field, whatever stream draws it: mean W (mu|D| + gamma E v)
+    and covariance W diag(gamma^2 Var v + E v) W^T at three sites, each
+    within 5 standard errors."""
     system = fem_assemble(mesh, 2.0, 2)
     sites = [[1.2, 1.6], [1.8, 2.0], [2.8, 2.2]]
     areas = dual_cell_areas(mesh)
@@ -511,6 +517,29 @@ def test_simulate_field_mean_and_covariance_match_the_closed_form(noise, batch):
             prod = centered[:, i] * centered[:, j]
             se = prod.std() / math.sqrt(n)
             assert abs(prod.sum() / (n - 1) - cov[i, j]) <= 5.0 * se, (i, j)
+
+
+_MOMENT_NOISES = [
+    TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0),
+    TypeGNoise("variance_gamma", mu=0.3, gamma=-0.7, psi=2.0, lam=1.5),
+]
+
+
+@pytest.mark.parametrize("batch", [256, 4096])
+@pytest.mark.parametrize("noise", _MOMENT_NOISES)
+def test_simulate_field_mean_and_covariance_match_the_closed_form(noise, batch):
+    # cells of area 0.64 set E v^2 (of v Z in place of sqrt(v) Z) well apart from E v
+    _assert_closed_form_moments(lattice_mesh_2d((0, 0, 4, 4), 6, 1), noise, batch)
+
+
+@pytest.mark.parametrize("noise", _MOMENT_NOISES)
+def test_simulate_field_moments_where_every_area_is_its_own_class(noise):
+    # jittered nodes give 64 distinct dual-cell areas, so 64 one-node classes
+    grid = lattice_mesh_2d((0, 0, 4, 4), 6, 1)
+    jitter = np.random.default_rng(3).uniform(-0.12, 0.12, grid.nodes.shape)
+    mesh = Mesh2D(grid.nodes + jitter, grid.triangles)
+    assert np.unique(dual_cell_areas(mesh)).size == mesh.n_nodes
+    _assert_closed_form_moments(mesh, noise, 256)
 
 
 def test_simulate_field_checks_site_weight_residual(monkeypatch):

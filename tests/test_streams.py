@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,10 @@ def test_substreams_independent_and_documented_split():
     for d, e in zip(draws, again):
         assert np.array_equal(d, e)
     assert not np.array_equal(draws[0], draws[1])
-    # built one spawn(1) at a time, they are the children of one spawn(k)
-    for d, child in zip(draws, np.random.SeedSequence(99).spawn(3)):
-        assert np.array_equal(d, np.random.default_rng(child).random(4))
+    # built one spawn(1) at a time, they are SFC64 generators on the children of one spawn(k)
+    for stream, d, child in zip(streams, draws, np.random.SeedSequence(99).spawn(3)):
+        assert isinstance(stream.bit_generator, np.random.SFC64)
+        assert np.array_equal(d, np.random.Generator(np.random.SFC64(child)).random(4))
 
 
 def test_map_chunks_sizes_streams_and_threads():
@@ -43,3 +46,26 @@ def test_map_chunks_rejects_chunking_below_one_or_not_an_integer(chunk, threads)
         with pytest.raises(ParameterError, match="integer of at least 1"):
             map_chunks(lambda *args: calls.append(args), 10, chunk, rng, threads)
     assert calls == []
+
+
+def test_map_chunks_threads_hold_a_bounded_window_of_streams(monkeypatch):
+    # chunk 0 returns last; until then the pool may hold only 2 * threads chunks
+    built = []
+    real = np.random.SFC64
+    monkeypatch.setattr(np.random, "SFC64", lambda seed: built.append(seed) or real(seed))
+    seen = []
+    others_done = threading.Event()
+
+    def draw(start, size, stream):
+        if start == 0:
+            others_done.wait(timeout=1.0)  # gives an eager pool time to build every stream
+            seen.append(len(built))
+        elif start == 3 * 4:  # the last chunk the window can hold
+            others_done.set()
+        return start, stream.random(size)
+
+    out = map_chunks(draw, 20 * 4, 4, 99, threads=2)
+    assert seen == [4] and len(built) == 20
+    assert [start for start, _ in out] == list(range(0, 80, 4))
+    for (_, got), stream in zip(out, substreams(99, 20)):
+        assert np.array_equal(got, stream.random(4))
