@@ -15,7 +15,7 @@ _EXPORTS = {
     "substreams": "streams",
     **dict.fromkeys(("Kernel", "exponential_kernel", "gaussian_ou_eta",
                      "limit_eta_conjecture", "limit_eta_onesided", "limit_eta_symmetric",
-                     "matern_green", "matern_kernel", "ou_eta", "ou_kernel"), "kernels"),
+                     "matern_green", "matern_kernel", "ou_eta"), "kernels"),
     **dict.fromkeys(("CoefficientMatrix", "Regime", "RegimeSplit", "TailSummary",
                      "chi_gh_two", "chi_limit_a22", "chi_mc", "classify",
                      "eta_closed_form", "eta_gauge_oracle", "eta_pairs",

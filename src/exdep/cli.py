@@ -47,8 +47,11 @@ def _atomic_write(path, text):
         raise
 
 
-def _float_list(text):
-    return [float(v) for v in text.split(",") if v.strip()]
+def _write_csv(path, header, rows):
+    """Write ``header`` and one comma-joined line per row; the rows hold
+    Python scalars, whose ``str`` is their ``repr``."""
+    lines = [header] + [",".join(map(str, row)) for row in rows]
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 def _finite_float(text):
@@ -61,7 +64,7 @@ def _finite_float(text):
 def _floats_inside(low, high, what):
     """A parser of non-empty comma lists with every entry strictly inside (low, high)."""
     def parse(text):
-        values = _float_list(text)
+        values = [float(v) for v in text.split(",") if v.strip()]
         if not values or not all(low < v < high for v in values):
             raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
         return values
@@ -71,6 +74,32 @@ def _floats_inside(low, high, what):
 
 _levels = _floats_inside(0.0, 1.0, "quantile levels strictly inside (0, 1)")
 _positive_floats = _floats_inside(0.0, math.inf, "positive finite numbers")
+_finite_floats = _floats_inside(-math.inf, math.inf, "finite numbers")
+_GH_KEYS = ("lambda", "tau", "psi")
+
+
+def _gh_params_file(path):
+    """The (lambda, tau, psi) triples of a JSON file: a non-empty list of
+    objects with exactly those keys, each a finite number."""
+    try:
+        with open(path) as fh:
+            spec = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read {path!r}: {exc}") from None
+
+    def finite(v):
+        try:
+            return not isinstance(v, bool) and math.isfinite(v)
+        except (TypeError, OverflowError):  # not a number, or an int beyond float range
+            return False
+
+    if not (isinstance(spec, list) and spec and all(
+            isinstance(p, dict) and sorted(p) == sorted(_GH_KEYS)
+            and all(finite(p[k]) for k in _GH_KEYS) for p in spec)):
+        raise argparse.ArgumentTypeError(
+            f"{path!r} is not a non-empty JSON list of objects with finite numbers "
+            "at exactly the keys lambda, tau and psi")
+    return tuple(tuple(p[k] for k in _GH_KEYS) for p in spec)
 
 
 def _ou_horizon(text):
@@ -127,30 +156,23 @@ def _threads(args):
 def cmd_chi_vs_a22(args):
     from .exptail import GhParams
 
-    grids = [
+    grids = [args.params] if args.params is not None else [
         [(lam, 1.0, 1.0) for lam in (-0.5, 1.0, 5.0, 30.0)],
         [(1.0, tau, 1.0) for tau in (0.5, 1.0, 5.0, 30.0)],
         [(1.0, 1.0, psi) for psi in (0.5, 1.0, 5.0, 30.0)],
     ]
-    if args.params:
-        with open(args.params) as fh:
-            spec = json.load(fh)
-        grids = [[(p["lambda"], p["tau"], p["psi"]) for p in spec]]
-    a22_grid = args.a22_grid or [round(0.35 + 0.1 * i, 10) for i in range(7)]
-    lines = ["lambda,tau,psi,a22,chi"]
+    rows = []
     for family in grids:
         for (lam, tau, psi) in family:
             params = GhParams(lam, tau, psi, 0.0, 0.0)
-            values = [chi_gh_two(args.a12, a22, params) for a22 in a22_grid]
+            values = [chi_gh_two(args.a12, a22, params) for a22 in args.a22_grid]
             if np.any(np.diff(values) >= 0.0):
                 raise ExdepError(
                     f"chi(a22) curve not strictly decreasing for lambda={lam}, tau={tau}, psi={psi}"
                 )
-            for a22, chi in zip(a22_grid, values):
-                lines.append(f"{lam!r},{tau!r},{psi!r},{a22!r},{chi!r}")
-            limit = chi_limit_a22(args.a12, params)
-            lines.append(f"{lam!r},{tau!r},{psi!r},1.0,{limit!r}")
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+            rows += [(lam, tau, psi, a22, chi) for a22, chi in zip(args.a22_grid, values)]
+            rows.append((lam, tau, psi, 1.0, chi_limit_a22(args.a12, params)))
+    _write_csv(args.out, "lambda,tau,psi,a22,chi", rows)
     return 0
 
 
@@ -172,28 +194,28 @@ def cmd_ou_convergence(args):
 
     h_grid = args.h_grid or [round(OU_H_STEP * i, 10)
                              for i in range(1, int(args.T / OU_H_STEP) + 1)]
-    lines = ["delta,h,eta_n,eta_limit"]
+    rows = []
     sup_gap_finest = 0.0
     finest = min(args.deltas)
     for delta in args.deltas:
         part = _ou_partition(args.s1, args.T, delta)
         # row 0 is the site s1, row t + 1 the site s1 + h_t; zero columns pad the short rows
         mats = [mesh.ou_coefficients(args.a, args.s1, args.s1 + h, part) for h in h_grid]
-        rows = np.zeros((1 + len(mats), max(m.shape[1] for m in mats)))
+        padded = np.zeros((1 + len(mats), max(m.shape[1] for m in mats)))
         for t, m in enumerate(mats):
-            rows[[0, t + 1], :m.shape[1]] = m.entries
-        etas = eta_pairs(rows, [(0, t + 1) for t in range(len(mats))])
+            padded[[0, t + 1], :m.shape[1]] = m.entries
+        etas = eta_pairs(CoefficientMatrix(padded), [(0, t + 1) for t in range(len(mats))])
         for h, eta_n in zip(h_grid, etas.tolist()):
             eta_limit = kernels.ou_eta(args.a, h)
             if eta_n < eta_limit - 1e-9:
                 raise ExdepError(f"eta_n below the limit at delta={delta}, h={h}")
             if delta == finest:
                 sup_gap_finest = max(sup_gap_finest, eta_n - eta_limit)
-            lines.append(f"{delta!r},{h!r},{eta_n!r},{eta_limit!r}")
+            rows.append((delta, h, eta_n, eta_limit))
     if sup_gap_finest >= 0.02:
         raise ExdepError(f"sup gap {sup_gap_finest} at delta={finest} not below 0.02")
     print(f"sup gap at delta={finest}: {sup_gap_finest:.6f}")
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+    _write_csv(args.out, "delta,h,eta_n,eta_limit", rows)
     return 0
 
 
@@ -218,7 +240,7 @@ def cmd_matern_eta(args):
     pairs = np.column_stack(np.triu_indices(n_sites, 1))  # i < j, row by row
     # one norm per pair, as a 1-d vector: its BLAS dot fixes the last bit of h
     h = np.array([np.linalg.norm(sites[i] - sites[j]) for i, j in pairs])
-    lines = ["alpha,method,h,eta,eta_thm1,eta_conjecture"]
+    rows = []
     assembled = fem.fem_assemble(grid, args.kappa, 2)  # shares K_2 factors across alphas
     for alpha in args.alphas:
         kern = kernels.matern_kernel(args.kappa, alpha, 2)
@@ -228,16 +250,16 @@ def cmd_matern_eta(args):
         # fragment the heap, and peak RSS grows over repeated runs in one process
         coeff_int = mesh.integral_coefficients(kern, sites, grid)
         coeff_fem = fem.fem_coefficients(system, sites)
-        eta_int = eta_pairs(coeff_int.normalized, pairs)
-        eta_fem = eta_pairs(coeff_fem.normalized, pairs)
+        eta_int = eta_pairs(coeff_int, pairs)
+        eta_fem = eta_pairs(coeff_fem, pairs)
         thm1 = np.full(h.size, 0.5) if math.isinf(g0) else 0.5 + kern(h) / (2.0 * g0)
         conj = kernels.limit_eta_conjecture(kern, h)
-        # tolist(): repr of a Python float, not of np.float64
+        # tolist(): Python floats, whose str is their repr
         for d, e_int, e_fem, t, c in zip(h.tolist(), eta_int.tolist(), eta_fem.tolist(),
                                          thm1.tolist(), conj.tolist()):
-            lines.append(f"{alpha!r},integral,{d!r},{e_int!r},{t!r},{c!r}")
-            lines.append(f"{alpha!r},fem,{d!r},{e_fem!r},{t!r},{c!r}")
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+            rows.append((alpha, "integral", d, e_int, t, c))
+            rows.append((alpha, "fem", d, e_fem, t, c))
+    _write_csv(args.out, "alpha,method,h,eta,eta_thm1,eta_conjecture", rows)
     return 0
 
 
@@ -255,17 +277,17 @@ def cmd_simulate_and_chi(args):
     n = args.samples if args.samples is not None else default_n
     rng = np.random.default_rng(args.seed)
     sites = random_sites(rng, args.n_sites)
-    lines = ["mesh_side,pair_id,h,q,chi_hat,se"]
+    rows = []
     for side in mesh_sides:
         if n == 0:
             break
-        lines += _mesh_chi_lines(args, side, sites, noise, n, threads)
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+        rows += _mesh_chi_rows(args, side, sites, noise, n, threads)
+    _write_csv(args.out, "mesh_side,pair_id,h,q,chi_hat,se", rows)
     return 0
 
 
-def _mesh_chi_lines(args, side, sites, noise, n, threads):
-    """The CSV lines of one mesh, pair by pair and level by level.  The
+def _mesh_chi_rows(args, side, sites, noise, n, threads):
+    """The CSV rows of one mesh, pair by pair and level by level.  The
     masks are taken one level at a time, each freed before the next, and
     the field is freed on return, before the next mesh is simulated."""
     grid = mesh.lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), side, args.extension)
@@ -278,13 +300,13 @@ def _mesh_chi_lines(args, side, sites, noise, n, threads):
         per_level.append([estimate.chi_from_exceedances(mask[:, i], mask[:, j], q)
                           for i, j in pairs])
         del mask  # before the next level's mask is taken
-    lines = []
+    rows = []
     for pair_id, (i, j) in enumerate(pairs):
         h = float(np.linalg.norm(sites[i] - sites[j]))
         for q, ests in zip(args.q, per_level):
             est = ests[pair_id]
-            lines.append(f"{side},{pair_id},{h!r},{q!r},{est.value!r},{est.se!r}")
-    return lines
+            rows.append((side, pair_id, h, q, est.value, est.se))
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -332,11 +354,11 @@ def cmd_eta(args):
 def cmd_counterexample(args):
     rng = np.random.default_rng(args.seed)
     q = COUNTEREXAMPLE_Q
-    lines = ["n,q,chi_hat,se"]
+    rows = []
     for n in args.n_values:
         est = _counterexample_chi(rng, n, args.samples, q)
-        lines.append(f"{n},{q!r},{est.value!r},{est.se!r}")
-    _atomic_write(args.out, "\n".join(lines) + "\n")
+        rows.append((n, q, est.value, est.se))
+    _write_csv(args.out, "n,q,chi_hat,se", rows)
     return 0
 
 
@@ -381,10 +403,12 @@ def build_parser():
         return p
 
     p = command("chi-vs-a22", cmd_chi_vs_a22, "chi(a22) curves with their a22->1 limits")
-    p.add_argument("--params", default=None,
+    p.add_argument("--params", type=_gh_params_file, default=None,
                    help="JSON list of {lambda, tau, psi} replacing the default families")
     p.add_argument("--a12", type=float, default=0.3)
-    p.add_argument("--a22-grid", type=_float_list, default=None)
+    p.add_argument("--a22-grid", type=_finite_floats,
+                   default=tuple(round(0.35 + 0.1 * i, 10) for i in range(7)),
+                   help="a22 values, each in [0, 1)")
 
     p = command("ou-convergence", cmd_ou_convergence,
                 "one-sided partition eta vs the OU limit")
@@ -404,7 +428,8 @@ def build_parser():
     p.add_argument("--kappa", type=float, default=2.0,
                    help="Matern range parameter; odd alphas need kappa above about "
                         "5e-5 on the default mesh (spectrum ratio of S at most 1e8)")
-    p.add_argument("--alphas", type=_float_list, default=(2.0, 3.0, 4.0, 5.0))
+    p.add_argument("--alphas", type=_finite_floats, default=(2.0, 3.0, 4.0, 5.0),
+                   help="integer smoothness exponents in 2..6")
     p.add_argument("--mesh-nodes", type=_positive_int, default=40, help="lattice nodes per side")
     p.add_argument("--n-sites", type=_int_at_least(2), default=None,
                    help="random sites, at least two (default 50, or 225 with --paper-scale)")

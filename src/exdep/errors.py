@@ -17,10 +17,6 @@ class PreconditionError(ExdepError, ValueError):
     """A documented precondition of an operation is violated."""
 
 
-class UnsupportedTailError(ExdepError):
-    """The distribution has no finite positive exponential tail index."""
-
-
 class MgfDivergenceError(ExdepError, ArithmeticError):
     """A moment generating function required to be finite is infinite."""
 

@@ -6,18 +6,20 @@ The generalized inverse Gaussian law GIG(lambda, tau, psi) has density
            * exp{-(tau/x + psi x)/2},   x > 0,
 
 and the generalized hyperbolic law is the normal mean-variance mixture
-Z = mu + gamma*R + sqrt(R)*W with R ~ GIG and W standard normal.  The
-boundary families tau=0 (gamma mixing) and psi=0 (inverse-gamma mixing)
-are handled as explicit special cases rather than numerical limits.
+Z = mu + gamma*R + sqrt(R)*W with R ~ GIG and W standard normal.  Every
+law here has an exponential right tail, so psi > 0: psi = 0 gives the
+inverse-gamma mixing laws, whose tails are polynomial, and they are
+rejected on construction.  The boundary family tau = 0 (gamma mixing)
+is handled as an explicit special case rather than a numerical limit.
 
 The moment generating function is the closed form of the GIG mixing
 law, E[exp(u R)] with u = t (GIG) or gamma*t + t^2/2 (GH); divergence
 is detected from the tail exponents and reported as ``inf``, never as a
 silent overflow.  Partial integrals of exp(t*y) against the density, as
 chi needs, use adaptive quadrature, which raises ``QuadratureError``
-when QUADPACK reports that it missed its tolerance.  The boundary
-families are written with ``scipy.special`` in the form ``scipy.stats``
-uses, so that importing the package does not load ``scipy.stats``.
+when QUADPACK reports that it missed its tolerance.  The gamma family
+is written with ``scipy.special`` in the form ``scipy.stats`` uses, so
+that importing the package does not load ``scipy.stats``.
 
 The densities take a float route on a Python float, as QUADPACK passes
 to its callbacks: the operations of the array route in the same order,
@@ -33,8 +35,7 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy import special as _sp
 
-from .errors import (DomainError, ParameterError, QuadratureError,
-                     UnsupportedTailError)
+from .errors import DomainError, ParameterError, QuadratureError
 from .special import log_bessel_k
 
 __all__ = [
@@ -57,16 +58,10 @@ def _quad(func, a, b, **options):
 
 
 def _check_gig_triple(lam, tau, psi, what):
-    ok = (
-        (lam < 0 and tau > 0 and psi >= 0)
-        or (lam == 0 and tau > 0 and psi > 0)
-        or (lam > 0 and tau >= 0 and psi > 0)
-    )
-    if not ok:
+    if not (psi > 0 and ((lam <= 0 and tau > 0) or (lam > 0 and tau >= 0))):
         raise ParameterError(
             f"inadmissible {what} parameters (lambda={lam}, tau={tau}, psi={psi}); "
-            "need lambda<0, tau>0, psi>=0, or lambda=0, tau>0, psi>0, "
-            "or lambda>0, tau>=0, psi>0"
+            "need psi>0 and either lambda<=0, tau>0 or lambda>0, tau>=0"
         )
 
 
@@ -86,8 +81,10 @@ class GigParams:
 class GhParams:
     """Parameters of the generalized hyperbolic distribution.
 
-    The mixing triple (lam, tau, psi) obeys the GIG admissibility rules;
-    the degenerate (Gaussian-limit) mixing law is therefore excluded by
+    The mixing triple (lam, tau, psi) obeys the GIG admissibility rules,
+    so psi > 0 and the right tail is exponential with index
+    sqrt(psi + gamma^2) - gamma; the degenerate (Gaussian-limit) and the
+    inverse-gamma (Student-t type) mixing laws are excluded by
     construction.
     """
 
@@ -229,7 +226,7 @@ class NoiseDistribution:
         if self.family == "GH":
             return self._gh_logpdf(x)
         p = self.params
-        if isinstance(x, float) and p.tau > 0.0 and p.psi > 0.0:
+        if isinstance(x, float) and p.tau > 0.0:
             if not x > 0.0:
                 return -math.inf
             return float(self._gig_lognorm + (p.lam - 1.0) * np.log(x)
@@ -241,10 +238,6 @@ class NoiseDistribution:
             scale = 2.0 / p.psi
             y = x[pos] / scale
             out[pos] = _sp.xlogy(p.lam - 1.0, y) - y - _sp.gammaln(p.lam) - np.log(scale)
-        elif p.psi == 0.0:  # inverse gamma(-lam, scale tau/2), as scipy.stats.invgamma.logpdf
-            a, scale = -p.lam, p.tau / 2.0
-            y = x[pos] / scale
-            out[pos] = -(a + 1.0) * np.log(y) - _sp.gammaln(a) - 1.0 / y - np.log(scale)
         else:
             xx = x[pos]
             out[pos] = (
@@ -275,13 +268,6 @@ class NoiseDistribution:
         scalar = isinstance(x, float)
         xc = x - p.mu if scalar else np.asarray(x, dtype=float) - p.mu
         a2 = p.psi + p.gamma * p.gamma
-        if a2 == 0.0:  # psi=0, gamma=0: Student-t with 2|lam| degrees of freedom
-            out = (
-                _sp.gammaln(0.5 - p.lam) - _sp.gammaln(-p.lam)
-                - 0.5 * math.log(math.pi * p.tau)
-                + (p.lam - 0.5) * np.log1p(xc * xc / p.tau)
-            )
-            return float(out) if scalar else out
         if scalar:
             s = math.sqrt((p.tau + xc * xc) * a2)
             if not math.isfinite(s):
@@ -318,8 +304,6 @@ class NoiseDistribution:
         base = (0.5 - p.lam) * math.log(a2) - 0.5 * math.log(2.0 * math.pi)
         if p.tau == 0.0:  # variance gamma limit of the mixing normalizer
             return base + p.lam * math.log(p.psi) + (1.0 - p.lam) * math.log(2.0) - _sp.gammaln(p.lam)
-        if p.psi == 0.0:  # inverse-gamma mixing limit
-            return base - p.lam * math.log(p.tau) + (1.0 + p.lam) * math.log(2.0) - _sp.gammaln(-p.lam)
         return base + 0.5 * p.lam * (math.log(p.psi) - math.log(p.tau)) - self._log_k_mixing
 
     # -- tail index -------------------------------------------------------
@@ -327,12 +311,8 @@ class NoiseDistribution:
     @property
     def tail_index(self):
         """Right-tail exponential index beta: psi/2 for GIG and
-        sqrt(psi + gamma^2) - gamma for GH (requires psi > 0)."""
+        sqrt(psi + gamma^2) - gamma for GH, positive since psi > 0."""
         p = self.params
-        if p.psi <= 0.0:
-            raise UnsupportedTailError(
-                "no finite positive exponential tail index when psi = 0"
-            )
         if self.family == "GIG":
             return p.psi / 2.0
         return math.sqrt(p.psi + p.gamma * p.gamma) - p.gamma
@@ -344,9 +324,6 @@ class NoiseDistribution:
         if self.family == "GIG":
             if p.tau == 0.0:  # median, as scipy.stats.gamma.ppf(0.5)
                 m = _sp.gammaincinv(p.lam, 0.5) * (2.0 / p.psi)
-                return m, m
-            if p.psi == 0.0:  # median, as scipy.stats.invgamma.ppf(0.5)
-                m = (1.0 / _sp.gammainccinv(-p.lam, 0.5)) * (p.tau / 2.0)
                 return m, m
             mode = ((p.lam - 1.0) + math.sqrt((p.lam - 1.0) ** 2 + p.tau * p.psi)) / p.psi
             return mode, max(mode, 1.0 / p.psi, math.sqrt(p.tau / p.psi))
@@ -365,8 +342,6 @@ class NoiseDistribution:
         p = self.params
         tol = 1e-12
         if self.family == "GIG":
-            if p.psi == 0.0:
-                return t <= tol
             beta = p.psi / 2.0
             if t < beta - tol * max(1.0, beta):
                 return True
@@ -375,8 +350,6 @@ class NoiseDistribution:
             return False
         # GH: mixture argument g(t) = gamma*t + t^2/2 against the mixing law
         g = p.gamma * t + 0.5 * t * t
-        if p.psi == 0.0:
-            return g <= tol
         half_psi = 0.5 * p.psi
         if g < half_psi - tol * max(1.0, half_psi):
             return True
@@ -411,11 +384,6 @@ class NoiseDistribution:
         p = self.params
         if p.tau == 0.0:  # gamma(lambda, rate psi/2)
             return p.lam * math.log(p.psi / s)
-        if p.psi == 0.0:  # inverse gamma(-lambda, scale tau/2); s <= 0 is u = 0
-            if s <= 0.0:
-                return 0.0
-            return ((1.0 + p.lam) * math.log(2.0) - 0.5 * p.lam * math.log(p.tau * s)
-                    + log_bessel_k(p.lam, math.sqrt(p.tau * s)) - _sp.gammaln(-p.lam))
         if s <= 0.0:  # s -> 0 with K_lambda(z) ~ Gamma(-lambda) 2^{-lambda-1} z^lambda
             return (0.5 * p.lam * math.log(p.tau * p.psi) + _sp.gammaln(-p.lam)
                     - (1.0 + p.lam) * math.log(2.0) - self._log_k_mixing)
@@ -475,8 +443,6 @@ class NoiseDistribution:
         p = self.params
         if p.tau == 0.0:
             return rng.gamma(shape=p.lam, scale=2.0 / p.psi, size=n)
-        if p.psi == 0.0:
-            return (p.tau / 2.0) / rng.gamma(shape=-p.lam, scale=1.0, size=n)
         if self._gig_sampler is None:
             self._gig_sampler = _GigLogSampler(p.lam, p.tau, p.psi)
         return self._gig_sampler.draw(rng, n)

@@ -2,12 +2,13 @@
 
 Piecewise-linear (hat) bases on a triangulation give the lumped mass
 C = diag(integral of phi_i), the row sums of the element mass with
-entries area/6 and area/12, and the stiffness G_ij = <grad phi_i,
-grad phi_j>; the diagonal C is the sparse choice of the SPDE approach
+entries area/6 and area/12, the stiffness G_ij = <grad phi_i,
+grad phi_j> and the boundary mass B of the Robin ends du/dn + kappa u
+= 0; the diagonal C is the sparse choice of the SPDE approach
 (Lindgren, Rue & Lindstrom 2011).  The discretized fractional operator
 for even exponents is the matrix polynomial
 
-    K_2 = kappa^2 C + G,      K_4 = K_2 C^{-1} K_2,      ...
+    K_2 = kappa^2 C + G + kappa B,      K_4 = K_2 C^{-1} K_2,      ...
 
 and an odd exponent adds the half power K_1 = C^{1/2} S^{1/2} C^{1/2},
 S = C^{-1/2} K_2 C^{-1/2}.  Its inverse is applied by a rational
@@ -109,6 +110,7 @@ class TypeGNoise:
 
 
 RATIONAL_TOL = 1e-13    # relative error bound of the odd-exponent quadrature
+NEGATIVE_RTOL = 1e-10   # coefficients below -NEGATIVE_RTOL * rowmax abort; the rest are clamped
 BACKWARD_TOL = 1e-12    # largest normwise backward error a K_alpha solve accepts
 MAX_RATIO = 1e8        # largest spectrum ratio upper/lower the quadrature accepts
 _LOG_GRID = 4097        # points of the log grid the quadrature error is taken on
@@ -175,14 +177,14 @@ class FemSystem:
     :func:`inverse_sqrt_quadrature` on the spectrum bounds of S.
     """
 
-    def __init__(self, mesh, kappa, alpha, mass_lumped, stiffness, boundary_mass=None):
+    def __init__(self, mesh, kappa, alpha, mass_lumped, stiffness, boundary_mass):
         self.mesh = mesh
         self.kappa = kappa
         self.alpha = alpha
         self.mass_lumped = mass_lumped      # diagonal of C
         self.stiffness = stiffness
-        robin = kappa * boundary_mass if boundary_mass is not None else 0.0
-        self.base = (kappa ** 2 * sparse.diags(mass_lumped) + stiffness + robin).tocsc()  # K_2
+        self.base = (kappa ** 2 * sparse.diags(mass_lumped) + stiffness
+                     + kappa * boundary_mass).tocsc()  # K_2
         self._factors = {}  # K_2 LU, quadrature and shifted LUs, shared with with_alpha views
 
     def with_alpha(self, alpha):
@@ -206,9 +208,10 @@ class FemSystem:
 
         M is the Gershgorin bound of the sparse S.  kappa^2 is always a
         lower bound, since S - kappa^2 I = C^{-1/2} (G + kappa B) C^{-1/2}
-        is positive semidefinite.  With the Robin term B the smallest
-        eigenvalue is of order kappa, not kappa^2, and m is raised to the
-        bound of :meth:`_inverse_iteration_bound` where that applies.
+        is positive semidefinite.  With the Robin term kappa B the
+        smallest eigenvalue is of order kappa, not kappa^2, and m is
+        raised to the bound of :meth:`_inverse_iteration_bound` where that
+        applies (meshes without obtuse angles); elsewhere it stays kappa^2.
         """
         if "bounds" not in self._factors:
             root = 1.0 / np.sqrt(self.mass_lumped)
@@ -349,29 +352,23 @@ def _check_alpha(alpha):
     return int(alpha)
 
 
-def fem_assemble(mesh, kappa, alpha, boundary="robin"):
+def fem_assemble(mesh, kappa, alpha):
     """Assemble the lumped mass, stiffness and the K_alpha operator on a mesh.
 
-    The lumped mass is the row sums of the assembled element mass.
-    ``alpha`` must be an integer in 2..6.  Even values keep K_alpha a
-    sparse matrix polynomial; odd values add the rational approximation
-    of K_1^{-1}, one sparse factorization per shift, so every exponent
-    stays sparse.  Genuinely non-integer exponents are out of scope.  Odd
-    exponents need the spectrum ratio M/m of
-    :attr:`FemSystem.spectrum_bounds` to be at most MAX_RATIO (1e8), else
-    the solve raises :class:`ParameterError`.  With the Robin ends m is
-    of order kappa, so on the 2,704-node desk mesh (side 40, 6 rings)
-    kappa down to about 5e-5 works; with Neumann ends m = kappa^2, and
-    the same mesh needs kappa above about 0.012.
-
-    ``boundary`` selects the default Robin condition du/dn + kappa*u = 0,
-    which suppresses boundary reflection of the discrete Green's function
-    on desk-scale extensions, or plain Neumann ("neumann", giving exactly
-    K_2 = kappa^2 C + G).
+    The lumped mass is the row sums of the assembled element mass.  The
+    ends are Robin, du/dn + kappa*u = 0, which suppresses boundary
+    reflection of the discrete Green's function on desk-scale
+    extensions: K_2 = kappa^2 C + G + kappa B.  ``alpha`` must be an
+    integer in 2..6.  Even values keep K_alpha a sparse matrix
+    polynomial; odd values add the rational approximation of K_1^{-1},
+    one sparse factorization per shift, so every exponent stays sparse.
+    Genuinely non-integer exponents are out of scope.  Odd exponents
+    need the spectrum ratio M/m of :attr:`FemSystem.spectrum_bounds` to
+    be at most MAX_RATIO (1e8), else the solve raises
+    :class:`ParameterError`.  m is of order kappa, so on the 2,704-node
+    desk mesh (side 40, 6 rings) kappa down to about 5e-5 works.
     """
     alpha = _check_alpha(alpha)
-    if boundary not in ("robin", "neumann"):
-        raise ParameterError("boundary must be 'robin' or 'neumann'")
     if not 0.0 < kappa < math.inf:
         raise ParameterError(f"kappa must be positive and finite, got {kappa!r}")
     tris = mesh.triangles
@@ -401,8 +398,7 @@ def fem_assemble(mesh, kappa, alpha, boundary="robin"):
     # the row sums of the element mass equal dual_cell_areas only up to
     # rounding (up to 1e-17 on lattice meshes), and the weights depend on them
     mass_lumped = np.asarray(mass.sum(axis=1)).ravel()
-    bnd = _boundary_mass(mesh) if boundary == "robin" else None
-    return FemSystem(mesh, kappa, alpha, mass_lumped, stiffness, boundary_mass=bnd)
+    return FemSystem(mesh, kappa, alpha, mass_lumped, stiffness, _boundary_mass(mesh))
 
 
 def basis_matrix(mesh, sites):
@@ -419,11 +415,11 @@ def basis_matrix(mesh, sites):
                              shape=(len(sites), mesh.n_nodes)).tocsr()
 
 
-def fem_coefficients(system, sites, negative_rtol=1e-10):
+def fem_coefficients(system, sites):
     """Rows phi(s_j)^T K_alpha^{-1} as a CoefficientMatrix.
 
     One K_alpha solve with a right-hand side per site.  Entries more
-    negative than ``-negative_rtol * rowmax`` abort (a mesh or solver
+    negative than ``-NEGATIVE_RTOL * rowmax`` abort (a mesh or solver
     problem); smaller negative round-off is clamped to zero.  The solve
     raises :class:`SolveError` when its normwise backward error is above
     ``BACKWARD_TOL``.
@@ -435,9 +431,9 @@ def fem_coefficients(system, sites, negative_rtol=1e-10):
         top = row.max()
         if not top > 0.0:  # NaN included
             raise SolveError(f"site {j}: solve produced a non-positive or NaN row")
-        if row.min() < -negative_rtol * top:
+        if row.min() < -NEGATIVE_RTOL * top:
             raise NonnegativityError(
-                f"site {j}: coefficient {row.min():.3e} below -{negative_rtol:.0e} * rowmax"
+                f"site {j}: coefficient {row.min():.3e} below -{NEGATIVE_RTOL:.0e} * rowmax"
             )
         out.append(np.clip(row, 0.0, None))
     return CoefficientMatrix(np.vstack(out))

@@ -28,7 +28,6 @@ __all__ = [
     "Kernel",
     "matern_green",
     "matern_kernel",
-    "ou_kernel",
     "exponential_kernel",
     "limit_eta_symmetric",
     "limit_eta_conjecture",
@@ -121,18 +120,8 @@ def matern_kernel(kappa, alpha, d=2):
     )
 
 
-def ou_kernel(a, h):
-    """One-sided exponential kernel exp(-a h)."""
-    if not 0.0 < a < math.inf:
-        raise ParameterError(f"a must be positive and finite, got {a!r}")
-    h = np.asarray(h, dtype=float)
-    if np.any(h < 0.0):
-        raise DomainError("h must be non-negative")
-    out = np.exp(-a * h)
-    return out if out.ndim else float(out)
-
-
 def exponential_kernel(a):
+    """The one-sided exponential kernel exp(-a h) of the OU process."""
     if not 0.0 < a < math.inf:
         raise ParameterError(f"a must be positive and finite, got {a!r}")
     return Kernel(
@@ -192,12 +181,13 @@ def limit_eta_onesided(kernel, h):
 
 
 def ou_eta(a, h):
-    """Residual tail dependence of the exponential-tailed OU process."""
-    return 1.0 / (2.0 - ou_kernel(a, h))
+    """Residual tail dependence of the exponential-tailed OU process at lag h,
+    the one-sided limit of the exponential kernel."""
+    return limit_eta_onesided(exponential_kernel(a), h)
 
 
 def gaussian_ou_eta(a, h):
     """Residual tail dependence of the Gaussian OU process with the same
     correlation function."""
-    return (1.0 + ou_kernel(a, h)) / 2.0
+    return (1.0 + exponential_kernel(a)(h)) / 2.0
 

@@ -16,11 +16,11 @@ its denominator vanishes.  Each term is the gauge sum |y| at a point of
 {b_1.y >= 1, b_2.y >= 1} supported on one or two columns, so by LP
 duality eta also equals min over w in [0, 1] of the convex envelope
 max_i (w b_1i + (1 - w) b_2i).  ``eta_pairs`` evaluates the closed form
-that way for many row pairs of one matrix: each row is sorted once, in
-descending order.  Per pair, one running maximum along one row's order
-keeps the columns near the Pareto front, the only ones that can touch the
-envelope (a median of 48 to 98 of the 2,704 FEM or 5,202 integral
-columns of ``matern-eta``'s desk mesh).  A 40-step
+that way for many row pairs of one :class:`CoefficientMatrix`: each
+row is sorted once, in descending order.  Per pair, one running maximum
+along one row's order keeps the columns near the Pareto front, the only
+ones that can touch the envelope (a median of 48 to 98 of the 2,704 FEM
+or 5,202 integral columns of ``matern-eta``'s desk mesh).  A 40-step
 bisection, run on all pairs of a chunk at once over those columns, finds
 the envelope minimum, and the terms of the columns active there give the
 value.  ``eta_closed_form`` is its one-pair call.  ``eta_gauge_oracle``
@@ -67,6 +67,7 @@ _ACTIVE_RTOL = 1e-9      # envelope lines within this of the minimum are active
 _CERTIFICATE_TOL = 1e-9  # feasibility and duality-gap tolerance of the LP oracle
 _FRONT_MARGIN = 1e-6     # columns beaten by this much in both rows never touch the envelope
 _CHUNK_ENTRIES = 1 << 14  # entries per chunk of pairs: 128 KiB of float64
+_MC_CHUNK = 1 << 17      # Monte Carlo draws per sub-stream of chi_mc
 
 
 class Regime(str, Enum):
@@ -122,12 +123,10 @@ class CoefficientMatrix:
     # -- serialization --------------------------------------------------
 
     @classmethod
-    def from_csv(cls, path_or_buf):
-        if isinstance(path_or_buf, (str, bytes)):
-            with open(path_or_buf, newline="") as fh:
-                rows = [r for r in csv.reader(fh) if r]
-        else:
-            rows = [r for r in csv.reader(path_or_buf) if r]
+    def from_csv(cls, path):
+        """The matrix of a CSV file with one row per component; blank lines are skipped."""
+        with open(path, newline="") as fh:
+            rows = [r for r in csv.reader(fh) if r]
         return cls([[float(v) for v in row] for row in rows])
 
 
@@ -252,15 +251,16 @@ def _flush_fronts(b, first, second, held_pairs, held_cols, out):
         out[q[r]] = _envelope_eta(b, first[q[r]], second[q[r]], np.sort(front, axis=1))
 
 
-def eta_pairs(rows, pairs):
-    """Residual tail dependence coefficient of row pairs of a k x n matrix.
+def eta_pairs(matrix, pairs):
+    """Residual tail dependence coefficient of row pairs of a k x n
+    :class:`CoefficientMatrix`.
 
-    ``rows`` is non-negative with a strictly positive maximum in every
-    row; ``pairs`` lists distinct row indices (i, j).  Returns one eta
-    per pair, equal to ``eta_closed_form`` of the 2 x n matrix of rows i
-    and j: exactly 1 when their argmax sets (the ``ARGMAX_RTOL`` rule of
-    :class:`CoefficientMatrix`) intersect, otherwise the closed form at
-    the convex-envelope minimum.
+    ``pairs`` lists distinct row indices (i, j).  Returns one eta per
+    pair, equal to ``eta_closed_form`` of the 2 x n matrix of rows i and
+    j: exactly 1 when their argmax sets intersect, otherwise the closed
+    form at the convex-envelope minimum.  The entries, row maxima and
+    argmax sets are the matrix's own, validated on its construction;
+    only the pair indices are checked here.
 
     Only columns near the Pareto front, which no other column beats in
     both rows, can touch the envelope.  Each row is sorted once in
@@ -283,28 +283,19 @@ def eta_pairs(rows, pairs):
     writes them, for active columns against the columns kept, and for
     active columns within the margin of the diagonal against all columns.
     """
-    a = np.asarray(rows, dtype=float)
-    if a.ndim != 2 or a.shape[1] < 1:
-        raise ParameterError("rows must form a 2-d matrix")
-    if np.any(a < 0.0) or not np.all(np.isfinite(a)):
-        raise ParameterError("coefficients must be finite and non-negative")
-    row_max = a.max(axis=1)
-    if np.any(row_max <= 0.0):
-        raise ParameterError("every row needs a strictly positive maximum")
+    k, n = matrix.shape
     p = np.asarray(pairs)
     if p.size == 0:
         return np.empty(0)
     if p.ndim != 2 or p.shape[1] != 2 or p.dtype.kind not in "iu":
         raise ParameterError("pairs must be an (m, 2) array of row indices")
-    if np.any(p < 0) or np.any(p >= a.shape[0]):
-        raise ParameterError(f"row indices must lie in [0, {a.shape[0]})")
+    if np.any(p < 0) or np.any(p >= k):
+        raise ParameterError(f"row indices must lie in [0, {k})")
     if np.any(p[:, 0] == p[:, 1]):
         raise PreconditionError("eta is defined for two distinct rows")
-    k, n = a.shape
-    threshold = row_max * (1.0 - ARGMAX_RTOL)
-    n_top = np.count_nonzero(a >= threshold[:, None], axis=1)  # argmax sets lead each order
-    order = np.argsort(-a, axis=1)
-    b = np.hstack([a / row_max[:, None], np.zeros((k, 1))])  # column n pads the fronts
+    tops = matrix.argmax_sets
+    b = np.hstack([matrix.normalized, np.zeros((k, 1))])  # column n pads the fronts
+    order = np.argsort(-b[:, :n], axis=1)
     desc = -np.take_along_axis(b, order, axis=1)  # ascending: minus the sorted rows
     # lead[i, t]: how many entries of row i lie the margin or more above its t-th largest
     lead = np.array([np.searchsorted(d, d - _FRONT_MARGIN, side="right") for d in desc])
@@ -325,7 +316,7 @@ def eta_pairs(rows, pairs):
         for start, end in _chunks(stop[group], _CHUNK_ENTRIES):
             q = group[start:end]
             j = other[q]
-            shared = np.any(a[j[:, None], order[i, :n_top[i]]] >= threshold[j, None], axis=1)
+            shared = np.array([not tops[i].isdisjoint(tops[r]) for r in j.tolist()], dtype=bool)
             q, j = q[~shared], j[~shared]
             if q.size == 0:
                 continue
@@ -356,7 +347,7 @@ def eta_closed_form(matrix):
     """
     if matrix.shape[0] != 2:
         raise PreconditionError("eta is defined for two rows")
-    return float(eta_pairs(matrix.entries, [(0, 1)])[0])
+    return float(eta_pairs(matrix, [(0, 1)])[0])
 
 
 def eta_gauge_oracle(matrix):
@@ -420,13 +411,15 @@ def _welford_combine(stats_a, stats_b):
     return n, mean, m2
 
 
-def chi_mc(matrix, dist, n_samples, rng, chunk=1 << 17, threads=1):
+def chi_mc(matrix, dist, n_samples, rng):
     """Monte Carlo tail dependence coefficient under asymptotic dependence.
 
     Averages min(exp(beta*Z1)/M_Z1(beta), exp(beta*Z2)/M_Z2(beta)) over
-    draws of the residual noise.  ``rng`` may be an integer root seed
-    (chunks use independent spawned sub-streams and may be evaluated in
-    parallel) or a Generator (strictly sequential single stream).
+    draws of the residual noise, for an exponential-tailed ``dist`` (a
+    :class:`exdep.exptail.NoiseDistribution`, so its tail index beta is
+    positive).  ``rng`` may be an integer root seed (chunks of
+    ``_MC_CHUNK`` draws use independent spawned sub-streams, in order)
+    or a Generator (one sequential stream).
 
     Returns
     -------
@@ -464,7 +457,7 @@ def chi_mc(matrix, dist, n_samples, rng, chunk=1 << 17, threads=1):
         return size, m, float(np.sum((vals - m) ** 2))
 
     total = (0, 0.0, 0.0)
-    for part in map_chunks(one_chunk, n_samples, chunk, rng, threads):
+    for part in map_chunks(one_chunk, n_samples, _MC_CHUNK, rng):
         total = _welford_combine(total, part)
     n, mean, m2 = total
     var = m2 / (n - 1) if n > 1 else 0.0
@@ -472,8 +465,8 @@ def chi_mc(matrix, dist, n_samples, rng, chunk=1 << 17, threads=1):
 
 
 def _check_symmetric_gh(params):
-    if params.psi <= 0.0 or params.gamma != 0.0:
-        raise ParameterError("requires a GH law with psi > 0 and gamma = 0")
+    if params.gamma != 0.0:
+        raise ParameterError("requires a symmetric GH law, gamma = 0")
 
 
 def chi_gh_two(a12, a22, params):
@@ -534,41 +527,31 @@ def chi_limit_a22(a12, params):
 
 @dataclass
 class TailSummary:
-    """Regime plus chi and/or eta values with their provenance."""
+    """Regime and closed-form eta of a 2 x n coefficient matrix."""
 
     regime: Regime
     eta: float
-    eta_method: str
-    chi: float | None = None
-    chi_se: float | None = None
-    chi_method: str | None = None
 
     def to_json(self):
+        """The JSON object of the tail-summary schema; its chi keys are null."""
         return {
             "regime": self.regime.value,
-            "chi": self.chi,
-            "chi_se": self.chi_se,
-            "chi_method": self.chi_method,
+            "chi": None,
+            "chi_se": None,
+            "chi_method": None,
             "eta": self.eta,
-            "eta_method": self.eta_method,
+            "eta_method": "closed_form",
         }
 
 
-def tail_summary(matrix, dist=None, n_samples=0, rng=None):
-    """Classify a matrix and fill in the computable tail coefficients.
+def tail_summary(matrix):
+    """Classify a 2 x n matrix and compute its closed-form eta.
 
-    chi is attached only under asymptotic dependence (Monte Carlo, when a
-    distribution and sample budget are supplied); in the boundary regime
-    chi is left undetermined.
+    eta depends on the coefficients alone.  chi depends on the noise law
+    as well (:func:`chi_mc`, :func:`chi_gh_two`), so the summary leaves
+    it undetermined: its JSON carries null chi keys.
     """
-    regime = classify(matrix).regime
-    summary = TailSummary(regime=regime, eta=eta_closed_form(matrix),
-                          eta_method="closed_form")
-    if regime is Regime.ASYMPTOTIC_DEPENDENCE and dist is not None and n_samples:
-        summary.chi, summary.chi_se = chi_mc(matrix, dist, n_samples,
-                                             rng if rng is not None else 0)
-        summary.chi_method = "monte_carlo"
-    return summary
+    return TailSummary(regime=classify(matrix).regime, eta=eta_closed_form(matrix))
 
 
 def simulate_linear(matrix, dist, n, rng):

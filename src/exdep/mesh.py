@@ -55,18 +55,10 @@ class Partition1D:
         return float(self.points[-1])
 
 
-def partition_1d(start, end, delta=None, points=None):
-    """Build a partition of [start, end].
-
-    Equidistant mode (``delta``) snaps the cell count to
-    round((end - start)/delta); explicit ``points`` are validated and
-    must run from start to end.
-    """
-    if (delta is None) == (points is None):
-        raise ParameterError("give exactly one of delta or points")
-    if points is not None:
-        pts = np.asarray(points, dtype=float)
-        return Partition1D(pts)
+def partition_1d(start, end, delta):
+    """The equidistant partition of [start, end] with cell count
+    round((end - start)/delta), at least one; ``Partition1D(points)``
+    takes explicit points."""
     if start >= end:
         raise ParameterError("start must be below end")
     if delta <= 0.0:

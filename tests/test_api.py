@@ -1,5 +1,6 @@
 """The public surface of ``exdep``: exports resolve, no import is stale,
-and every boundary the traced benchmark wraps exists.
+every error class is raised somewhere, and every boundary the traced
+benchmark wraps exists.
 
 Standard library only (``ast``, ``importlib``), since no lint tool is a
 dependency of the package.
@@ -99,3 +100,19 @@ def test_every_traced_layer_resolves():
     for span, caller, module_name, attr in spans.FOREIGN:
         importlib.import_module(caller)
         assert callable(getattr(importlib.import_module(module_name), attr, None)), span
+
+
+def _raised_names(tree):
+    """Names of the classes a ``raise`` statement of ``tree`` raises."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, (ast.Name, ast.Attribute)):
+                yield exc.id if isinstance(exc, ast.Name) else exc.attr
+
+
+def test_every_error_class_is_raised():
+    defined = [node.name for node in _tree("errors").body if isinstance(node, ast.ClassDef)]
+    raised = {name for module in MODULES for name in _raised_names(_tree(module))}
+    never = [name for name in defined if name not in raised]
+    assert not never, f"src/exdep/errors.py defines {never}, which nothing in src/exdep raises"

@@ -565,3 +565,67 @@ def test_non_finite_kappa_exits_1_naming_kappa(tmp_path, capsys, command, kappa)
                     "--n-sites", "3", "--extension", "1", "--out", str(out)]) == 1
     assert not out.exists()
     assert "kappa must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["chi-vs-a22", "--a22-grid", ","],
+    ["chi-vs-a22", "--a22-grid", "0.5,nan"],
+    ["chi-vs-a22", "--a22-grid", "inf"],
+    ["matern-eta", "--seed", "1", "--alphas", ","],
+    ["matern-eta", "--seed", "1", "--alphas", "2,nan"],
+])
+def test_empty_or_non_finite_lists_exit_2(tmp_path, argv):
+    out = tmp_path / "c.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_chi_vs_a22_a22_outside_the_unit_interval_exits_1(tmp_path):
+    out = tmp_path / "c.csv"
+    assert run_cli(["chi-vs-a22", "--a22-grid", "0.5,1.5", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", [
+    '[{"lambda": -0.5, "tau": 1.0}]',
+    '{"a": 1}',
+    '[{"a": 1}]',
+    '[]',
+    '[1.0]',
+    '[{"lambda": -0.5, "tau": 1.0, "psi": NaN}]',
+    '[{"lambda": -0.5, "tau": 1.0, "psi": Infinity}]',
+    '[{"lambda": -0.5, "tau": 1.0, "psi": "1"}]',
+    '[{"lambda": -0.5, "tau": 1.0, "psi": true}]',
+    '[{"lambda": -0.5, "tau": 1.0, "psi": 1%s}]' % ("0" * 400),
+    '[{"lambda": -0.5, "tau": 1.0, "psi": 1.0, "mu": 2.0}]',
+    '[{"lambda": -0.5, "tau": 1.0, "psi": 1.0}',
+    None,
+], ids=["missing-key", "object", "wrong-keys", "empty", "number", "nan", "inf", "string",
+        "bool", "huge-int", "extra-key", "bad-json", "no-file"])
+def test_chi_vs_a22_malformed_params_exit_2_before_quadrature(tmp_path, monkeypatch, spec):
+    from exdep import cli
+
+    monkeypatch.setattr(cli, "chi_gh_two",
+                        lambda *a, **k: pytest.fail("quadrature despite a usage error"))
+    params = tmp_path / "params.json"
+    if spec is not None:
+        params.write_text(spec)
+    out = tmp_path / "chi.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["chi-vs-a22", "--params", str(params), "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_chi_vs_a22_params_keep_their_numbers(tmp_path):
+    # integer values are written as given, as the file states them
+    params = tmp_path / "params.json"
+    params.write_text('[{"lambda": 1, "tau": 1.0, "psi": 2}]')
+    out = tmp_path / "chi.csv"
+    assert run_cli(["chi-vs-a22", "--params", str(params), "--a22-grid", "0.5",
+                    "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert [line.split(",")[:4] for line in lines[1:]] == [["1", "1.0", "2", "0.5"],
+                                                          ["1", "1.0", "2", "1.0"]]

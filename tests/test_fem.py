@@ -27,10 +27,10 @@ def unit_triangle():
 
 def test_element_mass_matrix_exact():
     # an element mass row, area/6 on the diagonal and area/12 off it, sums to area/3
-    sys1 = fem_assemble(unit_triangle(), 1.0, 2, boundary="neumann")
+    sys1 = fem_assemble(unit_triangle(), 1.0, 2)
     assert np.allclose(sys1.mass_lumped, 0.5 / 3.0)
     # the two lattice triangles share the nodes 0 and 3 of their diagonal
-    square = fem_assemble(lattice_mesh_2d((0, 0, 1, 1), 2, 0), 1.0, 2, boundary="neumann")
+    square = fem_assemble(lattice_mesh_2d((0, 0, 1, 1), 2, 0), 1.0, 2)
     assert np.allclose(square.mass_lumped, [1 / 3, 1 / 6, 1 / 6, 1 / 3])
 
 
@@ -40,11 +40,24 @@ def test_stiffness_rows_sum_to_zero():
     assert np.abs(np.asarray(system.stiffness.sum(axis=1))).max() < 1e-12
 
 
-def test_k2_neumann_is_mass_plus_stiffness_and_spd():
+def test_k2_robin_is_mass_plus_stiffness_plus_boundary_and_spd():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 5, 0)
-    system = fem_assemble(mesh, 2.0, 2, boundary="neumann")
+    kappa = 2.0
+    system = fem_assemble(mesh, kappa, 2)
     k = system.base.toarray()
-    expected = 4.0 * np.diag(system.mass_lumped) + system.stiffness.toarray()
+    # the boundary mass B of the unit square, lattice step 1/4: each boundary
+    # node has two boundary edges (2/3 of a step), each edge joins two nodes (1/6)
+    step = 0.25
+    boundary = np.zeros((mesh.n_nodes, mesh.n_nodes))
+    on_side = np.isin(mesh.nodes, (0.0, 1.0))
+    for i in np.flatnonzero(on_side.any(axis=1)):
+        boundary[i, i] = 2.0 * step / 3.0
+        for j in np.flatnonzero(on_side.any(axis=1)):
+            shared_side = np.any((mesh.nodes[i] == mesh.nodes[j]) & on_side[i])
+            if shared_side and np.abs(mesh.nodes[i] - mesh.nodes[j]).sum() == step:
+                boundary[i, j] = step / 6.0
+    expected = (kappa ** 2 * np.diag(system.mass_lumped) + system.stiffness.toarray()
+                + kappa * boundary)
     assert np.allclose(k, expected, atol=1e-14)
     eigvals = np.linalg.eigvalsh(k)
     assert eigvals.min() > 0
@@ -146,14 +159,12 @@ def test_inverse_sqrt_quadrature_rejects_bad_bounds():
 
 def test_spectrum_bounds_enclose_the_spectrum():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
-    for boundary, kappa in [("robin", 2.0), ("robin", 1e-4), ("neumann", 2.0),
-                            ("neumann", 1e-4)]:
-        system = fem_assemble(mesh, kappa, 2, boundary=boundary)
+    for kappa in (2.0, 1e-4):
+        system = fem_assemble(mesh, kappa, 2)
         eigvals = linalg.eigh(system.base.toarray(), system.mass_matrix.toarray(),
                               eigvals_only=True)
         lower, upper = system.spectrum_bounds
-        # Neumann: kappa^2 is the exact minimum, which eigh finds to rounding
-        assert lower <= eigvals.min() * (1.0 + 1e-12) and eigvals.max() <= upper
+        assert lower <= eigvals.min() and eigvals.max() <= upper
         # the inverse-iteration bound is tight to its 1% margin
         assert lower >= 0.98 * eigvals.min()
     # Robin: the smallest eigenvalue is of order kappa, far above kappa^2
@@ -192,9 +203,11 @@ def test_non_finite_kappa_is_a_parameter_error(kappa):
 
 
 def test_too_small_kappa_for_odd_alpha_is_a_parameter_error():
-    # with Neumann ends the smallest eigenvalue of S is kappa^2 itself
+    # the smallest eigenvalue of S is of order kappa: here the spectrum ratio is 1.5e9
     mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
-    system = fem_assemble(mesh, 1e-4, 3, boundary="neumann")
+    system = fem_assemble(mesh, 1e-7, 3)
+    lower, upper = system.spectrum_bounds
+    assert upper > 10.0 * MAX_RATIO * lower
     with pytest.raises(ParameterError, match="too small for odd alpha"):
         system.solve_k_alpha(np.ones(mesh.n_nodes))
     rhs = np.ones(mesh.n_nodes)  # even exponents need no quadrature
@@ -269,7 +282,7 @@ def test_eta_pairs_on_matern_rows_equals_all_terms(alpha):
     system = fem_assemble(mesh, 2.0, 2).with_alpha(alpha)
     for matrix in (integral_coefficients(kern, sites, mesh), fem_coefficients(system, sites)):
         rows = matrix.normalized
-        for (i, j), eta in zip(pairs, eta_pairs(rows, pairs).tolist()):
+        for (i, j), eta in zip(pairs, eta_pairs(matrix, pairs).tolist()):
             m = CoefficientMatrix(rows[[i, j]])
             if classify(m).regime is Regime.ASYMPTOTIC_INDEPENDENCE:
                 assert eta == eta_by_all_terms(*m.normalized)

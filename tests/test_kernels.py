@@ -7,7 +7,7 @@ from exdep.errors import DomainError, ParameterError, PreconditionError
 from exdep.kernels import (exponential_kernel, gaussian_ou_eta,
                            limit_eta_conjecture, limit_eta_onesided,
                            limit_eta_symmetric, matern_green, matern_kernel,
-                           ou_eta, ou_kernel)
+                           ou_eta)
 
 
 def test_matern_infinite_at_zero_when_alpha_equals_d():
@@ -48,9 +48,9 @@ def test_matern_rejects_alpha_below_d():
 @pytest.mark.parametrize("build", [
     lambda v: matern_green(v, 3.0, 2, 0.5),
     lambda v: matern_kernel(v, 3.0, 2),
-    lambda v: ou_kernel(v, 0.5),
+    lambda v: ou_eta(v, 0.5),
     lambda v: exponential_kernel(v),
-], ids=["matern_green", "matern_kernel", "ou_kernel", "exponential_kernel"])
+], ids=["matern_green", "matern_kernel", "ou_eta", "exponential_kernel"])
 def test_non_finite_rate_is_a_parameter_error(build, value):
     with pytest.raises(ParameterError, match="must be positive and finite"):
         build(value)
@@ -63,11 +63,12 @@ def test_matern_convexity_threshold_2d():
     assert not matern_kernel(2.0, 5.0, 2).convex
 
 
-def test_ou_kernel_values():
-    assert ou_kernel(0.2, 0.0) == 1.0
-    assert ou_kernel(0.2, 5.0) == pytest.approx(math.exp(-1.0))
+def test_exponential_kernel_values():
+    kern = exponential_kernel(0.2)
+    assert kern(0.0) == kern.value_at_zero == 1.0
+    assert kern(5.0) == pytest.approx(math.exp(-1.0))
     hs = np.linspace(0.0, 10.0, 20)
-    assert np.all(np.diff(ou_kernel(0.5, hs)) < 0)
+    assert np.all(np.diff(exponential_kernel(0.5)(hs)) < 0)
 
 
 def test_limit_eta_symmetric():

@@ -6,7 +6,7 @@ import pytest
 from exdep.errors import ParameterError, PreconditionError, SingularCoefficientError
 from exdep.kernels import exponential_kernel, matern_kernel, ou_eta
 from exdep.lintrans import Regime, classify, eta_closed_form
-from exdep.mesh import (Mesh2D, integral_coefficients, lattice_mesh_2d,
+from exdep.mesh import (Mesh2D, Partition1D, integral_coefficients, lattice_mesh_2d,
                         ou_coefficients, partition_1d)
 
 
@@ -19,18 +19,13 @@ def test_equidistant_partition_snaps_count():
 
 
 def test_explicit_partition():
-    p = partition_1d(0.0, 1.0, points=[0.0, 0.5, 1.0])
-    assert p.end == 1.0
+    p = Partition1D([0.0, 0.5, 1.0])
+    assert p.start == 0.0 and p.end == 1.0
 
 
 def test_non_monotone_points_rejected():
     with pytest.raises(ParameterError):
-        partition_1d(0.0, 1.0, points=[0.0, 0.5, 0.4])
-
-
-def test_delta_and_points_mutually_exclusive():
-    with pytest.raises(ParameterError):
-        partition_1d(0.0, 1.0, delta=0.1, points=[0.0, 1.0])
+        Partition1D([0.0, 0.5, 0.4])
 
 
 # -- one-sided coefficients ----------------------------------------------
