@@ -233,6 +233,8 @@ def random_sites(rng, n_sites, bbox=(0.05, 0.05, 0.95, 0.95)):
 def cmd_matern_eta(args):
     from . import kernels
 
+    for alpha in args.alphas:  # all are checked before any is computed
+        fem._check_alpha(alpha)
     n_sites = args.n_sites if args.n_sites is not None else (225 if args.paper_scale else 50)
     grid = mesh.lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), args.mesh_nodes, args.extension)
     rng = np.random.default_rng(args.seed)
@@ -423,16 +425,17 @@ def build_parser():
 
     p = command("matern-eta", cmd_matern_eta, "FEM vs integral eta across smoothness",
                 seeded=True)
-    p.add_argument("--paper-scale", action="store_true",
-                   help="225 sites, as published, instead of 50")
+    sizes = p.add_mutually_exclusive_group()
+    sizes.add_argument("--paper-scale", action="store_true",
+                       help="225 sites, as published, instead of 50")
     p.add_argument("--kappa", type=float, default=2.0,
                    help="Matern range parameter; odd alphas need kappa above about "
                         "5e-5 on the default mesh (spectrum ratio of S at most 1e8)")
     p.add_argument("--alphas", type=_finite_floats, default=(2.0, 3.0, 4.0, 5.0),
                    help="integer smoothness exponents in 2..6")
     p.add_argument("--mesh-nodes", type=_positive_int, default=40, help="lattice nodes per side")
-    p.add_argument("--n-sites", type=_int_at_least(2), default=None,
-                   help="random sites, at least two (default 50, or 225 with --paper-scale)")
+    sizes.add_argument("--n-sites", type=_int_at_least(2), default=None,
+                       help="random sites, at least two (default 50); excludes --paper-scale")
     p.add_argument("--extension", type=int, default=6, help="outer extension rings")
 
     p = command("simulate-and-chi", cmd_simulate_and_chi,

@@ -14,7 +14,11 @@ and an odd exponent adds the half power K_1 = C^{1/2} S^{1/2} C^{1/2},
 S = C^{-1/2} K_2 C^{-1/2}.  Its inverse is applied by a rational
 approximation of S^{-1/2} with real positive shifts (Hale, Higham &
 Trefethen, SIAM J. Numer. Anal. 2008), one sparse factorization of
-K_2 + d_j C per shift, so no dense matrix is formed.
+K_2 + d_j C per shift, so no dense matrix is formed.  Since
+K_{alpha+2}^{-1} = K_2^{-1} C K_alpha^{-1}, a sweep over exponents on one
+right-hand side continues each parity's chain of K_2 solves: alphas
+2..5 take 4 K_2 steps and 3 applications of R (one to solve, and one
+in each odd exponent's backward-error check), not 6 and 4.
 
 Weights solve K_alpha w = (integral of phi_1 dM, ..., integral of
 phi_n dM); with type G noise the cell values are normal mean-variance
@@ -175,6 +179,10 @@ class FemSystem:
     through R = sum_j c_j (K_2 + d_j C)^{-1}, the rational approximation
     of K_1^{-1} = C^{-1/2} S^{-1/2} C^{-1/2} from
     :func:`inverse_sqrt_quadrature` on the spectrum bounds of S.
+
+    The system and its :meth:`with_alpha` views share one cache: the
+    factorizations, the quadrature, the basis rows of the last sites and,
+    for the last right-hand side, the highest solution of each parity.
     """
 
     def __init__(self, mesh, kappa, alpha, mass_lumped, stiffness, boundary_mass):
@@ -185,13 +193,16 @@ class FemSystem:
         self.stiffness = stiffness
         self.base = (kappa ** 2 * sparse.diags(mass_lumped) + stiffness
                      + kappa * boundary_mass).tocsc()  # K_2
-        self._factors = {}  # K_2 LU, quadrature and shifted LUs, shared with with_alpha views
+        self._factors = {}  # factorizations and last-solve caches, shared with with_alpha views
 
     def with_alpha(self, alpha):
         """The same assembled system with exponent ``alpha``.
 
         The view shares this system's factorizations, so each is computed
-        once however many exponents use it.
+        once however many exponents use it.  It also shares the basis rows
+        of the last sites of :func:`fem_coefficients` and the last solve
+        chain of :meth:`solve_k_alpha`, so K_{alpha+2}^{-1} rhs after
+        K_alpha^{-1} rhs costs one K_2 solve.
         """
         view = copy.copy(self)
         view.alpha = _check_alpha(alpha)
@@ -283,19 +294,38 @@ class FemSystem:
         """K_alpha^{-1} rhs = (K_2^{-1} C)^{k-1} K_2^{-1} rhs for alpha = 2k
         and (K_2^{-1} C)^k R rhs for alpha = 2k + 1.
 
-        A normwise backward error (:meth:`backward_error`) above
-        ``BACKWARD_TOL``, or a NaN one, raises :class:`SolveError`.
+        For the last ``rhs`` (compared by value) the system and its
+        :meth:`with_alpha` views keep, per parity, the solution of the
+        highest exponent solved so far.  A higher exponent of that parity
+        continues from it with x_alpha = K_2^{-1} C x_{alpha-2}, the same
+        operations in the same order as a fresh solve, so the result is
+        bit-equal to it; a lower one is solved afresh.  Each returned
+        solution is a copy, checked on its own: a normwise backward error
+        (:meth:`backward_error`) above ``BACKWARD_TOL``, or a NaN one,
+        raises :class:`SolveError`, and only a solution that passes is
+        kept.
         """
         rhs = np.asarray(rhs, dtype=float)
+        last = self._factors.get("chain")
+        if last is None or not np.array_equal(last[0], rhs):
+            last = self._factors["chain"] = (rhs.copy(), {})
+        solved = last[1]  # parity -> (exponent, solution)
+        parity = self.alpha % 2
         lu = self._factor()
         c = self.mass_matrix
-        x = self._half_inverse(rhs) if self.alpha % 2 else lu.solve(rhs)
-        for _ in range((self.alpha - 1) // 2):
+        best = solved.get(parity)
+        if best is not None and best[0] <= self.alpha:
+            exponent, x = best
+        else:
+            exponent, x = (1, self._half_inverse(rhs)) if parity else (2, lu.solve(rhs))
+        for _ in range((self.alpha - exponent) // 2):
             x = lu.solve(c @ x)
         eta = self.backward_error(x, rhs)
         if not eta <= BACKWARD_TOL:
             raise SolveError(f"K_alpha solve backward error {eta:.1e} above {BACKWARD_TOL:.0e}")
-        return x
+        if best is None or best[0] < self.alpha:
+            solved[parity] = (self.alpha, x)
+        return x.copy(order="K")
 
     def apply_k_alpha(self, x):
         """K_alpha x without forming the matrix product; an odd exponent
@@ -418,14 +448,21 @@ def basis_matrix(mesh, sites):
 def fem_coefficients(system, sites):
     """Rows phi(s_j)^T K_alpha^{-1} as a CoefficientMatrix.
 
-    One K_alpha solve with a right-hand side per site.  Entries more
-    negative than ``-NEGATIVE_RTOL * rowmax`` abort (a mesh or solver
-    problem); smaller negative round-off is clamped to zero.  The solve
-    raises :class:`SolveError` when its normwise backward error is above
+    One K_alpha solve with a right-hand side per site.  The system and
+    its :meth:`FemSystem.with_alpha` views keep the basis rows phi of the
+    last ``sites`` (compared by value), so a sweep over exponents locates
+    the sites once, and :meth:`FemSystem.solve_k_alpha` continues from
+    the last solve of the same parity.  Entries more negative than
+    ``-NEGATIVE_RTOL * rowmax`` abort (a mesh or solver problem); smaller
+    negative round-off is clamped to zero.  The solve raises
+    :class:`SolveError` when its normwise backward error is above
     ``BACKWARD_TOL``.
     """
-    phi = basis_matrix(system.mesh, sites)
-    rows = system.solve_k_alpha(phi.toarray().T).T
+    last = system._factors.get("sites")
+    if last is None or not np.array_equal(last[0], sites):
+        last = system._factors["sites"] = (np.array(sites, dtype=float),
+                                           basis_matrix(system.mesh, sites))
+    rows = system.solve_k_alpha(last[1].toarray().T).T
     out = []
     for j, row in enumerate(rows):
         top = row.max()

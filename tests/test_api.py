@@ -1,14 +1,15 @@
 """The public surface of ``exdep``: exports resolve, no import is stale,
 every error class is raised somewhere, and every boundary the traced
-benchmark wraps exists.
+benchmark wraps exists, with the parameters its counters read.
 
-Standard library only (``ast``, ``importlib``), since no lint tool is a
-dependency of the package.
+Standard library only (``ast``, ``importlib``, ``inspect``), since no
+lint tool is a dependency of the package.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,31 @@ def test_every_traced_layer_resolves():
     for span, caller, module_name, attr in spans.FOREIGN:
         importlib.import_module(caller)
         assert callable(getattr(importlib.import_module(module_name), attr, None)), span
+
+
+def _counter_arguments():
+    """(span, module, attribute path, name) of each ``arguments["name"]``
+    that a counter of ``LAYERS`` in bench/spans.py reads."""
+    tree = ast.parse((ROOT / "bench" / "spans.py").read_text())
+    layers = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and any(getattr(target, "id", None) == "LAYERS" for target in node.targets))
+    for entry in layers.elts:
+        span, module_name, path = (ast.literal_eval(item) for item in entry.elts[:3])
+        for node in ast.walk(entry.elts[4]):
+            if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "arguments"):
+                yield span, module_name, path, ast.literal_eval(node.slice)
+
+
+def test_every_traced_counter_reads_a_parameter_of_its_callable():
+    found = list(_counter_arguments())
+    assert {name for *_, name in found} == {"rhs", "matrix", "sample", "n"}
+    for span, module_name, path, name in found:
+        target = importlib.import_module(module_name)
+        for attr in path.split("."):
+            target = getattr(target, attr)
+        assert name in inspect.signature(target).parameters, (
+            f"{span}: the counter reads {name!r}, which {module_name}.{path} does not take")
 
 
 def _raised_names(tree):

@@ -13,7 +13,7 @@ from scipy.sparse import linalg as spla
 import exdep
 from exdep.cli import main
 from exdep.fem import FemSystem, fem_assemble
-from exdep.mesh import lattice_mesh_2d
+from exdep.mesh import Mesh2D, lattice_mesh_2d
 
 
 def run_cli(args):
@@ -414,6 +414,25 @@ def test_eta_summary_validation_matches_jsonschema():
         assert ours.value.message == ref.value.message
 
 
+@pytest.mark.parametrize("change", [
+    {"chi": 0.4}, {"chi_se": 0.01}, {"chi_method": "monte_carlo"},
+    {"chi_method": "quadrature"}, {"chi_method": "limit_formula"}, {"eta_method": "oracle"},
+])
+def test_eta_summary_schema_admits_only_what_the_program_writes(change):
+    import jsonschema
+
+    from exdep.cli import _validate_summary
+
+    golden = json.loads((Path(__file__).parent / "fixtures" / "golden" / "eta.json").read_text())
+    _validate_summary(golden)
+    with pytest.raises(jsonschema.ValidationError):
+        _validate_summary({**golden, **change})
+    missing = dict(golden)
+    del missing[next(iter(change))]
+    with pytest.raises(jsonschema.ValidationError):
+        _validate_summary(missing)
+
+
 def test_matern_eta_factors_once_for_all_odd_alphas(tmp_path, monkeypatch):
     grid = lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), 8, 1)
     n_shifts = len(fem_assemble(grid, 2.0, 2).quadrature.shifts)
@@ -425,6 +444,57 @@ def test_matern_eta_factors_once_for_all_odd_alphas(tmp_path, monkeypatch):
     assert run_cli(["matern-eta", "--seed", "2", "--alphas", "2,3,4,5", "--mesh-nodes", "8",
                     "--n-sites", "3", "--extension", "1", "--out", str(out)]) == 0
     assert len(calls) == 1 + n_shifts  # K_2 once, each shift once
+
+
+def test_matern_eta_solves_each_step_of_the_alpha_sweep_once(tmp_path, monkeypatch):
+    grid = lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), 8, 1)
+    n_shifts = len(fem_assemble(grid, 2.0, 2).quadrature.shifts)
+    solves, locates = [], []
+    real_splu, real_locate = spla.splu, Mesh2D.locate
+
+    class CountedLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            solves.append(1)
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(spla, "splu", lambda a, **kw: CountedLU(real_splu(a, **kw)))
+    monkeypatch.setattr(Mesh2D, "locate",
+                        lambda self, point: locates.append(1) or real_locate(self, point))
+    out = tmp_path / "m.csv"
+    assert run_cli(["matern-eta", "--seed", "2", "--alphas", "2,3,4,5", "--mesh-nodes", "8",
+                    "--n-sites", "3", "--extension", "1", "--out", str(out)]) == 0
+    # 8 inverse iterations behind the spectrum bound, 4 K_2 steps (K_2^{-1} rhs,
+    # then one K_2^{-1} C step each for alphas 3, 4 and 5), and 3 applications
+    # of R, n_shifts solves each: alpha 3's solve and the backward-error checks
+    # of alphas 3 and 5
+    assert len(solves) == 8 + 4 + 3 * n_shifts
+    assert len(locates) == 3  # each site once, for all four alphas
+
+
+def test_matern_eta_alpha_order_gives_the_rows_of_fresh_systems(tmp_path):
+    argv = ["matern-eta", "--seed", "5", "--mesh-nodes", "8", "--extension", "1",
+            "--n-sites", "4"]
+    out = tmp_path / "all.csv"
+    assert run_cli(argv + ["--alphas", "5,2,4,3", "--out", str(out)]) == 0
+    lines = ["alpha,method,h,eta,eta_thm1,eta_conjecture"]
+    for alpha in ("5", "2", "4", "3"):  # one process-local system per run
+        one = tmp_path / f"{alpha}.csv"
+        assert run_cli(argv + ["--alphas", alpha, "--out", str(one)]) == 0
+        lines += one.read_text().splitlines()[1:]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("alphas", ["5,2.5", "2,7"])
+def test_matern_eta_checks_every_alpha_before_computing(tmp_path, monkeypatch, alphas):
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: pytest.fail("K_2 factored"))
+    monkeypatch.setattr(exdep.mesh, "lattice_mesh_2d", lambda *a, **k: pytest.fail("mesh built"))
+    out = tmp_path / "a.csv"
+    assert run_cli(["matern-eta", "--seed", "1", "--alphas", alphas, "--mesh-nodes", "6",
+                    "--extension", "1", "--n-sites", "3", "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_matern_eta_backward_error_exits_1(tmp_path, monkeypatch, capsys):
@@ -472,6 +542,7 @@ def test_matern_eta_rejects_non_integer_alpha(tmp_path):
     ["chi-vs-a22", "--seed", "1"],
     ["ou-convergence", "--params", "x.json"],
     ["simulate-and-chi", "--seed", "1", "--appendix-d", "--mesh-nodes", "5"],
+    ["matern-eta", "--seed", "1", "--paper-scale", "--n-sites", "3"],
 ])
 def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, argv):
     out = tmp_path / "c.csv"

@@ -587,6 +587,24 @@ def test_with_alpha_shares_the_k2_factorizations(monkeypatch):
         base.with_alpha(2.5)
 
 
+def test_a_continued_solve_is_checked_and_kept_only_when_it_passes(monkeypatch):
+    mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
+    base = fem_assemble(mesh, 2.0, 2)
+    rhs = np.linspace(0.5, 1.5, mesh.n_nodes)
+    x3 = base.with_alpha(3).solve_k_alpha(rhs)
+    x3[:] = np.nan  # the caller's copy: the kept solution is untouched
+    assert np.array_equal(base.with_alpha(3).solve_k_alpha(rhs),
+                          fem_assemble(mesh, 2.0, 3).solve_k_alpha(rhs))
+    real = FemSystem._factor  # K_2 solves off by a relative 1e-6
+    monkeypatch.setattr(FemSystem, "_factor", lambda self: SimpleNamespace(
+        solve=lambda rhs, lu=real(self): lu.solve(rhs) * (1.0 + 1e-6)))
+    with pytest.raises(SolveError, match="backward error"):
+        base.with_alpha(5).solve_k_alpha(rhs)  # one K_2 step on from alpha 3
+    monkeypatch.undo()
+    assert np.array_equal(base.with_alpha(5).solve_k_alpha(rhs),
+                          fem_assemble(mesh, 2.0, 5).solve_k_alpha(rhs))
+
+
 def test_fem_coefficients_checks_backward_error(monkeypatch):
     mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
     sites = [[0.4, 0.6], [0.3, 0.35]]
