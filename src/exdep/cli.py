@@ -204,7 +204,9 @@ def cmd_ou_convergence(args):
         padded = np.zeros((1 + len(mats), max(m.shape[1] for m in mats)))
         for t, m in enumerate(mats):
             padded[[0, t + 1], :m.shape[1]] = m.entries
-        etas = eta_pairs(CoefficientMatrix(padded), [(0, t + 1) for t in range(len(mats))])
+        matrix = CoefficientMatrix(padded)
+        del mats, padded  # the matrix holds its own copy: free these before eta
+        etas = eta_pairs(matrix, [(0, t + 1) for t in range(len(h_grid))])
         for h, eta_n in zip(h_grid, etas.tolist()):
             eta_limit = kernels.ou_eta(args.a, h)
             if eta_n < eta_limit - 1e-9:

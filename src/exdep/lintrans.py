@@ -24,14 +24,14 @@ or 5,202 integral columns of ``matern-eta``'s desk mesh).  A 40-step
 bisection, run on all pairs of a chunk at once over those columns, finds
 the envelope minimum, and the terms of the columns active there give the
 value.  ``eta_closed_form`` is its one-pair call.  ``eta_gauge_oracle``
-recomputes eta for small instances by solving the gauge program as a
-linear program and checking the solver's primal-dual certificate,
-independent of the closed form.
+recomputes eta for small instances, independent of the closed form: it
+solves the gauge program as a linear program by enumerating the basic
+solutions of the LP and of its dual, and checks their primal-dual
+certificate.
 
-The oracle imports ``scipy.optimize``, and the exact chi of the GH
-model imports ``exptail`` (``scipy.integrate``), inside the functions
-that call them, so importing this module, and every eta computation,
-loads numpy and no scipy subpackage.
+The exact chi of the GH model imports ``exptail`` (``scipy.integrate``)
+inside the functions that call it, so importing this module, every eta
+computation and the oracle load numpy and no scipy subpackage.
 """
 
 import bisect
@@ -350,46 +350,69 @@ def eta_closed_form(matrix):
     return float(eta_pairs(matrix, [(0, 1)])[0])
 
 
+def _gauge_vertices(b):
+    """The best primal point y and dual multipliers lam among the basic
+    solutions of the gauge LP on the normalized 2 x n ``b``.
+
+    Primal candidates sit on one column, y_i = 1 / min(b_1i, b_2i), or on
+    a column pair S with b_S y_S = 1.  Dual candidates are the two axis
+    points and the crossings of the lines lambda . b_i = 1 of a column
+    pair.  Each candidate is scaled onto the boundary of its feasible
+    set: y by 1 / min(b y), lam (negative parts dropped) by
+    1 / max(lam . b).  So every finite candidate is feasible up to
+    rounding, its value bounds the optimum, and the exact vertices
+    attain it.
+    """
+    n = b.shape[1]
+    i, j = np.triu_indices(n, 1)
+    b1, b2 = b
+    rows = np.arange(n, n + i.size)  # the pair candidates, after the n single columns
+    y = np.zeros((n + i.size, n))
+    with np.errstate(all="ignore"):  # zero entries and parallel columns give inf and nan
+        det = b1[i] * b2[j] - b1[j] * b2[i]
+        y[:n] = np.diag(1.0 / np.minimum(b1, b2))
+        y[rows, i] = (b2[j] - b1[j]) / det
+        y[rows, j] = (b1[i] - b2[i]) / det
+        lam = np.vstack([np.eye(2), np.column_stack([b2[j] - b2[i], b1[i] - b1[j]]) / det[:, None]])
+        lam = np.maximum(lam, 0.0)
+        reach = (y @ b.T).min(axis=1)
+        top = (lam @ b).max(axis=1)
+        primal = np.abs(y).sum(axis=1) / reach
+        dual = lam.sum(axis=1) / top
+    primal = np.where(np.isfinite(primal) & (primal > 0.0), primal, np.inf)
+    dual = np.where(np.isfinite(dual), dual, 0.0)
+    k, m = np.argmin(primal), np.argmax(dual)
+    return y[k] / reach[k], lam[m] / top[m]
+
+
 def eta_gauge_oracle(matrix):
     """Brute-force eta for small instances (n <= 8).
 
     Minimizes the polyhedral gauge sum |y_i| over b_1.y >= 1, b_2.y >= 1
-    with an exact LP, so it shares no code path with the closed form.
-    The solver's answer is certified before it is used: the primal point
-    must be feasible, the multipliers lambda of the two constraints must
-    be dual feasible (lambda >= 0, lambda_1 b_1i + lambda_2 b_2i <= 1),
-    and primal and dual values must agree; otherwise RuntimeError.
+    exactly, so it shares no code path with the closed form: it
+    enumerates the basic solutions of this LP and of its dual,
+    max lambda_1 + lambda_2 over lambda >= 0, lambda_1 b_1i +
+    lambda_2 b_2i <= 1, vectorized over the at most 28 column pairs, and
+    keeps the best point on each side.  The pair is certified before it
+    is used: the primal point must be feasible, the multipliers must be
+    dual feasible, and primal and dual values must agree to
+    ``_CERTIFICATE_TOL``; otherwise RuntimeError.  By weak duality the
+    certified value is the optimum, whatever found the points.
     """
-    from scipy.optimize import linprog
-
     if matrix.shape[0] != 2:
         raise PreconditionError("oracle is defined for two rows")
-    n = matrix.shape[1]
-    if n > 8:
+    if matrix.shape[1] > 8:
         raise OracleSizeError("gauge oracle supports at most 8 noise components")
     b = matrix.normalized
-    # the LP in (y, t): min sum t, y - t <= 0, -y - t <= 0, -b.y <= -1
-    eye = np.eye(n)
-    a_ub = np.block([[eye, -eye], [-eye, -eye], [-b, np.zeros((2, n))]])
-    b_ub = np.concatenate([np.zeros(2 * n), [-1.0, -1.0]])
-    c = np.concatenate([np.zeros(n), np.ones(n)])
-    bounds = [(None, None)] * n + [(0, None)] * n
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:  # pragma: no cover - feasible bounded by construction
-        raise RuntimeError(f"gauge LP failed: {res.message}")
-    y = res.x[:n]
-    lam = -res.ineqlin.marginals[-2:]
-    value = float(res.fun)
+    y, lam = _gauge_vertices(b)
+    value = float(np.abs(y).sum())
     tol = _CERTIFICATE_TOL
-    if np.any(b @ y < 1.0 - tol):
+    if not np.all(b @ y >= 1.0 - tol):  # written so that nan fails too
         raise RuntimeError(f"gauge LP point is infeasible: b.y = {b @ y}")
-    if np.any(lam < -tol) or np.any(lam @ b > 1.0 + tol):
+    if not (np.all(lam >= -tol) and np.all(lam @ b <= 1.0 + tol)):
         raise RuntimeError(f"gauge LP multipliers {lam} are not dual feasible")
-    if abs(lam.sum() - value) > tol or abs(np.abs(y).sum() - value) > tol:
-        raise RuntimeError(
-            f"gauge LP duality gap: value {value}, sum |y| {np.abs(y).sum()}, "
-            f"dual value {lam.sum()}"
-        )
+    if not abs(lam.sum() - value) <= tol:
+        raise RuntimeError(f"gauge LP duality gap: sum |y| {value}, dual value {lam.sum()}")
     return float(np.clip(1.0 / value, 0.0, 1.0))
 
 

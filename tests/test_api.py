@@ -1,6 +1,7 @@
 """The public surface of ``exdep``: exports resolve, no import is stale,
-every error class is raised somewhere, and every boundary the traced
-benchmark wraps exists, with the parameters its counters read.
+every error class is raised somewhere, every boundary the traced
+benchmark wraps exists, with the parameters its counters read, and the
+gauge oracle stays independent of the closed form it checks.
 
 Standard library only (``ast``, ``importlib``, ``inspect``), since no
 lint tool is a dependency of the package.
@@ -142,3 +143,27 @@ def test_every_error_class_is_raised():
     raised = {name for module in MODULES for name in _raised_names(_tree(module))}
     never = [name for name in defined if name not in raised]
     assert not never, f"src/exdep/errors.py defines {never}, which nothing in src/exdep raises"
+
+
+CLOSED_FORM_NAMES = {"eta_pairs", "eta_closed_form", "classify", "argmax_sets"}
+
+
+def _referenced(node):
+    """The names and attribute names that ``node`` references."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_gauge_oracle_references_nothing_of_the_closed_form():
+    functions = {node.name: node for node in _tree("lintrans").body
+                 if isinstance(node, ast.FunctionDef)}
+    reached, todo, used = set(), ["eta_gauge_oracle"], set()
+    while todo:  # the oracle and the module functions it calls, transitively
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            used |= _referenced(functions[name])
+            todo.extend(used & functions.keys())
+    assert len(reached) > 1, "eta_gauge_oracle calls no helper; is the walk broken?"
+    shared = sorted(used & CLOSED_FORM_NAMES)
+    assert not shared, f"{sorted(reached)} reference {shared} of the closed form"

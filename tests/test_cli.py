@@ -227,7 +227,7 @@ SCIPY_LOADS = {
                        ["scipy.special"]),
     "chi-vs-a22": (["chi-vs-a22", "--a12", "0.3", "--a22-grid", "0.5,0.9"],
                    ["scipy.integrate", "scipy.optimize", "scipy.special"]),
-    "oracle": (["oracle"], ["scipy.optimize", "scipy.special"]),
+    "oracle": (["oracle"], []),
 }
 
 

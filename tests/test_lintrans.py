@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
+from exdep import lintrans
 from exdep.errors import (DomainError, OracleSizeError, ParameterError,
                           PreconditionError, RegimeError)
 from exdep.exptail import GhParams, NoiseDistribution
@@ -327,17 +329,81 @@ def test_oracle_size_limit():
         eta_gauge_oracle(CoefficientMatrix(np.ones((2, 9))))
 
 
+def _tamper_vertices(monkeypatch, tamper):
+    """Make the oracle's candidate step hand ``tamper(y, lam)`` to its certificate."""
+    found = lintrans._gauge_vertices
+    monkeypatch.setattr(lintrans, "_gauge_vertices", lambda b: tamper(*found(b)))
+
+
 def test_oracle_rejects_uncertified_lp_result(monkeypatch):
-    solve = optimize.linprog
-
-    def tampered(*args, **kwargs):
-        res = solve(*args, **kwargs)
-        res.fun *= 0.9  # a value below the optimum, as a faulty solver might report
-        return res
-
-    monkeypatch.setattr(optimize, "linprog", tampered)
+    # feasible on both sides, but the dual value falls short of sum |y|
+    _tamper_vertices(monkeypatch, lambda y, lam: (y, 0.9 * lam))
     with pytest.raises(RuntimeError, match="duality gap"):
         eta_gauge_oracle(CoefficientMatrix([[1.0, 0.3], [0.5, 1.0]]))
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda y, lam: (0.9 * y, lam), "point is infeasible"),
+    (lambda y, lam: (np.full_like(y, np.nan), lam), "point is infeasible"),
+    (lambda y, lam: (y, 1.1 * lam), "not dual feasible"),
+    (lambda y, lam: (y, lam * [1.0, -1.0]), "not dual feasible"),
+    (lambda y, lam: (1.1 * y, lam), "duality gap"),
+], ids=["primal-short", "primal-nan", "dual-over", "dual-negative", "primal-long"])
+def test_oracle_certificate_rejects_each_flaw(monkeypatch, tamper, message):
+    _tamper_vertices(monkeypatch, tamper)
+    with pytest.raises(RuntimeError, match=message):
+        eta_gauge_oracle(CoefficientMatrix([[1.0, 0.3], [0.5, 1.0]]))
+
+
+def gauge_lp_eta(m):
+    """eta from scipy's HiGHS on the gauge LP in (y, t): min sum t
+    subject to -t <= y <= t and b.y >= 1."""
+    b = m.normalized
+    n = b.shape[1]
+    eye = np.eye(n)
+    a_ub = np.block([[eye, -eye], [-eye, -eye], [-b, np.zeros((2, n))]])
+    res = optimize.linprog(np.r_[np.zeros(n), np.ones(n)], A_ub=a_ub,
+                           b_ub=np.r_[np.zeros(2 * n), -1.0, -1.0],
+                           bounds=[(None, None)] * n + [(0, None)] * n, method="highs")
+    assert res.success, res.message
+    return min(1.0, 1.0 / res.fun)
+
+
+def strict_oracle(m):
+    """``eta_gauge_oracle`` with every warning it lets escape raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return eta_gauge_oracle(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficient_matrices())
+def test_oracle_property_matches_linprog(a):
+    m = CoefficientMatrix(a)
+    assert strict_oracle(m) == pytest.approx(gauge_lp_eta(m), abs=1e-9)
+
+
+TINY, SMALLEST_NORMAL = 1e-300, 2.2250738585072014e-308
+
+
+@pytest.mark.parametrize("entries", [
+    [[1.0], [0.5]],
+    np.random.default_rng(8).random((2, 8)).tolist(),
+    [[1.0, 0.3, 0.3, 0.0], [0.2, 1.0, 1.0, 0.4]],  # a duplicate column
+    [[1.0, 0.4, 0.2], [0.1, 0.8, 0.4]],  # parallel columns
+    [[1.0, 0.0, 0.5, 0.25], [0.0, 1.0, 0.5, 0.25]],  # a diagonal and a parallel column
+    [[1.0, TINY], [TINY, 1.0]],
+    [[1.0, TINY, 0.5], [TINY, 1.0, TINY]],
+    [[1.0, SMALLEST_NORMAL, 0.5], [SMALLEST_NORMAL, 1.0, 0.5]],
+    [[SMALLEST_NORMAL, 1.0, TINY], [1.0, TINY, SMALLEST_NORMAL]],
+    [[1.0, 1.0, 0.5], [0.5, 0.5, 1.0]],  # tied argmax
+    [[1.0, 0.5, 0.5, 0.25], [0.25, 0.5, 1.0, 0.5]],  # ties in both rows
+    [[1.0, 1.0], [1.0, 0.2]],  # shared argmax: eta = 1
+], ids=["n1", "n8", "duplicate", "parallel", "diagonal", "tiny", "tiny-three",
+        "smallest-normal", "tiny-mixed", "tied-argmax", "ties", "shared-argmax"])
+def test_oracle_matches_linprog_on_degenerate_matrices(entries):
+    m = CoefficientMatrix(entries)
+    assert strict_oracle(m) == pytest.approx(gauge_lp_eta(m), abs=1e-9)
 
 
 # -- chi (Monte Carlo and quadrature) -----------------------------------------
