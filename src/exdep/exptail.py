@@ -24,7 +24,9 @@ that importing the package does not load ``scipy.stats``.
 The densities take a float route on a Python float, as QUADPACK passes
 to its callbacks: the operations of the array route in the same order,
 so the bits agree, without the array overhead.  The Bessel function of
-the normalizing constant is computed once per distribution.
+the normalizing constant is computed once per distribution, and the GH
+float route is built once per distribution with its constants taken out
+of the call.
 """
 
 import math
@@ -224,7 +226,7 @@ class NoiseDistribution:
     def logpdf(self, x):
         """log f(x); a Python float gives a float by the scalar route."""
         if self.family == "GH":
-            return self._gh_logpdf(x)
+            return self._gh_float_logpdf(x) if isinstance(x, float) else self._gh_logpdf(x)
         p = self.params
         if isinstance(x, float) and p.tau > 0.0:
             if not x > 0.0:
@@ -263,19 +265,32 @@ class NoiseDistribution:
         p = self.params
         return 0.5 * p.lam * (math.log(p.psi) - math.log(p.tau)) - math.log(2.0) - self._log_k_mixing
 
-    def _gh_logpdf(self, x):
+    @cached_property
+    def _gh_float_logpdf(self):
+        """The GH log-density at a Python float, with the law's constants
+        taken once: the operations of :meth:`_gh_logpdf` in the same order,
+        so the same bits, without re-reading the parameters per call.
+        ``logpdf(float)`` and the quadrature integrands use it."""
         p = self.params
-        scalar = isinstance(x, float)
-        xc = x - p.mu if scalar else np.asarray(x, dtype=float) - p.mu
+        mu, tau, gamma, order, power = p.mu, p.tau, p.gamma, p.lam - 0.5, 0.5 - p.lam
         a2 = p.psi + p.gamma * p.gamma
-        if scalar:
-            s = math.sqrt((p.tau + xc * xc) * a2)
+        logconst, at_mu = self._gh_logconst, self._gh_at_mu()
+
+        def logpdf(x):
+            xc = x - mu
+            s = math.sqrt((tau + xc * xc) * a2)
             if not math.isfinite(s):
                 return -math.inf
             if s == 0.0:
-                return self._gh_at_mu()
-            return float(self._gh_logconst + log_bessel_k(p.lam - 0.5, s)
-                         + p.gamma * xc - (0.5 - p.lam) * np.log(s))
+                return at_mu
+            return float(logconst + log_bessel_k(order, s) + gamma * xc - power * np.log(s))
+
+        return logpdf
+
+    def _gh_logpdf(self, x):
+        p = self.params
+        xc = np.asarray(x, dtype=float) - p.mu
+        a2 = p.psi + p.gamma * p.gamma
         with np.errstate(invalid="ignore", over="ignore"):
             s = np.sqrt((p.tau + xc * xc) * a2)
             out = (
@@ -393,6 +408,11 @@ class NoiseDistribution:
     def _exp_weighted_integral(self, t, lo, hi):
         """integral of exp(t*y) f(y) dy over (lo, hi).
 
+        The integrand is exp(t*y + log f(y)) on the float route of
+        ``logpdf``; for a GH law that is the route built once per
+        distribution, so a QUADPACK callback reads no parameter and makes
+        one ``log_bessel_k`` call.
+
         The quadrature tolerance is absolute (``epsabs`` 1e-12, with
         ``epsrel`` 1e-10), so a mass far below 1e-12 carries a relative
         error of about 1e-5: for NIG(-0.5, 1, 1) the mass above 30,
@@ -404,9 +424,10 @@ class NoiseDistribution:
         lo = max(lo, self._support[0])
         if hi <= lo:
             return 0.0
+        logpdf = self._gh_float_logpdf if self.family == "GH" else self.logpdf
 
         def integrand(y):
-            return math.exp(t * y + self.logpdf(y))
+            return math.exp(t * y + logpdf(y))
 
         center, scale = self._center_scale()
         # shift the anchor toward the integrand's peak for positive t

@@ -21,9 +21,10 @@ row is sorted once, in descending order.  Per pair, one running maximum
 along one row's order keeps the columns near the Pareto front, the only
 ones that can touch the envelope (a median of 48 to 98 of the 2,704 FEM
 or 5,202 integral columns of ``matern-eta``'s desk mesh).  A 40-step
-bisection, run on all pairs of a chunk at once over those columns, finds
-the envelope minimum, and the terms of the columns active there give the
-value.  ``eta_closed_form`` is its one-pair call.  ``eta_gauge_oracle``
+bisection over those columns finds the envelope minimum, and the terms
+of the columns active there give the value: on all pairs of a chunk at
+once for large fronts, in Python floats pair by pair for small ones.
+``eta_closed_form`` is its one-pair call.  ``eta_gauge_oracle``
 recomputes eta for small instances, independent of the closed form: it
 solves the gauge program as a linear program by enumerating the basic
 solutions of the LP and of its dual, and checks their primal-dual
@@ -67,6 +68,7 @@ _ACTIVE_RTOL = 1e-9      # envelope lines within this of the minimum are active
 _CERTIFICATE_TOL = 1e-9  # feasibility and duality-gap tolerance of the LP oracle
 _FRONT_MARGIN = 1e-6     # columns beaten by this much in both rows never touch the envelope
 _CHUNK_ENTRIES = 1 << 14  # entries per chunk of pairs: 128 KiB of float64
+_LOOP_ENTRIES = 64       # fronts up to this size bisect in Python floats, below numpy's cost
 _MC_CHUNK = 1 << 17      # Monte Carlo draws per sub-stream of chi_mc
 
 
@@ -124,10 +126,24 @@ class CoefficientMatrix:
 
     @classmethod
     def from_csv(cls, path):
-        """The matrix of a CSV file with one row per component; blank lines are skipped."""
+        """The matrix of a CSV file with one row per component; blank lines
+        are skipped.  A non-numeric cell or a row whose length differs from
+        the first raises ParameterError naming the file and line."""
+        rows = []
         with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r]
-        return cls([[float(v) for v in row] for row in rows])
+            reader = csv.reader(fh)
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError:
+                    raise ParameterError(f"{path}, line {reader.line_num}: "
+                                         f"non-numeric entry in {row}") from None
+                if len(row) != len(rows[0]):
+                    raise ParameterError(f"{path}, line {reader.line_num}: {len(row)} entries, "
+                                         f"but the first row has {len(rows[0])}")
+        return cls(rows)
 
 
 @dataclass
@@ -142,18 +158,23 @@ class RegimeSplit:
     residual_2: np.ndarray
 
 
-def classify(matrix):
-    """Extremal regime of a 2 x n coefficient matrix."""
+def _regime(matrix):
+    """Extremal regime of a 2 x n coefficient matrix, from its argmax sets."""
     if matrix.shape[0] != 2:
         raise PreconditionError("classification is defined for two rows")
     i1, i2 = matrix.argmax_sets
-    shared = i1 & i2
     if i1 == i2:
-        regime = Regime.ASYMPTOTIC_DEPENDENCE
-    elif not shared:
-        regime = Regime.ASYMPTOTIC_INDEPENDENCE
-    else:
-        regime = Regime.BOUNDARY
+        return Regime.ASYMPTOTIC_DEPENDENCE
+    if i1.isdisjoint(i2):
+        return Regime.ASYMPTOTIC_INDEPENDENCE
+    return Regime.BOUNDARY
+
+
+def classify(matrix):
+    """Extremal regime of a 2 x n coefficient matrix, with its normalized
+    coefficients outside the shared argmax."""
+    regime = _regime(matrix)
+    shared = matrix.argmax_sets[0] & matrix.argmax_sets[1]
     normalized = matrix.normalized
     outside = np.array(sorted(set(range(matrix.shape[1])) - shared), dtype=int)
     return RegimeSplit(
@@ -191,22 +212,14 @@ def _min_terms(b1a, b2a, b1, b2, own):
     return np.minimum(per_index, pair.min(axis=1))
 
 
-def _envelope_eta(b, first, second, front):
-    """eta of the row pairs (first, second) of the normalized ``b`` from
-    their candidate columns ``front`` (one row per pair, in original
-    column order, padded with the all-zero column of ``b``).
-
-    Bisection on the slope of the active line finds the envelope minimum
-    of every pair at once: a positive slope puts the minimum to the left,
-    a negative one to the right, a flat line is a minimum itself.
-    Padding is a line at -inf of slope 0, so ``argmax`` still breaks ties
-    at the first original column.
-    """
-    b1, b2 = b[first[:, None], front], b[second[:, None], front]
-    slope = b1 - b2
-    base = np.where(front == b.shape[1] - 1, -np.inf, b2)
+def _bisect_rows(slope, base):
+    """The envelope minimum of each row of lines w * slope + base over w in
+    [0, 1], by bisection on the slope of the active line, all rows at once:
+    a positive slope puts the minimum to the left, a negative one to the
+    right, a flat line is a minimum itself.  The active line is the
+    first-index argmax."""
     row_start = np.arange(0, slope.size, slope.shape[1])
-    lo, hi = np.zeros(len(front)), np.ones(len(front))
+    lo, hi = np.zeros(len(slope)), np.ones(len(slope))
     lines = np.empty_like(slope)
     for _ in range(40):  # bracket 2^-40: the envelope is then within 1e-12 of its minimum
         w = 0.5 * (lo + hi)
@@ -215,7 +228,51 @@ def _envelope_eta(b, first, second, front):
         s = slope.ravel()[lines.argmax(axis=1) + row_start]
         hi = np.where(s >= 0.0, w, hi)  # s == 0 sets lo = hi = w, which then stays put
         lo = np.where(s <= 0.0, w, lo)
-    w = 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
+def _bisect_lines(slope, base):
+    """:func:`_bisect_rows` of one row of lines, given as lists, in Python
+    floats: the same midpoints, products, sums, first-index argmax and
+    sign rule, so the same bits, without a numpy call per step."""
+    lines = list(zip(slope, base))
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        w = 0.5 * (lo + hi)
+        top, s = -math.inf, slope[0]  # all lines at -inf: argmax is the first
+        for a, c in lines:
+            line = w * a + c
+            if line > top:
+                top, s = line, a
+        if s >= 0.0:
+            hi = w
+        if s <= 0.0:
+            lo = w
+        if s == 0.0:  # lo = hi = w, which then stays put
+            break
+    return 0.5 * (lo + hi)
+
+
+def _envelope_eta(b, first, second, front):
+    """eta of the row pairs (first, second) of the normalized ``b`` from
+    their candidate columns ``front`` (one row per pair, in original
+    column order, padded with the all-zero column of ``b``).
+
+    The envelope minimum of each pair is bisected over its lines.
+    Padding is a line at -inf of slope 0, so the first-index argmax still
+    breaks ties at the first original column.  A front of at most
+    ``_LOOP_ENTRIES`` entries is bisected pair by pair in Python floats
+    (:func:`_bisect_lines`), where the six numpy calls of each of the 40
+    steps would cost more than the arithmetic; a larger one runs all pairs
+    at once (:func:`_bisect_rows`).  Both give the same bits.
+    """
+    b1, b2 = b[first[:, None], front], b[second[:, None], front]
+    slope = b1 - b2
+    base = np.where(front == b.shape[1] - 1, -np.inf, b2)
+    if slope.size <= _LOOP_ENTRIES:
+        w = np.array([_bisect_lines(*lines) for lines in zip(slope.tolist(), base.tolist())])
+    else:
+        w = _bisect_rows(slope, base)
     lines = base + w[:, None] * slope
     pair_of, col = np.nonzero(lines >= lines.max(axis=1, keepdims=True) * (1.0 - _ACTIVE_RTOL))
     b1a, b2a = b1[pair_of, col], b2[pair_of, col]
@@ -227,20 +284,19 @@ def _envelope_eta(b, first, second, front):
         p = pair_of[diagonal]
         terms[diagonal] = _min_terms(b1a[diagonal], b2a[diagonal], b[first[p]], b[second[p]],
                                      front[p, col[diagonal]])
-    starts = np.flatnonzero(np.r_[True, pair_of[1:] != pair_of[:-1]])
-    return np.clip(1.0 / np.minimum.reduceat(terms, starts), 0.0, 1.0)
+    starts = np.searchsorted(pair_of, np.arange(len(front)))  # every pair has an active column
+    return np.minimum(1.0 / np.minimum.reduceat(terms, starts), 1.0)  # terms are positive
 
 
-def _flush_fronts(b, first, second, held_pairs, held_cols, out):
+def _flush_fronts(b, first, second, held, out):
     """Write to ``out`` the eta of the pairs whose kept columns are held,
-    as runs of pair indices with their columns, one run per pair.  Pairs
-    go to the bisection in order of front size, in chunks padded to their
-    largest front."""
-    if not held_pairs:
+    as (pair indices, run sizes, columns) with one run of columns per
+    pair.  Pairs go to the bisection in order of front size, in chunks
+    padded to their largest front."""
+    if not held:
         return
-    q, start, size = np.unique(np.concatenate(held_pairs), return_index=True,
-                               return_counts=True)
-    cols = np.concatenate(held_cols)
+    q, size, cols = (np.concatenate(parts) for parts in zip(*held))
+    start = np.cumsum(size) - size
     by_size = np.argsort(size, kind="stable")
     for lo, hi in _chunks(size[by_size], _CHUNK_ENTRIES):
         r = by_size[lo:hi]
@@ -260,7 +316,8 @@ def eta_pairs(matrix, pairs):
     j: exactly 1 when their argmax sets intersect, otherwise the closed
     form at the convex-envelope minimum.  The entries, row maxima and
     argmax sets are the matrix's own, validated on its construction;
-    only the pair indices are checked here.
+    only the pair indices are checked here.  Pairs whose argmax sets
+    intersect are settled first: when all of them do, nothing is sorted.
 
     Only columns near the Pareto front, which no other column beats in
     both rows, can touch the envelope.  Each row is sorted once in
@@ -272,7 +329,8 @@ def eta_pairs(matrix, pairs):
     by the margin, and each pair walks the row where that comes sooner.
     Walks run in chunks of about ``_CHUNK_ENTRIES`` entries, pairs that
     walk the same row together; the kept columns of many pairs are then
-    bisected together.
+    bisected together, or pair by pair in Python floats when their fronts
+    hold at most ``_LOOP_ENTRIES`` entries (:func:`_envelope_eta`).
 
     Only closed-form terms that involve a column active at the envelope
     minimum can attain the minimum: any other term exceeds it by at least
@@ -289,14 +347,20 @@ def eta_pairs(matrix, pairs):
         return np.empty(0)
     if p.ndim != 2 or p.shape[1] != 2 or p.dtype.kind not in "iu":
         raise ParameterError("pairs must be an (m, 2) array of row indices")
-    if np.any(p < 0) or np.any(p >= k):
+    if p.min() < 0 or p.max() >= k:
         raise ParameterError(f"row indices must lie in [0, {k})")
-    if np.any(p[:, 0] == p[:, 1]):
+    if (p[:, 0] == p[:, 1]).any():
         raise PreconditionError("eta is defined for two distinct rows")
     tops = matrix.argmax_sets
-    b = np.hstack([matrix.normalized, np.zeros((k, 1))])  # column n pads the fronts
-    order = np.argsort(-b[:, :n], axis=1)
-    desc = -np.take_along_axis(b, order, axis=1)  # ascending: minus the sorted rows
+    out = np.ones(len(p))
+    live = np.flatnonzero([tops[i].isdisjoint(tops[j]) for i, j in p.tolist()])
+    if live.size == 0:
+        return out
+    b = np.zeros((k, n + 1))  # column n pads the fronts
+    np.divide(matrix.entries, matrix.row_max[:, None], out=b[:, :n])  # matrix.normalized
+    desc = -b[:, :n]
+    order = np.argsort(desc, axis=1)
+    desc.sort(axis=1)  # ascending: minus the sorted rows
     # lead[i, t]: how many entries of row i lie the margin or more above its t-th largest
     lead = np.array([np.searchsorted(d, d - _FRONT_MARGIN, side="right") for d in desc])
     # reach[i, j]: the length of the walk along row i for the pair (i, j), which
@@ -308,18 +372,15 @@ def eta_pairs(matrix, pairs):
     swap = reach[second, first] < reach[first, second]  # walk the row that stops sooner
     walker, other = np.where(swap, second, first), np.where(swap, first, second)
     stop = reach[walker, other]
-    by_walker = np.lexsort((stop, walker))
-    out = np.ones(len(p))
-    held_pairs, held_cols = [], []
-    for group in np.split(by_walker, np.flatnonzero(np.diff(walker[by_walker])) + 1):
+    by_walker = live[np.lexsort((stop[live], walker[live]))]
+    held = []
+    edges = np.flatnonzero(np.diff(walker[by_walker])) + 1
+    for group_start, group_end in zip([0, *edges.tolist()], [*edges.tolist(), by_walker.size]):
+        group = by_walker[group_start:group_end]
         i = walker[group[0]]
         for start, end in _chunks(stop[group], _CHUNK_ENTRIES):
             q = group[start:end]
             j = other[q]
-            shared = np.array([not tops[i].isdisjoint(tops[r]) for r in j.tolist()], dtype=bool)
-            q, j = q[~shared], j[~shared]
-            if q.size == 0:
-                continue
             cols = order[i, :stop[q].max()]
             walk = b[j[:, None], cols]
             best = np.empty((q.size, cols.size + 1))  # best[:, t]: max of row j over the first t
@@ -328,12 +389,12 @@ def eta_pairs(matrix, pairs):
             # kept unless a column at least the margin ahead in row i beats it by the margin in row j
             pair_of, step = np.nonzero(best[:, lead[i, :cols.size]] < walk + _FRONT_MARGIN)
             kept = step < stop[q[pair_of]]
-            held_pairs.append(q[pair_of[kept]])
-            held_cols.append(cols[step[kept]])
-            if sum(c.size for c in held_cols) >= _CHUNK_ENTRIES:
-                _flush_fronts(b, first, second, held_pairs, held_cols, out)
-                held_pairs, held_cols = [], []
-    _flush_fronts(b, first, second, held_pairs, held_cols, out)
+            # step 0 is always kept, so every pair has a run
+            held.append((q, np.bincount(pair_of[kept], minlength=q.size), cols[step[kept]]))
+            if sum(c.size for _, _, c in held) >= _CHUNK_ENTRIES:
+                _flush_fronts(b, first, second, held, out)
+                held = []
+    _flush_fronts(b, first, second, held, out)
     return out
 
 
@@ -574,7 +635,7 @@ def tail_summary(matrix):
     as well (:func:`chi_mc`, :func:`chi_gh_two`), so the summary leaves
     it undetermined: its JSON carries null chi keys.
     """
-    return TailSummary(regime=classify(matrix).regime, eta=eta_closed_form(matrix))
+    return TailSummary(regime=_regime(matrix), eta=eta_closed_form(matrix))
 
 
 def simulate_linear(matrix, dist, n, rng):

@@ -4,7 +4,8 @@ Wrappers around the AMOS-backed routines in :mod:`scipy.special`,
 exposing the plain and the log-scaled variants used throughout the
 distribution code.  ``log_bessel_k`` has a float route for scalar
 quadrature callbacks that gives the bits of the array route without its
-array overhead.  Required accuracy (1e-10 relative for orders in
+array overhead; the GH density's float route (``exptail``) calls it once
+per point.  Required accuracy (1e-10 relative for orders in
 [-35, 35] and arguments in (1e-8, 700)) is pinned by fixture tests
 against independently computed high-precision reference values.
 """

@@ -62,6 +62,26 @@ def test_eta_subcommand_boundary(tmp_path):
     assert obj["eta"] == 1.0
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1,0.5\n0.5\n", "line 2: 1 entries, but the first row has 2"),
+    ("1,0.5\n\n0.5,x\n", "line 3: non-numeric entry"),
+])
+def test_eta_subcommand_names_the_bad_line_of_a_matrix(tmp_path, capsys, text, message):
+    matrix = tmp_path / "m.csv"
+    matrix.write_text(text)
+    out = tmp_path / "summary.json"
+    assert run_cli(["eta", "--matrix", str(matrix), "--out", str(out)]) == 1
+    assert f"error: {matrix}, {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eta_subcommand_needs_two_rows(tmp_path, capsys):
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("1,0.5,0\n0,0.5,1\n0,1,1\n")
+    assert run_cli(["eta", "--matrix", str(matrix)]) == 1
+    assert "two rows" in capsys.readouterr().err
+
+
 def test_chi_vs_a22_csv(tmp_path):
     out = tmp_path / "chi.csv"
     params = tmp_path / "params.json"

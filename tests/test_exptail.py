@@ -109,21 +109,30 @@ def test_gh_tail_asymptotics():
     assert abs(vals[2] - vals[1]) < abs(vals[1] - vals[0]) < 0.01
 
 
-@pytest.mark.parametrize("params", [
+float_route_laws = pytest.mark.parametrize("params", [
     GhParams(-0.5, 1.0, 1.0, 0.0, 0.0),
     GhParams(1.0, 1.0, 3.0, -2.0, 1.0),
     GhParams(2.0, 0.0, 1.0, 0.5, 0.0),   # variance gamma, finite at mu
     GhParams(0.3, 0.0, 1.0, 0.0, 0.0),   # variance gamma, cusp at mu
     GigParams(-0.5, 1.0, 1.0),
 ], ids=["nig", "skewed", "vg", "vg-cusp", "gig"])
-def test_logpdf_float_route_matches_array_route(params):
-    dist = NoiseDistribution(params)
+
+
+def float_route_grid(params):
+    """A grid around mu with its edge cases: mu itself, subnormals, huge
+    and infinite points."""
     mu = getattr(params, "mu", 0.0)
-    xs = np.concatenate([
+    return np.concatenate([
         mu + np.linspace(-60.0, 60.0, 241),
         [mu, mu + 1e-300, mu - 1e-300, 5e-324, -1e12, 1e12,
          -1e300, 1e300, -np.inf, np.inf],
     ])
+
+
+@float_route_laws
+def test_logpdf_float_route_matches_array_route(params):
+    dist = NoiseDistribution(params)
+    xs = float_route_grid(params)
     with np.errstate(all="ignore"):
         array_route = dist.logpdf(xs)
     with warnings.catch_warnings():
@@ -132,6 +141,23 @@ def test_logpdf_float_route_matches_array_route(params):
     assert all(type(v) is float for v in float_route)
     np.testing.assert_array_equal(float_route, array_route)
     np.testing.assert_array_equal([dist.pdf(float(x)) for x in xs], np.exp(array_route))
+
+
+@float_route_laws
+def test_quadrature_integrand_is_the_tilted_float_logpdf(monkeypatch, params):
+    dist = NoiseDistribution(params)
+    integrands = []
+    monkeypatch.setattr(exptail, "_quad",
+                        lambda func, a, b, **options: integrands.append(func) or 0.0)
+    xs = float_route_grid(params).tolist()
+    for t in (0.0, 0.3 * dist.tail_index, dist.tail_index):
+        dist._exp_weighted_integral(t, -np.inf, np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on either side
+            got = [integrands[-1](y) for y in xs]
+            want = [math.exp(t * y + dist.logpdf(y)) for y in xs]
+        # bit for bit; t = 0 at an infinite y gives nan on both sides
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("dist,lam", [

@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -283,6 +284,85 @@ def test_eta_pairs_walks_past_near_copies_of_a_row_maximum(a):
     a = np.array(a)
     expected = [eta_by_all_pairs(CoefficientMatrix(a)), eta_by_all_pairs(CoefficientMatrix(a[::-1]))]
     assert eta_pairs(CoefficientMatrix(a), [(0, 1), (1, 0)]).tolist() == expected
+
+
+@st.composite
+def long_front_stacks(draw, max_columns=120):
+    """k rows of concave profiles 1 - |u - c|^e on a grid of n points u, each
+    peaking at its own c, so a pair's Pareto front holds the columns between
+    its peaks: from one column to about n, on both sides of the
+    ``_LOOP_ENTRIES`` size rule.  Some columns are scaled into the interior,
+    and every ordered pair of distinct rows is asked for."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, max_columns))
+    u = np.linspace(0.0, 1.0, n)
+    a = np.array([1.0 - np.abs(u - draw(st.floats(0.0, 1.0))) ** draw(st.sampled_from([1.0, 2.0, 3.0]))
+                  for _ in range(k)])
+    a *= draw(st.lists(st.sampled_from([1.0, 1.0, 0.9, 0.5]), min_size=n, max_size=n))
+    for r in range(k):  # every row needs a positive maximum
+        if a[r].max() == 0.0:
+            a[r, 0] = 1.0
+    return a, [(i, j) for i in range(k) for j in range(k) if i != j]
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_front_stacks())
+def test_eta_pairs_batched_equals_one_pair_on_both_sides_of_the_size_rule(case):
+    a, pairs = case
+    m = CoefficientMatrix(a)
+    got = eta_pairs(m, pairs)
+    for (i, j), eta in zip(pairs, got.tolist()):
+        assert eta == eta_closed_form(CoefficientMatrix(a[[i, j]]))
+    for size_rule in (0, 10 ** 9):  # every front bisected in numpy, then in Python floats
+        with mock.patch.object(lintrans, "_LOOP_ENTRIES", size_rule):
+            assert eta_pairs(m, pairs).tolist() == got.tolist()
+
+
+# lines of one bisection: slopes b_1 - b_2 and bases b_2 (-inf for padding),
+# mostly dyadic so that lines tie exactly at the midpoints
+_slope = st.one_of(st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0]), st.floats(-1.0, 1.0))
+_base = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, -math.inf]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.tuples(_slope, _base), min_size=n, max_size=n), min_size=1, max_size=5)))
+def test_bisection_in_python_floats_equals_the_numpy_loop(rows):
+    slope = np.array([[a for a, _ in row] for row in rows])
+    base = np.array([[c for _, c in row] for row in rows])
+    expected = lintrans._bisect_rows(slope, base).tolist()
+    assert [lintrans._bisect_lines(*lines) for lines in zip(slope.tolist(), base.tolist())] == expected
+
+
+@pytest.mark.parametrize("a, w, value", [
+    # the flat column (0.6, 0.6) is active at the first midpoint
+    ([[1.0, 0.6, 0.0], [0.0, 0.6, 1.0]], 0.5, 0.6),
+    # the flat column (0.7, 0.7) is active only at the third, after 1/2 and 1/4
+    ([[1.0, 0.0, 0.7], [0.5, 1.0, 0.7]], 0.375, 0.7),
+])
+def test_eta_flat_active_line_collapses_the_bisection(monkeypatch, a, w, value):
+    # a slope of exactly 0 at a midpoint sets lo = hi = w there
+    seen = []
+    real = lintrans._bisect_lines
+    monkeypatch.setattr(lintrans, "_bisect_lines", lambda *lines: seen.append(real(*lines)) or seen[-1])
+    m = CoefficientMatrix(a)
+    eta = eta_closed_form(m)
+    assert seen == [w]
+    assert eta == eta_by_all_pairs(m) == pytest.approx(value, abs=1e-15)
+    monkeypatch.setattr(lintrans, "_LOOP_ENTRIES", 0)  # the same collapse in the numpy loop
+    assert eta_closed_form(m) == eta
+
+
+def test_eta_pairs_returns_ones_before_any_front_when_every_argmax_set_meets(monkeypatch):
+    # rows 0-2 share column 0, rows 2-3 share column 3: no pair needs an envelope
+    a = np.array([[1.0, 0.2, 0.5, 0.1],
+                  [1.0, 0.9, 0.0, 0.3],
+                  [1.0, 0.4, 0.3, 1.0],
+                  [0.2, 0.6, 0.7, 1.0]])
+    monkeypatch.setattr(lintrans, "_flush_fronts", lambda *args: pytest.fail("fronts built"))
+    monkeypatch.setattr(lintrans.np, "argsort", lambda *args, **kw: pytest.fail("rows sorted"))
+    pairs = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 2)]
+    assert eta_pairs(CoefficientMatrix(a), pairs).tolist() == [1.0] * len(pairs)
 
 
 def test_eta_pairs_of_no_pairs_is_empty():
