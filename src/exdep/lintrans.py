@@ -127,8 +127,9 @@ class CoefficientMatrix:
     @classmethod
     def from_csv(cls, path):
         """The matrix of a CSV file with one row per component; blank lines
-        are skipped.  A non-numeric cell or a row whose length differs from
-        the first raises ParameterError naming the file and line."""
+        are skipped.  A non-numeric cell, a row whose length differs from
+        the first or a file without rows raises ParameterError naming the
+        file (and the line)."""
         rows = []
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -143,6 +144,8 @@ class CoefficientMatrix:
                 if len(row) != len(rows[0]):
                     raise ParameterError(f"{path}, line {reader.line_num}: {len(row)} entries, "
                                          f"but the first row has {len(rows[0])}")
+        if not rows:
+            raise ParameterError(f"{path}: no rows")
         return cls(rows)
 
 

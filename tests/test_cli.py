@@ -65,13 +65,15 @@ def test_eta_subcommand_boundary(tmp_path):
 @pytest.mark.parametrize("text, message", [
     ("1,0.5\n0.5\n", "line 2: 1 entries, but the first row has 2"),
     ("1,0.5\n\n0.5,x\n", "line 3: non-numeric entry"),
+    ("\n", "no rows"),
 ])
-def test_eta_subcommand_names_the_bad_line_of_a_matrix(tmp_path, capsys, text, message):
+def test_eta_subcommand_names_the_file_and_line_of_a_bad_matrix(tmp_path, capsys, text, message):
     matrix = tmp_path / "m.csv"
     matrix.write_text(text)
     out = tmp_path / "summary.json"
     assert run_cli(["eta", "--matrix", str(matrix), "--out", str(out)]) == 1
-    assert f"error: {matrix}, {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {matrix}") and message in err
     assert not out.exists()
 
 
