@@ -225,11 +225,9 @@ def cmd_ou_convergence(args):
 # matern-eta: FEM vs integral approximation across smoothness values
 # ----------------------------------------------------------------------
 
-def random_sites(rng, n_sites, bbox=(0.05, 0.05, 0.95, 0.95)):
-    xmin, ymin, xmax, ymax = bbox
-    pts = rng.random((n_sites, 2))
-    return np.column_stack([xmin + pts[:, 0] * (xmax - xmin),
-                            ymin + pts[:, 1] * (ymax - ymin)])
+def random_sites(rng, n_sites):
+    """``n_sites`` uniform points of [0.05, 0.95]^2, an (n_sites, 2) array."""
+    return 0.05 + rng.random((n_sites, 2)) * (0.95 - 0.05)
 
 
 def cmd_matern_eta(args):
@@ -435,10 +433,12 @@ def build_parser():
                         "5e-5 on the default mesh (spectrum ratio of S at most 1e8)")
     p.add_argument("--alphas", type=_finite_floats, default=(2.0, 3.0, 4.0, 5.0),
                    help="integer smoothness exponents in 2..6")
-    p.add_argument("--mesh-nodes", type=_positive_int, default=40, help="lattice nodes per side")
+    p.add_argument("--mesh-nodes", type=_int_at_least(2), default=40,
+                   help="lattice nodes per side, at least 2")
     sizes.add_argument("--n-sites", type=_int_at_least(2), default=None,
                        help="random sites, at least two (default 50); excludes --paper-scale")
-    p.add_argument("--extension", type=int, default=6, help="outer extension rings")
+    p.add_argument("--extension", type=_int_at_least(0), default=6,
+                   help="outer extension rings, at least 0")
 
     p = command("simulate-and-chi", cmd_simulate_and_chi,
                 "empirical chi(q) of simulated fields", seeded=True)
@@ -447,13 +447,14 @@ def build_parser():
     p.add_argument("--kappa", type=float, default=2.0)
     p.add_argument("--alpha", type=int, default=2)
     meshes = p.add_mutually_exclusive_group()
-    meshes.add_argument("--mesh-nodes", type=_positive_int, default=20,
-                        help="lattice nodes per side")
+    meshes.add_argument("--mesh-nodes", type=_int_at_least(2), default=20,
+                        help="lattice nodes per side, at least 2")
     meshes.add_argument("--appendix-d", action="store_true",
                         help="coarse/fine mesh comparison (25/100/625-node lattices)")
     p.add_argument("--n-sites", type=_int_at_least(2), default=20,
                    help="random sites, at least two (one pair)")
-    p.add_argument("--extension", type=int, default=2)
+    p.add_argument("--extension", type=_int_at_least(0), default=2,
+                   help="outer extension rings, at least 0")
     p.add_argument("--samples", type=_int_at_least(0), default=None,
                    help="replicates (default 10^6, or 10^5 with --appendix-d); "
                         "0 writes the header alone")

@@ -40,10 +40,6 @@ class NonnegativityError(ExdepError):
     """Computed coefficients are materially negative."""
 
 
-class AssemblyError(ExdepError):
-    """Finite element assembly failed (e.g. degenerate triangle)."""
-
-
 class QuadratureError(ExdepError, ArithmeticError):
     """Adaptive quadrature reported that it did not reach its tolerance."""
 

@@ -14,8 +14,8 @@ is handled as an explicit special case rather than a numerical limit.
 
 The moment generating function is the closed form of the GIG mixing
 law, E[exp(u R)] with u = t (GIG) or gamma*t + t^2/2 (GH); divergence
-is detected from the tail exponents and reported as ``inf``, never as a
-silent overflow.  Partial integrals of exp(t*y) against the density, as
+is detected by comparing u with psi/2, one rule for both families, and
+reported as ``inf``, never as a silent overflow.  Partial integrals of exp(t*y) against the density, as
 chi needs, use adaptive quadrature, which raises ``QuadratureError``
 when QUADPACK reports that it missed its tolerance.  The gamma family
 is written with ``scipy.special`` in the form ``scipy.stats`` uses, so
@@ -352,46 +352,30 @@ class NoiseDistribution:
 
     # -- moment generating function ------------------------------------------
 
-    def _mgf_finite(self, t):
-        """Finiteness of E[exp(tY)] from the tail exponents."""
-        p = self.params
-        tol = 1e-12
-        if self.family == "GIG":
-            beta = p.psi / 2.0
-            if t < beta - tol * max(1.0, beta):
-                return True
-            if t <= beta + tol * max(1.0, beta):
-                return p.lam < 0.0
-            return False
-        # GH: mixture argument g(t) = gamma*t + t^2/2 against the mixing law
-        g = p.gamma * t + 0.5 * t * t
-        half_psi = 0.5 * p.psi
-        if g < half_psi - tol * max(1.0, half_psi):
-            return True
-        if g <= half_psi + tol * max(1.0, half_psi):
-            return p.lam < 0.0
-        return False
-
     def mgf(self, t):
         """E[exp(t*Y)] in closed form; ``inf`` when divergent.
 
-        Finite iff t is below the tail index beta, or t = beta exactly
-        and lambda < 0.  Y = mu + gamma*R + sqrt(R)*W gives
-        M(t) = e^{mu t} E[exp(u R)] with u = gamma*t + t^2/2 (u = t and
-        mu = 0 for a GIG law Y = R), and with s = psi - 2u
+        Y = mu + gamma*R + sqrt(R)*W gives M(t) = e^{mu t} E[exp(u R)]
+        with the mixing argument u = gamma*t + t^2/2 (u = t and mu = 0
+        for a GIG law Y = R).  It is finite iff u is below psi/2, or
+        u = psi/2 exactly and lambda < 0, which is t below the tail
+        index beta or at it; with s = psi - 2u
 
             E[exp(u R)] = (psi/s)^{lambda/2} K_lambda(sqrt(tau s)) / K_lambda(sqrt(tau psi)).
         """
         t = float(t)
         if t == 0.0:
             return 1.0
-        if not self._mgf_finite(t):
-            return np.inf
         p = self.params
         if self.family == "GIG":
-            return math.exp(self._mixing_log_mgf(p.psi - 2.0 * t))
-        u = p.gamma * t + 0.5 * t * t
-        return math.exp(p.mu * t + self._mixing_log_mgf(p.psi - 2.0 * u))
+            shift, u = 0.0, t
+        else:
+            shift, u = p.mu * t, p.gamma * t + 0.5 * t * t
+        half_psi = 0.5 * p.psi
+        slack = 1e-12 * max(1.0, half_psi)  # u within this of psi/2 counts as psi/2
+        if not (u < half_psi - slack or (u <= half_psi + slack and p.lam < 0.0)):
+            return np.inf  # NaN included
+        return math.exp(shift + self._mixing_log_mgf(p.psi - 2.0 * u))
 
     def _mixing_log_mgf(self, s):
         """log E[exp(u R)] for R ~ GIG(lambda, tau, psi), at s = psi - 2u > 0,
@@ -471,13 +455,13 @@ class NoiseDistribution:
     # -- quadrature moments (test oracles) ---------------------------------
 
     def moment(self, k):
-        """E[Y^k] by adaptive quadrature."""
+        """E[Y^k] by adaptive quadrature; raises ``QuadratureError`` when
+        QUADPACK reports that it missed its tolerance."""
         pieces = [self._support[0]] + self._kinks() + [np.inf]
         total = 0.0
         for a, b in zip(pieces[:-1], pieces[1:]):
-            val, _ = integrate.quad(lambda y: y ** k * self.pdf(y), a, b,
-                                    epsabs=1e-12, epsrel=1e-10, limit=400)
-            total += val
+            total += _quad(lambda y: y ** k * self.pdf(y), a, b,
+                           epsabs=1e-12, epsrel=1e-10, limit=400)
         return total
 
     def mean(self):

@@ -26,8 +26,8 @@ mixtures over the dual cells D_j = {s : phi_j(s) >= phi_i(s) for all i},
 whose mixing variables must come from a convolution-closed GIG subclass
 (inverse Gaussian or gamma).
 
-:func:`simulate_field` draws replicates in batches of 256 rows by
-default, batch i from the i-th SFC64 sub-stream of the root seed.  The
+:func:`simulate_field` draws replicates in batches of 256 rows
+(``_BATCH``), batch i from the i-th SFC64 sub-stream of the root seed.  The
 nodes are grouped once by the exact value of their dual-cell area (4,
 27 and 37 classes on the 81-, 196- and 841-node meshes of
 ``simulate-and-chi --appendix-d``), and a batch is node-major: for
@@ -48,8 +48,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
-from .errors import (AssemblyError, DomainError, NonnegativityError,
-                     ParameterError, SolveError)
+from .errors import DomainError, NonnegativityError, ParameterError, SolveError
 from .lintrans import CoefficientMatrix
 from .streams import map_chunks
 
@@ -102,16 +101,6 @@ class TypeGNoise:
             return rng.wald(area * math.sqrt(self.tau / self.psi), self.tau * area * area, shape)
         return rng.gamma(self.lam * area, 2.0 / self.psi, shape)
 
-    def marginal(self, area=1.0):
-        """Cell-level noise law (a GH distribution), for cross-checks."""
-        from .exptail import NoiseDistribution  # loads scipy.integrate and scipy.special
-
-        if self.family == "nig":
-            return NoiseDistribution.gh(-0.5, self.tau * area * area, self.psi,
-                                        self.mu * area, self.gamma)
-        return NoiseDistribution.gh(self.lam * area, 0.0, self.psi,
-                                    self.mu * area, self.gamma)
-
 
 RATIONAL_TOL = 1e-13    # relative error bound of the odd-exponent quadrature
 NEGATIVE_RTOL = 1e-10   # coefficients below -NEGATIVE_RTOL * rowmax abort; the rest are clamped
@@ -120,6 +109,7 @@ MAX_RATIO = 1e8        # largest spectrum ratio upper/lower the quadrature accep
 _LOG_GRID = 4097        # points of the log grid the quadrature error is taken on
 _MAX_NODES = 60         # ratios up to MAX_RATIO need at most 40
 _INVERSE_STEPS = 8      # inverse iterations behind the lower spectrum bound
+_BATCH = 256            # replicates per simulate_field batch, one sub-stream each
 
 
 class InverseSqrtQuadrature(NamedTuple):
@@ -407,11 +397,7 @@ def fem_assemble(mesh, kappa, alpha):
     # edge coefficients of the linear basis on each triangle
     b = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
     c = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    area2 = x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2]
-    if np.any(np.abs(area2) < 1e-14):
-        bad = int(np.nonzero(np.abs(area2) < 1e-14)[0][0])
-        raise AssemblyError(f"degenerate triangle {bad}")
-    area = 0.5 * np.abs(area2)
+    area = 0.5 * np.abs(x[:, 0] * b[:, 0] + x[:, 1] * b[:, 1] + x[:, 2] * b[:, 2])
 
     n = mesh.n_nodes
     ii = np.repeat(tris, 3, axis=1).ravel()          # i index of each 3x3 block
@@ -489,8 +475,7 @@ def dual_cell_areas(mesh):
     return out
 
 
-def simulate_field(system, sites, noise, n, rng, constant_mixing=None,
-                   batch=256, threads=1):
+def simulate_field(system, sites, noise, n, rng, constant_mixing=None, threads=1):
     """Replicates of the approximated FEM field at the given sites, an
     (n, k) array in column-major order.
 
@@ -501,10 +486,12 @@ def simulate_field(system, sites, noise, n, rng, constant_mixing=None,
     through W in one matrix product.  ``rng`` is an integer root seed
     (batch i draws from the i-th of its sub-streams, and ``threads``
     workers may draw batches in parallel) or a Generator (one sequential
-    stream over the batches in order).  ``constant_mixing`` freezes the
-    mixing variables at a constant, which makes the field Gaussian
-    (debugging hook).  ``batch`` and ``threads`` are checked as
-    :func:`exdep.streams.map_chunks` checks them, also when n = 0.
+    stream over the batches in order); batches hold ``_BATCH`` (256)
+    rows, the last one fewer.  ``constant_mixing`` freezes the mixing
+    variables at a constant, which makes the field Gaussian (the
+    Gaussian control of the simulated comparisons).  ``threads`` is
+    checked as :func:`exdep.streams.map_chunks` checks it, also when
+    n = 0.
 
     The nodes are grouped by the exact value of their dual-cell area, in
     ascending order of the classes (``np.unique``; no rounding), and the
@@ -521,9 +508,9 @@ def simulate_field(system, sites, noise, n, rng, constant_mixing=None,
     contiguous for :func:`exdep.estimate.exceedances`; each batch copies
     its product W v into its own rows, and concurrent batches write
     disjoint rows.  Memory is the result and W plus, per worker thread,
-    two reused n_nodes x min(batch, n) arrays (v and Z), one temporary
+    two reused n_nodes x min(_BATCH, n) arrays (v and Z), one temporary
     of at most that size (a class's mixing values, then sqrt(v)) and one
-    k x min(batch, n) product.
+    k x min(_BATCH, n) product.
     """
     if n < 0:
         raise DomainError("n must be non-negative")
@@ -532,7 +519,7 @@ def simulate_field(system, sites, noise, n, rng, constant_mixing=None,
     phi = basis_matrix(system.mesh, sites)
     out = np.empty((n, phi.shape[0]), order="F")
     if n == 0:
-        map_chunks(None, 0, batch, rng, threads)  # checks batch and threads, draws nothing
+        map_chunks(None, 0, _BATCH, rng, threads)  # checks threads, draws nothing
         return out
     areas = dual_cell_areas(system.mesh)
     classes, inverse, counts = np.unique(areas, return_inverse=True, return_counts=True)
@@ -541,7 +528,7 @@ def simulate_field(system, sites, noise, n, rng, constant_mixing=None,
     blocks = list(zip([0] + ends[:-1], ends, classes))  # (first row, end row, area)
     weights = system.solve_k_alpha(phi.toarray().T)[order].T  # W, columns in class order
     shift = (noise.mu * areas[order])[:, None]
-    cells = areas.size * min(batch, n)
+    cells = areas.size * min(_BATCH, n)
     buffers = threading.local()  # concurrent batches must not share a buffer
 
     def one_batch(start, size, stream):
@@ -561,5 +548,5 @@ def simulate_field(system, sites, noise, n, rng, constant_mixing=None,
         v += z
         out.T[:, start:start + size] = weights @ v
 
-    map_chunks(one_batch, n, batch, rng, threads)
+    map_chunks(one_batch, n, _BATCH, rng, threads)
     return out

@@ -93,30 +93,18 @@ def matern_green(kappa, alpha, d, h):
     return out if out.ndim else float(out)
 
 
-def _matern_convex(kappa, alpha, d):
-    if d == 2:
-        return alpha <= 3.0  # known threshold in two dimensions
-    func = lambda h: matern_green(kappa, alpha, d, h)
-    return _second_difference_convex(func)
-
-
-def _second_difference_convex(func, n=60, tol=1e-8):
-    hs = np.geomspace(1e-3, 5.0, n)
-    step = hs * 1e-2
-    second = func(hs + step) + func(hs - step) - 2.0 * func(hs)
-    scale = np.abs(func(hs)) * (step / hs) ** 2 + 1e-300
-    return bool(np.all(second >= -tol * scale))
-
-
 def matern_kernel(kappa, alpha, d=2):
-    """Matern Green's function as a :class:`Kernel` value; its parameters
-    are checked by :func:`matern_green`."""
-    g0 = matern_green(kappa, alpha, d, 0.0)
+    """Matern Green's function on R^2 as a :class:`Kernel` value; its
+    parameters are checked by :func:`matern_green`.  It is convex iff
+    alpha <= 3, the known threshold in two dimensions; any other ``d``
+    raises :class:`ParameterError`."""
+    if d != 2:
+        raise ParameterError(f"Matern kernels are built in two dimensions only, got d = {d!r}")
     return Kernel(
         kind="matern_green",
-        func=lambda h: matern_green(kappa, alpha, d, h),
-        value_at_zero=g0,
-        convex=_matern_convex(kappa, alpha, d),
+        func=lambda h: matern_green(kappa, alpha, 2, h),
+        value_at_zero=matern_green(kappa, alpha, 2, 0.0),
+        convex=alpha <= 3.0,
     )
 
 

@@ -156,7 +156,6 @@ class RegimeSplit:
 
     regime: Regime
     shared_argmax: frozenset
-    normalized: np.ndarray
     residual_1: np.ndarray  # normalized row-1 coefficients outside the shared argmax
     residual_2: np.ndarray
 
@@ -183,7 +182,6 @@ def classify(matrix):
     return RegimeSplit(
         regime=regime,
         shared_argmax=shared,
-        normalized=normalized,
         residual_1=normalized[0, outside],
         residual_2=normalized[1, outside],
     )
@@ -521,18 +519,14 @@ def chi_mc(matrix, dist, n_samples, rng):
     if r1.size == 0 or (np.all(r1 == 0.0) and np.all(r2 == 0.0)) or np.array_equal(r1, r2):
         return 1.0, 0.0  # Z1 = Z2 almost surely
     beta = dist.tail_index
-    log_m1 = 0.0
-    log_m2 = 0.0
-    for c in r1:
-        m = dist.mgf(c * beta)
-        if not np.isfinite(m):
-            raise MgfDivergenceError(f"residual MGF diverges at t = {c * beta}")
-        log_m1 += math.log(m)
-    for c in r2:
-        m = dist.mgf(c * beta)
-        if not np.isfinite(m):
-            raise MgfDivergenceError(f"residual MGF diverges at t = {c * beta}")
-        log_m2 += math.log(m)
+    log_m = [0.0, 0.0]  # log M_Z1(beta), log M_Z2(beta)
+    for row, residual in enumerate((r1, r2)):
+        for c in residual:
+            m = dist.mgf(c * beta)
+            if not np.isfinite(m):
+                raise MgfDivergenceError(f"residual MGF diverges at t = {c * beta}")
+            log_m[row] += math.log(m)
+    log_m1, log_m2 = log_m
 
     def one_chunk(_start, size, stream):
         y = dist.sample(stream, size * r1.size).reshape(size, r1.size)
@@ -643,7 +637,6 @@ def tail_summary(matrix):
 
 def simulate_linear(matrix, dist, n, rng):
     """Draw n replicates of X = A Y with i.i.d. noise; columns follow the
-    rows of A."""
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rows of A; ``rng`` is a Generator or an integer seed."""
     y = dist.sample(rng, n * matrix.shape[1]).reshape(n, matrix.shape[1])
     return y @ matrix.entries.T

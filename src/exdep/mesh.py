@@ -151,11 +151,12 @@ class Mesh2D:
         l2 = _cross2(v0, v2) / den
         return np.stack([1.0 - l1 - l2, l1, l2], axis=1)
 
-    def locate(self, point, tol=1e-10):
-        """Index of a triangle containing ``point`` plus its barycentric
-        coordinates; raises when the point is outside the mesh."""
+    def locate(self, point):
+        """Index of a triangle containing ``point`` (to barycentric
+        coordinates of -1e-10) plus its barycentric coordinates; raises
+        when the point is outside the mesh."""
         bary = self.barycentric(point)
-        inside = np.all(bary >= -tol, axis=1)
+        inside = np.all(bary >= -1e-10, axis=1)
         hits = np.nonzero(inside)[0]
         if hits.size == 0:
             raise DomainError(f"point {tuple(np.asarray(point).tolist())} lies outside the mesh")

@@ -1,7 +1,8 @@
 """The public surface of ``exdep``: exports resolve, no import is stale,
-every error class is raised somewhere, every boundary the traced
-benchmark wraps exists, with the parameters its counters read, and the
-gauge oracle stays independent of the closed form it checks.
+every error class is raised somewhere, every definition is referenced,
+every boundary the traced benchmark wraps exists, with the parameters
+its counters read, and the gauge oracle stays independent of the closed
+form it checks.
 
 Standard library only (``ast``, ``importlib``, ``inspect``), since no
 lint tool is a dependency of the package.
@@ -152,6 +153,27 @@ def _referenced(node):
     """The names and attribute names that ``node`` references."""
     return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
             if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _definitions(scope, prefix=""):
+    """(qualified name, name) of every function, method and class in ``scope``."""
+    for node in ast.iter_child_nodes(scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield prefix + node.name, node.name
+            yield from _definitions(node, f"{prefix}{node.name}.")
+        else:
+            yield from _definitions(node, prefix)
+
+
+def test_every_definition_is_referenced():
+    referenced = set()
+    for path in [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py")]:
+        referenced |= _referenced(ast.parse(path.read_text()))
+    referenced |= {part for _, _, path, *_ in _spans().LAYERS for part in path.split(".")}
+    unused = [f"{module}.{qualified}" for module in ["__init__", *MODULES]
+              for qualified, name in _definitions(_tree(module))
+              if name not in referenced and not (name.startswith("__") and name.endswith("__"))]
+    assert not unused, f"src/exdep defines {unused}, which nothing in src/ or tests/ references"
 
 
 def test_gauge_oracle_references_nothing_of_the_closed_form():

@@ -582,6 +582,10 @@ def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, argv):
     ["counterexample", "--seed", "1", "--samples", "0"],
     ["counterexample", "--seed", "1", "--n-values", "0"],
     ["counterexample", "--seed", "1", "--n-values", "1,-10"],
+    ["matern-eta", "--seed", "1", "--mesh-nodes", "1"],
+    ["matern-eta", "--seed", "1", "--extension", "-1"],
+    ["simulate-and-chi", "--seed", "1", "--mesh-nodes", "1"],
+    ["simulate-and-chi", "--seed", "1", "--extension", "-1"],
 ])
 def test_flags_zero_count_exits_2(tmp_path, argv):
     out = tmp_path / "c.csv"

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from exdep import exptail
@@ -186,6 +188,14 @@ def test_quadrature_failure_raises(monkeypatch):
         NoiseDistribution.nig(1.0, 1.0)._exp_weighted_integral(0.5, -np.inf, np.inf)
 
 
+def test_moment_quadrature_failure_raises(monkeypatch):
+    real = integrate.quad
+    monkeypatch.setattr(integrate, "quad",
+                        lambda *a, **k: real(*a, **k)[:3] + ("roundoff error is detected",))
+    with pytest.raises(QuadratureError, match="roundoff"):
+        NoiseDistribution.nig(1.0, 1.0).moment(2)
+
+
 # -- tail index ----------------------------------------------------------
 
 def test_tail_index_values():
@@ -295,6 +305,22 @@ def test_boundary_family_mgfs_match_their_mixing_laws():
     assert vg.mgf(t) == pytest.approx(math.exp(mu * t) * (psi / (psi - 2 * u)) ** lam, rel=1e-14)
     # a GIG law itself with tau = 0, gamma(lam, rate psi/2), at t = u = 0.5
     assert NoiseDistribution.gig(lam, 0.0, psi).mgf(0.5) == pytest.approx(2.0 ** lam, rel=1e-14)
+
+
+_BOUNDARY_OFFSETS = st.sampled_from([-1e-9, -2e-12, -1e-13, 0.0, 1e-13, 2e-12, 1e-9])
+
+
+@settings(max_examples=200, deadline=None)
+@given(lam=st.floats(-3.0, 3.0), tau=st.floats(0.0, 5.0), psi=st.floats(0.05, 5.0),
+       t=st.floats(-3.0, 3.0), offset=st.one_of(st.none(), _BOUNDARY_OFFSETS))
+def test_gh_mgf_is_the_gig_mgf_at_the_mixing_argument(lam, tau, psi, t, offset):
+    # one rule for both families: a symmetric GH law's M(t) is its mixing
+    # law's M(t^2/2), bit for bit, inf included, on both sides of psi/2
+    assume((lam <= 0.0 and tau > 0.0) or (lam > 0.0 and tau >= 0.0))
+    if offset is not None:  # t at a relative offset from the tail index sqrt(psi)
+        t = math.copysign(math.sqrt(psi) * (1.0 + offset), t)
+    gh = NoiseDistribution.gh(lam, tau, psi).mgf(t)
+    assert gh == NoiseDistribution.gig(lam, tau, psi).mgf(0.5 * t * t)
 
 
 def test_mgf_needs_no_quadrature_and_one_bessel_per_call(monkeypatch):

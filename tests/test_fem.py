@@ -11,8 +11,8 @@ from scipy.sparse import linalg as spla
 
 from exdep.cli import random_sites
 from exdep.errors import DomainError, NonnegativityError, ParameterError, SolveError
-from exdep.fem import (BACKWARD_TOL, MAX_RATIO, RATIONAL_TOL, FemSystem, TypeGNoise,
-                       basis_matrix, dual_cell_areas, fem_assemble,
+from exdep.fem import (_BATCH, BACKWARD_TOL, MAX_RATIO, RATIONAL_TOL, FemSystem,
+                       TypeGNoise, basis_matrix, dual_cell_areas, fem_assemble,
                        fem_coefficients, inverse_sqrt_quadrature, simulate_field)
 from exdep.kernels import matern_kernel
 from exdep.lintrans import (CoefficientMatrix, Regime, classify,
@@ -410,13 +410,14 @@ def test_simulate_field_matches_per_batch_solve(alpha):
     system = fem_assemble(mesh, 2.0, alpha)
     noise = TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0)
     sites = [[0.3, 0.4], [0.7, 0.55], [0.5, 0.5]]
-    sizes = [256, 256, 256, 232]
-    x = simulate_field(system, sites, noise, 1000, 11, batch=256)
+    n = 3 * _BATCH + 232
+    sizes = [_BATCH] * 3 + [232]
+    x = simulate_field(system, sites, noise, n, 11)
     ref = _per_batch_reference(system, sites, noise, sizes, substreams(11, 4))
-    assert x.shape == (1000, 3) and x.flags.f_contiguous
+    assert x.shape == (n, 3) and x.flags.f_contiguous
     np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
     # a Generator is one sequential stream over the same batches
-    x = simulate_field(system, sites, noise, 1000, np.random.default_rng(11), batch=256)
+    x = simulate_field(system, sites, noise, n, np.random.default_rng(11))
     ref = _per_batch_reference(system, sites, noise, sizes,
                                [np.random.default_rng(11)] * 4)
     np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
@@ -441,22 +442,23 @@ def test_simulate_field_equals_the_one_shot_batch(noise):
     mesh = lattice_mesh_2d((0, 0, 1, 1), 6, 1)
     system = fem_assemble(mesh, 2.0, 3)
     sites = [[0.3, 0.4], [0.7, 0.55], [0.5, 0.5]]
-    sizes = [600, 600, 300]  # two full batches and a shorter last one
+    short = _BATCH // 2 + 22
+    sizes = [_BATCH, _BATCH, short]  # two full batches and a shorter last one
+    n = sum(sizes)
     ref = _one_shot_reference(system, sites, noise, sizes, substreams(4, 3))
     for threads in (1, 2):
-        x = simulate_field(system, sites, noise, 1500, 4, batch=600, threads=threads)
+        x = simulate_field(system, sites, noise, n, 4, threads=threads)
         assert x.flags.f_contiguous and np.array_equal(x, ref)
     ref = _one_shot_reference(system, sites, noise, sizes, substreams(4, 3), 0.8)
     for threads in (1, 2):
-        x = simulate_field(system, sites, noise, 1500, 4, constant_mixing=0.8, batch=600,
-                           threads=threads)
+        x = simulate_field(system, sites, noise, n, 4, constant_mixing=0.8, threads=threads)
         assert x.flags.f_contiguous and np.array_equal(x, ref)
     ref = _one_shot_reference(system, sites, noise, sizes, [np.random.default_rng(9)] * 3)
-    x = simulate_field(system, sites, noise, 1500, np.random.default_rng(9), batch=600)
+    x = simulate_field(system, sites, noise, n, np.random.default_rng(9))
     assert x.flags.f_contiguous and np.array_equal(x, ref)
     # fewer replicates than one batch: the buffer holds only those
-    ref = _one_shot_reference(system, sites, noise, [300], substreams(4, 1))
-    x = simulate_field(system, sites, noise, 300, 4, batch=600)
+    ref = _one_shot_reference(system, sites, noise, [short], substreams(4, 1))
+    x = simulate_field(system, sites, noise, short, 4)
     assert x.flags.f_contiguous and np.array_equal(x, ref)
 
 
@@ -466,7 +468,7 @@ def test_simulate_field_holds_one_copy_of_the_field():
     noise = TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0)
     sites = random_sites(np.random.default_rng(0), 8)
     simulate_field(system, sites, noise, 10, 1)  # factor K_2 outside the trace
-    n, batch, k, nodes = 40_000, 256, len(sites), mesh.n_nodes  # the default batch
+    n, batch, k, nodes = 40_000, _BATCH, len(sites), mesh.n_nodes
     tracemalloc.start()
     try:
         x = simulate_field(system, sites, noise, n, 1)
@@ -486,13 +488,12 @@ def test_simulate_field_threads_do_not_change_draws():
     system = fem_assemble(mesh, 2.0, 2)
     noise = TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0)
     sites = [[0.3, 0.4], [0.7, 0.55]]
-    one = simulate_field(system, sites, noise, 5000, 8, batch=512, threads=1)
-    two = simulate_field(system, sites, noise, 5000, 8, batch=512, threads=2)
+    one = simulate_field(system, sites, noise, 5000, 8, threads=1)
+    two = simulate_field(system, sites, noise, 5000, 8, threads=2)
     assert np.array_equal(one, two)
 
 
-@pytest.mark.parametrize("bad", [dict(batch=-3), dict(batch=0), dict(threads=0),
-                                 dict(threads=-1)])
+@pytest.mark.parametrize("bad", [dict(threads=0), dict(threads=-1)])
 def test_simulate_field_rejects_chunking_below_one(bad):
     mesh = lattice_mesh_2d((0, 0, 1, 1), 5, 1)
     system = fem_assemble(mesh, 2.0, 2)
@@ -510,10 +511,10 @@ def _mixing_moments(noise, areas):
     return 2.0 * noise.lam * areas / noise.psi, 4.0 * noise.lam * areas / noise.psi ** 2
 
 
-def _assert_closed_form_moments(mesh, noise, batch):
+def _assert_closed_form_moments(mesh, noise, rng):
     """The law of the field, whatever stream draws it: mean W (mu|D| + gamma E v)
     and covariance W diag(gamma^2 Var v + E v) W^T at three sites, each
-    within 5 standard errors."""
+    within 5 standard errors, drawn from ``rng`` (a root seed or a Generator)."""
     system = fem_assemble(mesh, 2.0, 2)
     sites = [[1.2, 1.6], [1.8, 2.0], [2.8, 2.2]]
     areas = dual_cell_areas(mesh)
@@ -522,7 +523,7 @@ def _assert_closed_form_moments(mesh, noise, batch):
     mean = w @ (noise.mu * areas + noise.gamma * mean_v)
     cov = (w * (noise.gamma ** 2 * var_v + mean_v)) @ w.T
     n = 40_000
-    x = simulate_field(system, sites, noise, n, 17, batch=batch)
+    x = simulate_field(system, sites, noise, n, rng)
     centered = x - x.mean(axis=0)
     assert np.all(np.abs(x.mean(axis=0) - mean) <= 5.0 * np.sqrt(np.diag(cov) / n))
     for i in range(3):
@@ -538,11 +539,12 @@ _MOMENT_NOISES = [
 ]
 
 
-@pytest.mark.parametrize("batch", [256, 4096])
+@pytest.mark.parametrize("rng", [17, "generator"])
 @pytest.mark.parametrize("noise", _MOMENT_NOISES)
-def test_simulate_field_mean_and_covariance_match_the_closed_form(noise, batch):
+def test_simulate_field_mean_and_covariance_match_the_closed_form(noise, rng):
     # cells of area 0.64 set E v^2 (of v Z in place of sqrt(v) Z) well apart from E v
-    _assert_closed_form_moments(lattice_mesh_2d((0, 0, 4, 4), 6, 1), noise, batch)
+    rng = np.random.default_rng(17) if rng == "generator" else rng
+    _assert_closed_form_moments(lattice_mesh_2d((0, 0, 4, 4), 6, 1), noise, rng)
 
 
 @pytest.mark.parametrize("noise", _MOMENT_NOISES)
@@ -552,7 +554,7 @@ def test_simulate_field_moments_where_every_area_is_its_own_class(noise):
     jitter = np.random.default_rng(3).uniform(-0.12, 0.12, grid.nodes.shape)
     mesh = Mesh2D(grid.nodes + jitter, grid.triangles)
     assert np.unique(dual_cell_areas(mesh)).size == mesh.n_nodes
-    _assert_closed_form_moments(mesh, noise, 256)
+    _assert_closed_form_moments(mesh, noise, 17)
 
 
 def test_simulate_field_checks_site_weight_residual(monkeypatch):

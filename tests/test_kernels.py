@@ -63,6 +63,12 @@ def test_matern_convexity_threshold_2d():
     assert not matern_kernel(2.0, 5.0, 2).convex
 
 
+@pytest.mark.parametrize("d", [1, 3])
+def test_matern_kernel_is_built_in_two_dimensions_only(d):
+    with pytest.raises(ParameterError, match="two dimensions"):
+        matern_kernel(2.0, 3.0, d=d)
+
+
 def test_exponential_kernel_values():
     kern = exponential_kernel(0.2)
     assert kern(0.0) == kern.value_at_zero == 1.0
