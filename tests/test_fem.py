@@ -493,7 +493,8 @@ def test_simulate_field_threads_do_not_change_draws():
     assert np.array_equal(one, two)
 
 
-@pytest.mark.parametrize("bad", [dict(threads=0), dict(threads=-1)])
+@pytest.mark.parametrize("bad", [dict(threads=0), dict(threads=-1), dict(threads=1.0),
+                                 dict(threads=2.5)])
 def test_simulate_field_rejects_chunking_below_one(bad):
     mesh = lattice_mesh_2d((0, 0, 1, 1), 5, 1)
     system = fem_assemble(mesh, 2.0, 2)
