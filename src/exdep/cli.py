@@ -4,13 +4,13 @@ Each subcommand writes a plot-ready CSV (or JSON) artifact atomically
 (temp file + rename).  Exit codes: 0 success, 1 numerical/model error,
 2 usage error.  Identical configurations produce byte-identical output.
 
-A subcommand loads only the scipy subpackages it calls: ``kernels``
-(``scipy.special``) and ``exptail`` (``scipy.integrate``,
-``scipy.optimize``) are imported inside the commands that use them, so
-``simulate-and-chi``, ``counterexample`` and ``eta`` run on numpy and
-``scipy.sparse`` alone.  ``fem``, ``mesh`` and ``estimate`` stay at
-module level: loading ``scipy.sparse`` inside a command would move its
-import into the command's first call.
+A subcommand loads only the scipy subpackages it calls: ``fem``
+(``scipy.sparse``), ``kernels`` (``scipy.special`` in the Matern
+kernel) and ``exptail`` (``scipy.special``) are imported inside the
+commands that use them, so ``counterexample``, ``eta`` and
+``ou-convergence`` run on numpy alone.  The first ``matern-eta`` or
+``simulate-and-chi`` call of a process pays for the ``scipy.sparse``
+import.
 """
 
 import argparse
@@ -24,10 +24,9 @@ from importlib import resources
 
 import numpy as np
 
-from . import estimate, fem, mesh
+from . import estimate, mesh
 from .errors import DomainError, ExdepError, ParameterError
-from .lintrans import (CoefficientMatrix, chi_gh_two, chi_limit_a22, eta_pairs,
-                       tail_summary)
+from .lintrans import CoefficientMatrix, chi_gh_two, eta_pairs, tail_summary
 
 DEFAULT_NIG_NOISE = {"mu": -1.0, "gamma": 1.0, "psi": 1.0, "tau": 1.0}
 COUNTEREXAMPLE_Q = 0.999
@@ -161,17 +160,20 @@ def cmd_chi_vs_a22(args):
         [(1.0, tau, 1.0) for tau in (0.5, 1.0, 5.0, 30.0)],
         [(1.0, 1.0, psi) for psi in (0.5, 1.0, 5.0, 30.0)],
     ]
+    if not all(a22 < 1.0 for a22 in args.a22_grid):  # 1 is the limit row of each law
+        raise DomainError("a22 values must lie in [0, 1)")
     rows = []
     for family in grids:
         for (lam, tau, psi) in family:
             params = GhParams(lam, tau, psi, 0.0, 0.0)
-            values = [chi_gh_two(args.a12, a22, params) for a22 in args.a22_grid]
+            # the curve and its a22 -> 1 limit in one quadrature batch
+            *values, limit = chi_gh_two(args.a12, [*args.a22_grid, 1.0], params).tolist()
             if np.any(np.diff(values) >= 0.0):
                 raise ExdepError(
                     f"chi(a22) curve not strictly decreasing for lambda={lam}, tau={tau}, psi={psi}"
                 )
             rows += [(lam, tau, psi, a22, chi) for a22, chi in zip(args.a22_grid, values)]
-            rows.append((lam, tau, psi, 1.0, chi_limit_a22(args.a12, params)))
+            rows.append((lam, tau, psi, 1.0, limit))
     _write_csv(args.out, "lambda,tau,psi,a22,chi", rows)
     return 0
 
@@ -231,7 +233,7 @@ def random_sites(rng, n_sites):
 
 
 def cmd_matern_eta(args):
-    from . import kernels
+    from . import fem, kernels
 
     for alpha in args.alphas:  # all are checked before any is computed
         fem._check_alpha(alpha)
@@ -270,6 +272,8 @@ def cmd_matern_eta(args):
 # ----------------------------------------------------------------------
 
 def cmd_simulate_and_chi(args):
+    from . import fem
+
     threads = _threads(args)
     noise = fem.TypeGNoise("nig", **DEFAULT_NIG_NOISE)
     mesh_sides = [args.mesh_nodes]
@@ -292,6 +296,8 @@ def _mesh_chi_rows(args, side, sites, noise, n, threads):
     """The CSV rows of one mesh, pair by pair and level by level.  The
     masks are taken one level at a time, each freed before the next, and
     the field is freed on return, before the next mesh is simulated."""
+    from . import fem
+
     grid = mesh.lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), side, args.extension)
     system = fem.fem_assemble(grid, args.kappa, args.alpha)
     x = fem.simulate_field(system, sites, noise, n, args.seed, threads=threads)

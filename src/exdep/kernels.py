@@ -20,7 +20,6 @@ explicit flag so the constant-1/2 branch is exact, never a float overflow.
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import DomainError, ParameterError, PreconditionError
 
@@ -69,6 +68,8 @@ def matern_green(kappa, alpha, d, h):
     value is the finite small-argument limit for alpha > d and ``inf``
     for alpha = d.
     """
+    from scipy import special as _sp  # the only scipy call of this module
+
     if not 0.0 < kappa < math.inf:
         raise ParameterError(f"kappa must be positive and finite, got {kappa!r}")
     if d not in (1, 2, 3):

@@ -30,9 +30,11 @@ solves the gauge program as a linear program by enumerating the basic
 solutions of the LP and of its dual, and checks their primal-dual
 certificate.
 
-The exact chi of the GH model imports ``exptail`` (``scipy.integrate``)
-inside the functions that call it, so importing this module, every eta
+The exact chi of the GH model imports ``exptail`` (``scipy.special``)
+inside the function that calls it, so importing this module, every eta
 computation and the oracle load numpy and no scipy subpackage.
+``chi_gh_two`` takes a whole a22 curve, its a22 -> 1 limit included, and
+integrates it in one quadrature batch.
 """
 
 import bisect
@@ -553,53 +555,49 @@ def _check_symmetric_gh(params):
 def chi_gh_two(a12, a22, params):
     """Exact chi for X1 = Y1 + a12*Y2, X2 = Y1 + a22*Y2 with symmetric GH noise.
 
-    Evaluates the two-piece exponentially tilted integral split at the
-    threshold y = c / (a22 - a12); absolute tolerance 1e-6.
+    ``a22`` is a float or an array of floats in [0, 1]; a22 = 1 gives the
+    a22 -> 1 limit of :func:`chi_limit_a22`, and a float gives a float.
+    Each value is the two-piece exponentially tilted integral split at
+    the threshold y = c / (a22 - a12); all of them are integrated in one
+    quadrature batch.  Absolute tolerance 1e-6.
     """
     _check_symmetric_gh(params)
-    for a in (a12, a22):
-        if not 0.0 <= a < 1.0:
-            raise DomainError("coefficients must lie in [0, 1)")
-    if a12 == a22:
-        return 1.0
-    from .exptail import NoiseDistribution  # loads scipy.integrate and scipy.special
+    a22 = np.asarray(a22, dtype=float)
+    scalar = a22.ndim == 0
+    a22 = np.atleast_1d(a22)
+    if not 0.0 <= a12 < 1.0:
+        raise DomainError("a12 must lie in [0, 1)")
+    if not np.all((0.0 <= a22) & (a22 <= 1.0)):
+        raise DomainError("a22 must lie in [0, 1], where 1 is the a22 -> 1 limit")
+    # a22 = a12 is comonotone, chi = 1; at a22 = 1 the limit is 0 unless lambda < 0
+    out = np.where(a22 == a12, 1.0, 0.0)
+    todo = np.flatnonzero((a22 != a12) & ((a22 < 1.0) | (params.lam < 0.0)))
+    if todo.size:
+        from .exptail import NoiseDistribution  # loads scipy.special
 
-    dist = NoiseDistribution(params)
-    beta = math.sqrt(params.psi)
-    m_12 = dist.mgf(a12 * beta)
-    m_22 = dist.mgf(a22 * beta)
-    c = (math.log(m_22) - math.log(m_12)) / beta
-    k = c / (a22 - a12)
-    if a22 > a12:
-        lo_part = dist._exp_weighted_integral(a22 * beta, -np.inf, k) / m_22
-        hi_part = dist._exp_weighted_integral(a12 * beta, k, np.inf) / m_12
-    else:
-        lo_part = dist._exp_weighted_integral(a22 * beta, k, np.inf) / m_22
-        hi_part = dist._exp_weighted_integral(a12 * beta, -np.inf, k) / m_12
-    return float(lo_part + hi_part)
+        dist = NoiseDistribution(params)
+        beta = math.sqrt(params.psi)
+        m_12 = dist.mgf(a12 * beta)
+        b = a22[todo]
+        m_22 = np.array([dist.mgf(a * beta) for a in b.tolist()])
+        k = np.array([(math.log(m) - math.log(m_12)) / beta for m in m_22.tolist()]) / (b - a12)
+        up = b > a12  # the a22 part below k, the a12 part above it; the other way round if not
+        parts = dist._exp_weighted_integral(
+            np.concatenate([b * beta, np.full(b.size, a12 * beta)]),
+            np.concatenate([np.where(up, -np.inf, k), np.where(up, k, -np.inf)]),
+            np.concatenate([np.where(up, k, np.inf), np.where(up, np.inf, k)]))
+        out[todo] = parts[:b.size] / m_22 + parts[b.size:] / m_12
+    return float(out[0]) if scalar else out
 
 
 def chi_limit_a22(a12, params):
     """Limit of chi in the two-variable model as a22 increases to 1.
 
     Zero when the mixing index lambda is non-negative; otherwise the
-    two-piece integral at the limiting threshold.
+    two-piece integral at the limiting threshold, which is
+    :func:`chi_gh_two` at a22 = 1.
     """
-    _check_symmetric_gh(params)
-    if not 0.0 <= a12 < 1.0:
-        raise DomainError("a12 must lie in [0, 1)")
-    if params.lam >= 0.0:
-        return 0.0
-    from .exptail import NoiseDistribution  # loads scipy.integrate and scipy.special
-
-    dist = NoiseDistribution(params)
-    beta = math.sqrt(params.psi)
-    m_1 = dist.mgf(beta)  # finite because lambda < 0
-    m_12 = dist.mgf(a12 * beta)
-    c_star = (math.log(m_1) - math.log(m_12)) / ((1.0 - a12) * beta)
-    lo_part = dist._exp_weighted_integral(beta, -np.inf, c_star) / m_1
-    hi_part = dist._exp_weighted_integral(a12 * beta, c_star, np.inf) / m_12
-    return float(lo_part + hi_part)
+    return chi_gh_two(a12, 1.0, params)
 
 
 # ----------------------------------------------------------------------

@@ -129,10 +129,6 @@ class Mesh2D:
     def n_nodes(self):
         return len(self.nodes)
 
-    @property
-    def n_triangles(self):
-        return len(self.triangles)
-
     def triangle_areas(self):
         p = self.nodes[self.triangles]
         return 0.5 * np.abs(_cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]))

@@ -2,12 +2,12 @@
 
 Wrappers around the AMOS-backed routines in :mod:`scipy.special`,
 exposing the plain and the log-scaled variants used throughout the
-distribution code.  ``log_bessel_k`` has a float route for scalar
-quadrature callbacks that gives the bits of the array route without its
-array overhead; the GH density's float route (``exptail``) calls it once
-per point.  Required accuracy (1e-10 relative for orders in
-[-35, 35] and arguments in (1e-8, 700)) is pinned by fixture tests
-against independently computed high-precision reference values.
+distribution code.  ``log_bessel_k`` takes arrays: the GH density calls
+it once per batch of quadrature nodes (``exptail``), and a float
+argument takes the same route and gives a float.  Required accuracy
+(1e-10 relative for orders in [-35, 35] and arguments in (1e-8, 700))
+is pinned by fixture tests against independently computed
+high-precision reference values.
 """
 
 import math
@@ -46,12 +46,13 @@ def _log_k_small(v, x):
     return out
 
 
-def _log_k_large(v, x):
-    # log(sqrt(pi / (2x)) e^{-x} (1 + (4v^2 - 1) / (8x)))
-    return 0.5 * np.log(np.pi / (2.0 * x)) - x + np.log1p((4.0 * v * v - 1.0) / (8.0 * x))
+def _log_k_large(v, x, scaled):
+    # log(sqrt(pi / (2x)) e^{-x} (1 + (4v^2 - 1) / (8x))), without e^{-x} if scaled
+    head = 0.5 * np.log(np.pi / (2.0 * x))
+    return (head if scaled else head - x) + np.log1p((4.0 * v * v - 1.0) / (8.0 * x))
 
 
-def log_bessel_k(order, x):
+def log_bessel_k(order, x, scaled=False):
     """log K_v(x), computed via the exponentially scaled K to avoid
     underflow for large arguments.
 
@@ -63,33 +64,26 @@ def log_bessel_k(order, x):
     where ``kve`` returns NaN) it switches to the large-argument
     expansion log(sqrt(pi/(2x)) e^{-x} (1 + (4v^2 - 1)/(8x))).
 
-    A float (or 0-d) argument gives a float, computed with the same
-    operations as the array route but without its array bookkeeping.
+    ``scaled`` gives log(K_v(x) e^x) instead, with no cancellation of
+    the x for large x.  A float (or 0-d) argument gives a float.
     """
     v = abs(order)
-    if not isinstance(x, float):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 0:
-            x = float(x)
-    if isinstance(x, float):
-        if x <= 0.0:
-            raise DomainError("log_bessel_k requires x > 0")
-        if not math.isfinite(x):
-            return -math.inf
-        out = np.log(_sp.kve(v, x)) - x
-        if x < 1.0 and not math.isfinite(out):  # K overflow
-            out = _log_k_small(v, x)
-        elif math.isnan(out):
-            out = _log_k_large(v, x)
-        return float(out)
-    if np.any(x <= 0.0):
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    if (x <= 0.0).any():
         raise DomainError("log_bessel_k requires x > 0")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = np.log(_sp.kve(v, x)) - x
-        small = ~np.isfinite(out) & (x < 1.0)  # K overflow, not tail underflow
-        if np.any(small):
-            out[small] = _log_k_small(v, x[small])
-        large = np.isnan(out) & (x >= 1.0)
-        if np.any(large):
-            out[large] = _log_k_large(v, x[large])
-    return np.where(np.isfinite(x), out, -np.inf)
+        out = np.log(_sp.kve(v, x))
+        if not scaled:
+            out -= x
+        bad = ~np.isfinite(out)  # -inf where K underflows, as at x = inf
+        if bad.any():
+            small = bad & (x < 1.0)  # K overflow, not tail underflow
+            if small.any():
+                out[small] = _log_k_small(v, x[small]) + (x[small] if scaled else 0.0)
+            large = np.isnan(out) & (x >= 1.0)
+            if large.any():
+                out[large] = _log_k_large(v, x[large], scaled)
+            out[np.isnan(x)] = -np.inf
+    return float(out[0]) if scalar else out

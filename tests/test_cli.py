@@ -217,7 +217,8 @@ def test_usage_error_exits_2_after_a_successful_call(tmp_path):
     assert run_cli(["eta", "--matrix", str(matrix), "--out", str(out)]) == 0
 
 
-SCIPY_SUBPACKAGES = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.stats")
+SCIPY_SUBPACKAGES = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.stats",
+                     "scipy.sparse")
 
 LOADS_SCRIPT = """
 import json
@@ -239,16 +240,15 @@ SCIPY_LOADS = {
     "import": ([], []),
     "simulate-and-chi": (["simulate-and-chi", "--seed", "1", "--samples", "4000",
                           "--mesh-nodes", "5", "--n-sites", "4", "--extension", "1",
-                          "--q", "0.95,0.975,0.99"], []),
+                          "--q", "0.95,0.975,0.99"], ["scipy.sparse"]),
     "counterexample": (["counterexample", "--seed", "1", "--samples", "4000",
                         "--n-values", "1,10,100"], []),
     "eta": (["eta", "--matrix", "{work}/m.csv"], []),
     "matern-eta": (["matern-eta", "--seed", "1", "--alphas", "2,3,4,5", "--mesh-nodes", "8",
-                    "--extension", "1", "--n-sites", "4"], ["scipy.special"]),
-    "ou-convergence": (["ou-convergence", "--deltas", "0.4,0.2", "--h-grid", "0.4,0.8"],
-                       ["scipy.special"]),
+                    "--extension", "1", "--n-sites", "4"], ["scipy.sparse", "scipy.special"]),
+    "ou-convergence": (["ou-convergence", "--deltas", "0.4,0.2", "--h-grid", "0.4,0.8"], []),
     "chi-vs-a22": (["chi-vs-a22", "--a12", "0.3", "--a22-grid", "0.5,0.9"],
-                   ["scipy.integrate", "scipy.optimize", "scipy.special"]),
+                   ["scipy.special"]),
     "oracle": (["oracle"], []),
 }
 
@@ -409,15 +409,15 @@ def test_simulate_and_chi_rejects_bad_exdep_threads(tmp_path, monkeypatch, value
 
 
 def test_chi_vs_a22_quadrature_failure_exits_1(tmp_path, monkeypatch, capsys):
-    from scipy import integrate
+    from exdep import exptail
 
-    real = integrate.quad
-    monkeypatch.setattr(integrate, "quad",
-                        lambda *a, **k: real(*a, **k)[:3] + ("roundoff error is detected",))
+    # a tolerance of zero cannot be met within 400 subintervals
+    monkeypatch.setattr(exptail, "_EPSABS", 0.0)
+    monkeypatch.setattr(exptail, "_EPSREL", 0.0)
     out = tmp_path / "chi.csv"
     assert run_cli(["chi-vs-a22", "--out", str(out), "--a22-grid", "0.5,0.7"]) == 1
     assert not out.exists()
-    assert "roundoff error is detected" in capsys.readouterr().err
+    assert "missed its tolerance within 400 subintervals" in capsys.readouterr().err
 
 
 def test_eta_summary_validation_matches_jsonschema():
@@ -683,6 +683,14 @@ def test_chi_vs_a22_a22_outside_the_unit_interval_exits_1(tmp_path):
     out = tmp_path / "c.csv"
     assert run_cli(["chi-vs-a22", "--a22-grid", "0.5,1.5", "--out", str(out)]) == 1
     assert not out.exists()
+
+
+def test_chi_vs_a22_grid_point_one_exits_1(tmp_path, capsys):
+    # a22 = 1 is the limit row of every law, not a grid point
+    out = tmp_path / "c.csv"
+    assert run_cli(["chi-vs-a22", "--a22-grid", "0.5,1.0", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "[0, 1)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec", [

@@ -549,6 +549,20 @@ def test_chi_limit_positive_below_zero_lambda():
     assert abs(near - value) < 1e-3
 
 
+def test_chi_gh_two_takes_a_curve_in_one_batch():
+    params = GhParams(-0.5, 1.0, 2.0)
+    grid = [0.35, 0.3, 0.6, 0.95, 1.0]
+    curve = chi_gh_two(0.3, grid, params)
+    assert isinstance(curve, np.ndarray) and curve.shape == (5,)
+    assert curve[1] == 1.0 and curve[4] == chi_limit_a22(0.3, params)
+    np.testing.assert_allclose(curve, [chi_gh_two(0.3, a, params) for a in grid],
+                               rtol=1e-10, atol=1e-12)
+    assert chi_gh_two(0.3, [0.5, 1.0], GhParams(1.0, 1.0, 1.0))[1] == 0.0
+    for a12, a22 in [(0.3, [0.5, 1.5]), (0.3, [-0.1]), (1.0, [0.5]), (-0.2, 0.5)]:
+        with pytest.raises(DomainError):
+            chi_gh_two(a12, a22, params)
+
+
 def test_chi_limit_a12_zero_simplification():
     # with a12 = 0 the second integral uses M(0) = 1
     params = GhParams(-0.5, 1.0, 1.0)
