@@ -25,7 +25,7 @@ from importlib import resources
 import numpy as np
 
 from . import estimate, mesh
-from .errors import DomainError, ExdepError, ParameterError
+from .errors import DomainError, ExdepError
 from .lintrans import CoefficientMatrix, chi_gh_two, eta_pairs, tail_summary
 
 DEFAULT_NIG_NOISE = {"mu": -1.0, "gamma": 1.0, "psi": 1.0, "tau": 1.0}
@@ -137,17 +137,6 @@ def _min_samples(q):
     return n
 
 
-def _threads(args):
-    if args.threads is not None:
-        return args.threads
-    text = os.environ.get("EXDEP_THREADS", "1")
-    try:
-        return _positive_int(text)
-    except (ValueError, argparse.ArgumentTypeError):
-        raise ParameterError(
-            f"EXDEP_THREADS must be a positive integer, got {text!r}") from None
-
-
 # ----------------------------------------------------------------------
 # chi-vs-a22: chi(a22) curves for the two-variable GH model
 # ----------------------------------------------------------------------
@@ -168,10 +157,14 @@ def cmd_chi_vs_a22(args):
             params = GhParams(lam, tau, psi, 0.0, 0.0)
             # the curve and its a22 -> 1 limit in one quadrature batch
             *values, limit = chi_gh_two(args.a12, [*args.a22_grid, 1.0], params).tolist()
-            if np.any(np.diff(values) >= 0.0):
-                raise ExdepError(
-                    f"chi(a22) curve not strictly decreasing for lambda={lam}, tau={tau}, psi={psi}"
-                )
+            # chi peaks at 1 where a22 = a12: over the distinct grid values in
+            # ascending order it must rise strictly up to a12 and fall strictly above
+            curve = sorted(dict(zip(args.a22_grid, values)).items())
+            for (a, chi_a), (b, chi_b) in zip(curve, curve[1:]):
+                if (b <= args.a12 and chi_b <= chi_a) or (a >= args.a12 and chi_b >= chi_a):
+                    raise ExdepError(
+                        f"chi(a22) curve not strictly rising up to a22 = a12 and falling "
+                        f"above it for lambda={lam}, tau={tau}, psi={psi}")
             rows += [(lam, tau, psi, a22, chi) for a22, chi in zip(args.a22_grid, values)]
             rows.append((lam, tau, psi, 1.0, limit))
     _write_csv(args.out, "lambda,tau,psi,a22,chi", rows)
@@ -237,6 +230,7 @@ def cmd_matern_eta(args):
 
     for alpha in args.alphas:  # all are checked before any is computed
         fem._check_alpha(alpha)
+    fem._check_kappa(args.kappa)
     n_sites = args.n_sites if args.n_sites is not None else (225 if args.paper_scale else 50)
     grid = mesh.lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), args.mesh_nodes, args.extension)
     rng = np.random.default_rng(args.seed)
@@ -245,15 +239,16 @@ def cmd_matern_eta(args):
     # one norm per pair, as a 1-d vector: its BLAS dot fixes the last bit of h
     h = np.array([np.linalg.norm(sites[i] - sites[j]) for i, j in pairs])
     rows = []
-    assembled = fem.fem_assemble(grid, args.kappa, 2)  # shares K_2 factors across alphas
+    fem_matrices = fem.fem_coefficients(fem.fem_assemble(grid, args.kappa), sites, args.alphas)
     for alpha in args.alphas:
         kern = kernels.matern_kernel(args.kappa, alpha, 2)
         g0 = kern.value_at_zero
-        system = assembled.with_alpha(alpha)
-        # both matrices before any eta: eta's temporaries between the two builds
-        # fragment the heap, and peak RSS grows over repeated runs in one process
+        # per alpha the integral rows, then the FEM rows (the generator's next
+        # matrix), then both etas: eta's temporaries between the two builds, or
+        # every FEM matrix held at once, fragment the heap, and peak RSS grows
+        # over repeated runs in one process
         coeff_int = mesh.integral_coefficients(kern, sites, grid)
-        coeff_fem = fem.fem_coefficients(system, sites)
+        coeff_fem = next(fem_matrices)
         eta_int = eta_pairs(coeff_int, pairs)
         eta_fem = eta_pairs(coeff_fem, pairs)
         thm1 = np.full(h.size, 0.5) if math.isinf(g0) else 0.5 + kern(h) / (2.0 * g0)
@@ -274,33 +269,28 @@ def cmd_matern_eta(args):
 def cmd_simulate_and_chi(args):
     from . import fem
 
-    threads = _threads(args)
+    fem._check_alpha(args.alpha)  # also when no mesh is built
+    fem._check_kappa(args.kappa)
     noise = fem.TypeGNoise("nig", **DEFAULT_NIG_NOISE)
-    mesh_sides = [args.mesh_nodes]
-    default_n = 10 ** 5 if args.appendix_d else 10 ** 6
-    if args.appendix_d:
-        mesh_sides = [5, 10, 25]
-    n = args.samples if args.samples is not None else default_n
-    rng = np.random.default_rng(args.seed)
-    sites = random_sites(rng, args.n_sites)
+    mesh_sides = [5, 10, 25] if args.appendix_d else [args.mesh_nodes]
+    n = args.samples if args.samples is not None else (10 ** 5 if args.appendix_d else 10 ** 6)
+    sites = random_sites(np.random.default_rng(args.seed), args.n_sites)
     rows = []
-    for side in mesh_sides:
-        if n == 0:
-            break
-        rows += _mesh_chi_rows(args, side, sites, noise, n, threads)
+    for side in mesh_sides if n else []:  # --samples 0 writes the header alone
+        rows += _mesh_chi_rows(args, side, sites, noise, n)
     _write_csv(args.out, "mesh_side,pair_id,h,q,chi_hat,se", rows)
     return 0
 
 
-def _mesh_chi_rows(args, side, sites, noise, n, threads):
+def _mesh_chi_rows(args, side, sites, noise, n):
     """The CSV rows of one mesh, pair by pair and level by level.  The
     masks are taken one level at a time, each freed before the next, and
     the field is freed on return, before the next mesh is simulated."""
     from . import fem
 
     grid = mesh.lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), side, args.extension)
-    system = fem.fem_assemble(grid, args.kappa, args.alpha)
-    x = fem.simulate_field(system, sites, noise, n, args.seed, threads=threads)
+    x = fem.simulate_field(fem.fem_assemble(grid, args.kappa), args.alpha, sites, noise, n,
+                           args.seed, threads=args.threads)
     pairs = [(i, j) for i in range(len(sites)) for j in range(i + 1, len(sites))]
     per_level = []  # per_level[l][p]: the estimate of pair p at level l
     for q in args.q:
@@ -448,8 +438,7 @@ def build_parser():
 
     p = command("simulate-and-chi", cmd_simulate_and_chi,
                 "empirical chi(q) of simulated fields", seeded=True)
-    p.add_argument("--threads", type=_positive_int, default=None,
-                   help="worker threads (default: EXDEP_THREADS or 1)")
+    p.add_argument("--threads", type=_positive_int, default=1, help="worker threads")
     p.add_argument("--kappa", type=float, default=2.0)
     p.add_argument("--alpha", type=int, default=2)
     meshes = p.add_mutually_exclusive_group()

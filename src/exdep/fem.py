@@ -14,11 +14,13 @@ and an odd exponent adds the half power K_1 = C^{1/2} S^{1/2} C^{1/2},
 S = C^{-1/2} K_2 C^{-1/2}.  Its inverse is applied by a rational
 approximation of S^{-1/2} with real positive shifts (Hale, Higham &
 Trefethen, SIAM J. Numer. Anal. 2008), one sparse factorization of
-K_2 + d_j C per shift, so no dense matrix is formed.  Since
-K_{alpha+2}^{-1} = K_2^{-1} C K_alpha^{-1}, a sweep over exponents on one
-right-hand side continues each parity's chain of K_2 solves: alphas
-2..5 take 4 K_2 steps and 3 applications of R (one to solve, and one
-in each odd exponent's backward-error check), not 6 and 4.
+K_2 + d_j C per shift, so no dense matrix is formed.  None of these
+depends on alpha: :class:`FemSystem` is the operator of one mesh and
+kappa, and alpha is an argument of each solve.  Since
+K_{alpha+2}^{-1} = K_2^{-1} C K_alpha^{-1}, the sweep over exponents of
+:func:`fem_coefficients` continues each parity's chain of K_2 solves:
+alphas 2..5 take 4 K_2 steps and 3 applications of R (one to solve, and
+one in each odd exponent's backward-error check), not 6 and 4.
 
 Weights solve K_alpha w = (integral of phi_1 dM, ..., integral of
 phi_n dM); with type G noise the cell values are normal mean-variance
@@ -38,7 +40,7 @@ an 841-node mesh) and at most one temporary of that size, whatever the
 number of replicates, beside the one column-major result.
 """
 
-import copy
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -162,48 +164,33 @@ def inverse_sqrt_quadrature(lower, upper):
 
 
 class FemSystem:
-    """Assembled lumped mass, stiffness and the K_alpha solve operator.
+    """Lumped mass, stiffness and K_2 of one mesh and kappa, with the
+    K_alpha solve operator for every exponent alpha in 2..6.
 
     Even exponents keep K_alpha a sparse matrix polynomial in K_2 and C.
     Odd exponents (needed for the smoothness sweep alpha = 2..5) go
     through R = sum_j c_j (K_2 + d_j C)^{-1}, the rational approximation
     of K_1^{-1} = C^{-1/2} S^{-1/2} C^{-1/2} from
-    :func:`inverse_sqrt_quadrature` on the spectrum bounds of S.
-
-    The system and its :meth:`with_alpha` views share one cache: the
-    factorizations, the quadrature, the basis rows of the last sites and,
-    for the last right-hand side, the highest solution of each parity.
+    :func:`inverse_sqrt_quadrature` on the spectrum bounds of S.  The
+    factorizations, the spectrum bounds and the quadrature do not depend
+    on alpha: each is computed once, when a solve first needs it, and
+    kept for every later solve of any exponent.
     """
 
-    def __init__(self, mesh, kappa, alpha, mass_lumped, stiffness, boundary_mass):
+    def __init__(self, mesh, kappa, mass_lumped, stiffness, boundary_mass):
         self.mesh = mesh
         self.kappa = kappa
-        self.alpha = alpha
         self.mass_lumped = mass_lumped      # diagonal of C
         self.stiffness = stiffness
         self.base = (kappa ** 2 * sparse.diags(mass_lumped) + stiffness
                      + kappa * boundary_mass).tocsc()  # K_2
-        self._factors = {}  # factorizations and last-solve caches, shared with with_alpha views
-
-    def with_alpha(self, alpha):
-        """The same assembled system with exponent ``alpha``.
-
-        The view shares this system's factorizations, so each is computed
-        once however many exponents use it.  It also shares the basis rows
-        of the last sites of :func:`fem_coefficients` and the last solve
-        chain of :meth:`solve_k_alpha`, so K_{alpha+2}^{-1} rhs after
-        K_alpha^{-1} rhs costs one K_2 solve.
-        """
-        view = copy.copy(self)
-        view.alpha = _check_alpha(alpha)
-        return view
 
     @property
     def mass_matrix(self):
         """The lumped mass C as a sparse diagonal matrix."""
         return sparse.diags(self.mass_lumped).tocsr()
 
-    @property
+    @functools.cached_property
     def spectrum_bounds(self):
         """(m, M) enclosing the spectrum of S = C^{-1/2} K_2 C^{-1/2}.
 
@@ -214,12 +201,9 @@ class FemSystem:
         raised to the bound of :meth:`_inverse_iteration_bound` where that
         applies (meshes without obtuse angles); elsewhere it stays kappa^2.
         """
-        if "bounds" not in self._factors:
-            root = 1.0 / np.sqrt(self.mass_lumped)
-            upper = float(((abs(self.base) @ root) * root).max())
-            lower = max(self.kappa ** 2, self._inverse_iteration_bound())
-            self._factors["bounds"] = (lower, upper)
-        return self._factors["bounds"]
+        root = 1.0 / np.sqrt(self.mass_lumped)
+        upper = float(((abs(self.base) @ root) * root).max())
+        return max(self.kappa ** 2, self._inverse_iteration_bound()), upper
 
     def _inverse_iteration_bound(self):
         """A lower bound of the smallest eigenvalue of S, or 0.
@@ -228,108 +212,97 @@ class FemSystem:
         meshes without obtuse angles while kappa h < 3), S^{-1} is
         entrywise nonnegative, so lambda_min(S) >= min_i v_i / (S^{-1} v)_i
         for every positive v (Collatz-Wielandt).  A few inverse iterations
-        with the cached K_2 factorization make v close to the lowest
-        eigenvector and the bound close to tight; 1% of it is given up to
-        the rounding of the solves.
+        with the K_2 factorization make v close to the lowest eigenvector
+        and the bound close to tight; 1% of it is given up to the rounding
+        of the solves.
         """
         upper_off = sparse.triu(self.base, k=1)
         if upper_off.nnz and upper_off.data.max() > 0.0:
             return 0.0
-        lu = self._factor()
         root = np.sqrt(self.mass_lumped)
         v = np.ones_like(root)
         bound = 0.0
         for _ in range(_INVERSE_STEPS):
-            w = root * lu.solve(root * v)  # S^{-1} v
+            w = root * self._lu.solve(root * v)  # S^{-1} v
             if not w.min() > 0.0:
                 return 0.0
             bound = max(bound, float((v / w).min()))
             v = w / w.max()
         return 0.99 * bound
 
-    @property
+    @functools.cached_property
     def quadrature(self):
         """The :class:`InverseSqrtQuadrature` of S^{-1/2} behind odd exponents."""
-        if "quadrature" not in self._factors:
-            lower, upper = self.spectrum_bounds
-            if upper > MAX_RATIO * lower:
-                raise ParameterError(
-                    f"kappa = {self.kappa!r} is too small for odd alpha on this mesh: "
-                    f"the spectrum ratio {upper / lower:.3g} of S is above {MAX_RATIO:.0e}")
-            self._factors["quadrature"] = inverse_sqrt_quadrature(lower, upper)
-        return self._factors["quadrature"]
+        lower, upper = self.spectrum_bounds
+        if upper > MAX_RATIO * lower:
+            raise ParameterError(
+                f"kappa = {self.kappa!r} is too small for odd alpha on this mesh: "
+                f"the spectrum ratio {upper / lower:.3g} of S is above {MAX_RATIO:.0e}")
+        return inverse_sqrt_quadrature(lower, upper)
 
-    def _factor(self):
-        if "lu" not in self._factors:
-            try:
-                self._factors["lu"] = spla.splu(self.base)
-            except RuntimeError as exc:  # pragma: no cover
-                raise SolveError(f"K_2 factorization failed: {exc}") from exc
-        return self._factors["lu"]
+    @functools.cached_property
+    def _lu(self):
+        """The sparse LU factorization of K_2."""
+        try:
+            return spla.splu(self.base)
+        except RuntimeError as exc:  # pragma: no cover
+            raise SolveError(f"K_2 factorization failed: {exc}") from exc
+
+    @functools.cached_property
+    def _shifted(self):
+        """The sparse LU factorizations of K_2 + d_j C, one per quadrature shift."""
+        c = self.mass_matrix
+        try:
+            return [spla.splu((self.base + d * c).tocsc(), permc_spec="MMD_AT_PLUS_A")
+                    for d in self.quadrature.shifts]
+        except RuntimeError as exc:  # pragma: no cover
+            raise SolveError(f"shifted K_2 factorization failed: {exc}") from exc
 
     def _half_inverse(self, rhs):
         """R rhs, the rational approximation of K_1^{-1} rhs."""
-        if "shifted" not in self._factors:
-            c = self.mass_matrix
-            try:
-                self._factors["shifted"] = [
-                    spla.splu((self.base + d * c).tocsc(), permc_spec="MMD_AT_PLUS_A")
-                    for d in self.quadrature.shifts]
-            except RuntimeError as exc:  # pragma: no cover
-                raise SolveError(f"shifted K_2 factorization failed: {exc}") from exc
-        return sum(w * lu.solve(rhs)
-                   for w, lu in zip(self.quadrature.weights, self._factors["shifted"]))
+        return sum(w * lu.solve(rhs) for w, lu in zip(self.quadrature.weights, self._shifted))
 
-    def solve_k_alpha(self, rhs):
+    def solve_k_alpha(self, rhs, alpha, start=None):
         """K_alpha^{-1} rhs = (K_2^{-1} C)^{k-1} K_2^{-1} rhs for alpha = 2k
         and (K_2^{-1} C)^k R rhs for alpha = 2k + 1.
 
-        For the last ``rhs`` (compared by value) the system and its
-        :meth:`with_alpha` views keep, per parity, the solution of the
-        highest exponent solved so far.  A higher exponent of that parity
-        continues from it with x_alpha = K_2^{-1} C x_{alpha-2}, the same
-        operations in the same order as a fresh solve, so the result is
-        bit-equal to it; a lower one is solved afresh.  Each returned
-        solution is a copy, checked on its own: a normwise backward error
+        ``start``, an (exponent, solution) pair of the same ``rhs`` with
+        the parity of ``alpha`` and an exponent at most ``alpha``,
+        continues that chain with x <- K_2^{-1} C x: the same operations
+        in the same order as a fresh solve, so the result is bit-equal to
+        it, without the steps up to ``exponent``.  Every solution is
+        checked on its own: a normwise backward error
         (:meth:`backward_error`) above ``BACKWARD_TOL``, or a NaN one,
-        raises :class:`SolveError`, and only a solution that passes is
-        kept.
+        raises :class:`SolveError`, and so does a ``start`` of another
+        parity or a higher exponent.
         """
+        alpha = _check_alpha(alpha)
         rhs = np.asarray(rhs, dtype=float)
-        last = self._factors.get("chain")
-        if last is None or not np.array_equal(last[0], rhs):
-            last = self._factors["chain"] = (rhs.copy(), {})
-        solved = last[1]  # parity -> (exponent, solution)
-        parity = self.alpha % 2
-        lu = self._factor()
+        if start is None:
+            start = (1, self._half_inverse(rhs)) if alpha % 2 else (2, self._lu.solve(rhs))
+        exponent, x = start
         c = self.mass_matrix
-        best = solved.get(parity)
-        if best is not None and best[0] <= self.alpha:
-            exponent, x = best
-        else:
-            exponent, x = (1, self._half_inverse(rhs)) if parity else (2, lu.solve(rhs))
-        for _ in range((self.alpha - exponent) // 2):
-            x = lu.solve(c @ x)
-        eta = self.backward_error(x, rhs)
+        for _ in range(int(alpha - exponent) // 2):
+            x = self._lu.solve(c @ x)
+        eta = self.backward_error(x, rhs, alpha)
         if not eta <= BACKWARD_TOL:
             raise SolveError(f"K_alpha solve backward error {eta:.1e} above {BACKWARD_TOL:.0e}")
-        if best is None or best[0] < self.alpha:
-            solved[parity] = (self.alpha, x)
-        return x.copy(order="K")
+        return x
 
-    def apply_k_alpha(self, x):
+    def apply_k_alpha(self, x, alpha):
         """K_alpha x without forming the matrix product; an odd exponent
         uses K_{2k+1} x = K_{2k+2} R C x."""
+        alpha = _check_alpha(alpha)
         x = np.asarray(x, dtype=float)
-        if self.alpha % 2:
+        if alpha % 2:
             x = self._half_inverse(self.mass_matrix @ x)
         y = self.base @ x
         scale = self.mass_lumped[:, None] if y.ndim == 2 else self.mass_lumped
-        for _ in range((self.alpha + 1) // 2 - 1):
+        for _ in range((alpha + 1) // 2 - 1):
             y = self.base @ (y / scale)
         return y
 
-    def backward_error(self, x, rhs):
+    def backward_error(self, x, rhs, alpha):
         """Normwise backward error of K_alpha x = rhs, the largest over
         columns of ||K_alpha x - rhs|| / (||K_alpha|| ||x||).
 
@@ -339,8 +312,8 @@ class FemSystem:
         gives NaN.
         """
         x = np.asarray(x, dtype=float)
-        norm_k = self.mass_lumped.max() * self.spectrum_bounds[1] ** (self.alpha / 2.0)
-        res = np.atleast_1d(np.linalg.norm(self.apply_k_alpha(x) - rhs, axis=0))
+        norm_k = self.mass_lumped.max() * self.spectrum_bounds[1] ** (alpha / 2.0)
+        res = np.atleast_1d(np.linalg.norm(self.apply_k_alpha(x, alpha) - rhs, axis=0))
         denom = norm_k * np.atleast_1d(np.linalg.norm(x, axis=0))
         with np.errstate(divide="ignore", invalid="ignore"):
             eta = res / denom
@@ -372,14 +345,20 @@ def _check_alpha(alpha):
     return int(alpha)
 
 
-def fem_assemble(mesh, kappa, alpha):
-    """Assemble the lumped mass, stiffness and the K_alpha operator on a mesh.
+def _check_kappa(kappa):
+    if not 0.0 < kappa < math.inf:
+        raise ParameterError(f"kappa must be positive and finite, got {kappa!r}")
+
+
+def fem_assemble(mesh, kappa):
+    """Assemble the lumped mass, stiffness and K_2 of a mesh, the
+    :class:`FemSystem` that solves K_alpha for every alpha.
 
     The lumped mass is the row sums of the assembled element mass.  The
     ends are Robin, du/dn + kappa*u = 0, which suppresses boundary
     reflection of the discrete Green's function on desk-scale
-    extensions: K_2 = kappa^2 C + G + kappa B.  ``alpha`` must be an
-    integer in 2..6.  Even values keep K_alpha a sparse matrix
+    extensions: K_2 = kappa^2 C + G + kappa B.  A solve takes an integer
+    ``alpha`` in 2..6.  Even values keep K_alpha a sparse matrix
     polynomial; odd values add the rational approximation of K_1^{-1},
     one sparse factorization per shift, so every exponent stays sparse.
     Genuinely non-integer exponents are out of scope.  Odd exponents
@@ -388,9 +367,7 @@ def fem_assemble(mesh, kappa, alpha):
     :class:`ParameterError`.  m is of order kappa, so on the 2,704-node
     desk mesh (side 40, 6 rings) kappa down to about 5e-5 works.
     """
-    alpha = _check_alpha(alpha)
-    if not 0.0 < kappa < math.inf:
-        raise ParameterError(f"kappa must be positive and finite, got {kappa!r}")
+    _check_kappa(kappa)
     tris = mesh.triangles
     p = mesh.nodes[tris]
     x, y = p[..., 0], p[..., 1]
@@ -404,17 +381,16 @@ def fem_assemble(mesh, kappa, alpha):
     jj = np.tile(tris, (1, 3)).ravel()               # j index
     mass_block = (np.full((3, 3), 1.0 / 12.0) + np.eye(3) / 12.0).ravel()
     mass_vals = (area[:, None] * mass_block[None, :]).ravel()
-    stiff_vals = ((b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
-                  / (4.0 * area)[:, None, None]).reshape(len(tris), 9)
     # block layout is row-major (i outer), matching ii/jj above
-    stiff_vals = stiff_vals.reshape(len(tris), 3, 3).transpose(0, 1, 2).reshape(-1)
+    stiff_vals = ((b[:, :, None] * b[:, None, :] + c[:, :, None] * c[:, None, :])
+                  / (4.0 * area)[:, None, None]).reshape(-1)
 
     mass = sparse.coo_matrix((mass_vals, (ii, jj)), shape=(n, n)).tocsr()
     stiffness = sparse.coo_matrix((stiff_vals, (ii, jj)), shape=(n, n)).tocsr()
     # the row sums of the element mass equal dual_cell_areas only up to
     # rounding (up to 1e-17 on lattice meshes), and the weights depend on them
     mass_lumped = np.asarray(mass.sum(axis=1)).ravel()
-    return FemSystem(mesh, kappa, alpha, mass_lumped, stiffness, _boundary_mass(mesh))
+    return FemSystem(mesh, kappa, mass_lumped, stiffness, _boundary_mass(mesh))
 
 
 def basis_matrix(mesh, sites):
@@ -431,35 +407,35 @@ def basis_matrix(mesh, sites):
                              shape=(len(sites), mesh.n_nodes)).tocsr()
 
 
-def fem_coefficients(system, sites):
-    """Rows phi(s_j)^T K_alpha^{-1} as a CoefficientMatrix.
+def fem_coefficients(system, sites, alphas):
+    """Rows phi(s_j)^T K_alpha^{-1} as a CoefficientMatrix, one per alpha
+    of ``alphas``, in their order.
 
-    One K_alpha solve with a right-hand side per site.  The system and
-    its :meth:`FemSystem.with_alpha` views keep the basis rows phi of the
-    last ``sites`` (compared by value), so a sweep over exponents locates
-    the sites once, and :meth:`FemSystem.solve_k_alpha` continues from
-    the last solve of the same parity.  Entries more negative than
-    ``-NEGATIVE_RTOL * rowmax`` abort (a mesh or solver problem); smaller
-    negative round-off is clamped to zero.  The solve raises
-    :class:`SolveError` when its normwise backward error is above
-    ``BACKWARD_TOL``.
+    A generator: the sites are located once, at the first ``next()``,
+    and each alpha is solved only when its matrix is pulled, with a
+    right-hand side per site.  It keeps, per parity, the solution of the
+    highest exponent solved so far, and a higher exponent of that parity
+    continues from it (the ``start`` of :meth:`FemSystem.solve_k_alpha`,
+    bit-equal to a fresh solve); a lower one is solved afresh.  Entries
+    more negative than ``-NEGATIVE_RTOL * rowmax`` abort (a mesh or
+    solver problem); smaller negative round-off is clamped to zero.  The
+    solve raises :class:`SolveError` when its normwise backward error is
+    above ``BACKWARD_TOL``.
     """
-    last = system._factors.get("sites")
-    if last is None or not np.array_equal(last[0], sites):
-        last = system._factors["sites"] = (np.array(sites, dtype=float),
-                                           basis_matrix(system.mesh, sites))
-    rows = system.solve_k_alpha(last[1].toarray().T).T
-    out = []
-    for j, row in enumerate(rows):
-        top = row.max()
-        if not top > 0.0:  # NaN included
-            raise SolveError(f"site {j}: solve produced a non-positive or NaN row")
-        if row.min() < -NEGATIVE_RTOL * top:
+    phi = basis_matrix(system.mesh, sites).toarray().T
+    highest = {}  # parity -> (exponent, solution)
+    for alpha in alphas:
+        best = highest.get(alpha % 2)
+        x = system.solve_k_alpha(phi, alpha, best if best and best[0] <= alpha else None)
+        if best is None or best[0] < alpha:
+            highest[alpha % 2] = (alpha, x)
+        top, low = x.max(axis=0), x.min(axis=0)
+        for j in np.flatnonzero(~(top > 0.0) | (low < -NEGATIVE_RTOL * top)):
+            if not top[j] > 0.0:  # NaN included
+                raise SolveError(f"site {j}: solve produced a non-positive or NaN row")
             raise NonnegativityError(
-                f"site {j}: coefficient {row.min():.3e} below -{NEGATIVE_RTOL:.0e} * rowmax"
-            )
-        out.append(np.clip(row, 0.0, None))
-    return CoefficientMatrix(np.vstack(out))
+                f"site {j}: coefficient {low[j]:.3e} below -{NEGATIVE_RTOL:.0e} * rowmax")
+        yield CoefficientMatrix(np.clip(x.T, 0.0, None))
 
 
 def dual_cell_areas(mesh):
@@ -475,13 +451,14 @@ def dual_cell_areas(mesh):
     return out
 
 
-def simulate_field(system, sites, noise, n, rng, constant_mixing=None, threads=1):
+def simulate_field(system, alpha, sites, noise, n, rng, constant_mixing=None, threads=1):
     """Replicates of the approximated FEM field at the given sites, an
     (n, k) array in column-major order.
 
     The field at the sites is the linear model X = W rhs: the site
-    weights W = phi K_alpha^{-1} come from one solve with a right-hand
-    side per site, checked by its backward error, and each replicate
+    weights W = phi K_alpha^{-1} come from one solve of exponent
+    ``alpha`` with a right-hand side per site, checked by its backward
+    error, and each replicate
     batch of cell noises rhs = mu*|D| + gamma*v + sqrt(v)*Z is mapped
     through W in one matrix product.  ``rng`` is an integer root seed
     (batch i draws from the i-th of its sub-streams, and ``threads``
@@ -489,9 +466,9 @@ def simulate_field(system, sites, noise, n, rng, constant_mixing=None, threads=1
     stream over the batches in order); batches hold ``_BATCH`` (256)
     rows, the last one fewer.  ``constant_mixing`` freezes the mixing
     variables at a constant, which makes the field Gaussian (the
-    Gaussian control of the simulated comparisons).  ``threads`` is
-    checked as :func:`exdep.streams.map_chunks` checks it, also when
-    n = 0.
+    Gaussian control of the simulated comparisons).  ``alpha`` is
+    checked, and ``threads`` as :func:`exdep.streams.map_chunks` checks
+    it, also when n = 0.
 
     The nodes are grouped by the exact value of their dual-cell area, in
     ascending order of the classes (``np.unique``; no rounding), and the
@@ -512,6 +489,7 @@ def simulate_field(system, sites, noise, n, rng, constant_mixing=None, threads=1
     of at most that size (a class's mixing values, then sqrt(v)) and one
     k x min(_BATCH, n) product.
     """
+    alpha = _check_alpha(alpha)
     if n < 0:
         raise DomainError("n must be non-negative")
     if not isinstance(noise, TypeGNoise):
@@ -526,7 +504,7 @@ def simulate_field(system, sites, noise, n, rng, constant_mixing=None, threads=1
     order = np.argsort(inverse, kind="stable")  # node indices, class by class
     ends = np.cumsum(counts).tolist()
     blocks = list(zip([0] + ends[:-1], ends, classes))  # (first row, end row, area)
-    weights = system.solve_k_alpha(phi.toarray().T)[order].T  # W, columns in class order
+    weights = system.solve_k_alpha(phi.toarray().T, alpha)[order].T  # W, columns in class order
     shift = (noise.mu * areas[order])[:, None]
     cells = areas.size * min(_BATCH, n)
     buffers = threading.local()  # concurrent batches must not share a buffer

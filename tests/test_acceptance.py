@@ -190,7 +190,7 @@ def test_criterion_07_fem_vs_integral_and_conjecture():
 
     k3 = matern_kernel(2.0, 3.0, 2)
     rows_int = integral_coefficients(k3, sites, grid).normalized
-    rows_fem = fem_coefficients(fem_assemble(grid, 2.0, 3), sites).normalized
+    rows_fem = next(fem_coefficients(fem_assemble(grid, 2.0), sites, [3])).normalized
     diffs = [abs(eta_closed_form(CoefficientMatrix(rows_int[[i, j]]))
                  - eta_closed_form(CoefficientMatrix(rows_fem[[i, j]]))) for i, j in pairs]
     crit.check(float(np.mean(diffs)) < 0.05,
@@ -199,7 +199,7 @@ def test_criterion_07_fem_vs_integral_and_conjecture():
     for alpha in (4, 5):
         kern = matern_kernel(2.0, float(alpha), 2)
         rows_i = integral_coefficients(kern, sites, grid).normalized
-        rows_f = fem_coefficients(fem_assemble(grid, 2.0, alpha), sites).normalized
+        rows_f = next(fem_coefficients(fem_assemble(grid, 2.0), sites, [alpha])).normalized
         worst = 0.0
         for i, j in pairs:
             h = float(np.linalg.norm(sites[i] - sites[j]))
@@ -217,8 +217,8 @@ def test_criterion_08_simulated_field_chi():
     rng = np.random.default_rng(42)
     sites = np.column_stack([0.05 + 0.9 * rng.random(20), 0.05 + 0.9 * rng.random(20)])
     grid = lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), 20, 2)
-    system = fem_assemble(grid, 2.0, 2)
-    x = simulate_field(system, sites, noise, 10 ** 6, 123, threads=2)
+    system = fem_assemble(grid, 2.0)
+    x = simulate_field(system, 2, sites, noise, 10 ** 6, 123, threads=2)
     by_distance = sorted(combinations(range(20), 2),
                          key=lambda p: -np.linalg.norm(sites[p[0]] - sites[p[1]]))
     for i, j in by_distance[:2]:
@@ -238,8 +238,8 @@ def test_criterion_08_simulated_field_chi():
     spreads = {}
     for side in (5, 25):
         g = lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), side, 1)
-        s = fem_assemble(g, 2.0, 2)
-        xs = simulate_field(s, pair_sites, noise, 10 ** 5, 99, threads=2)
+        s = fem_assemble(g, 2.0)
+        xs = simulate_field(s, 2, pair_sites, noise, 10 ** 5, 99, threads=2)
         vals = [empirical_chi(BivariateSample(xs[:, 2 * p], xs[:, 2 * p + 1]), 0.95).value
                 for p in range(12)]
         spreads[side] = max(vals) - min(vals)

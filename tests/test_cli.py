@@ -4,7 +4,6 @@ import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from scipy.sparse import linalg as spla
 
 import exdep
 from exdep.cli import main
-from exdep.fem import FemSystem, fem_assemble
+from exdep.fem import fem_assemble
 from exdep.mesh import Mesh2D, lattice_mesh_2d
 
 
@@ -342,8 +341,8 @@ def test_simulate_and_chi_takes_one_mask_at_a_time(tmp_path, monkeypatch):
     # the same rows as every level's mask held at once, pair by pair
     args = cli.build_parser().parse_args(argv + ["--out", "-"])
     sites = cli.random_sites(np.random.default_rng(5), 4)
-    system = fem.fem_assemble(lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), 6, 1), 2.0, 2)
-    x = fem.simulate_field(system, sites, fem.TypeGNoise("nig", **cli.DEFAULT_NIG_NOISE),
+    system = fem.fem_assemble(lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), 6, 1), 2.0)
+    x = fem.simulate_field(system, 2, sites, fem.TypeGNoise("nig", **cli.DEFAULT_NIG_NOISE),
                            20000, 5)
     above = [real(x, q) for q in args.q]
     lines = ["mesh_side,pair_id,h,q,chi_hat,se"]
@@ -367,10 +366,8 @@ def test_simulate_and_chi_bytes_do_not_depend_on_threads(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_simulate_and_chi_tampered_solve_exits_1(tmp_path, monkeypatch):
-    real = FemSystem._factor  # K_2 solves off by a relative 1e-6
-    monkeypatch.setattr(FemSystem, "_factor", lambda self: SimpleNamespace(
-        solve=lambda rhs, lu=real(self): lu.solve(rhs) * (1.0 + 1e-6)))
+def test_simulate_and_chi_tampered_solve_exits_1(tmp_path, tamper_k2_solves):
+    tamper_k2_solves()
     out = tmp_path / "sim.csv"
     code = run_cli(["simulate-and-chi", "--seed", "5", "--out", str(out),
                     "--samples", "1000", "--mesh-nodes", "5", "--n-sites", "3",
@@ -398,13 +395,12 @@ def test_simulate_and_chi_rejects_threads_below_one(tmp_path, threads):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "1.5", "two"])
-def test_simulate_and_chi_rejects_bad_exdep_threads(tmp_path, monkeypatch, value):
-    monkeypatch.setenv("EXDEP_THREADS", value)
+@pytest.mark.parametrize("flags", [["--alpha", "9"], ["--kappa", "-1"], ["--kappa", "nan"]])
+def test_simulate_and_chi_checks_alpha_and_kappa_before_any_mesh(tmp_path, monkeypatch, flags):
+    monkeypatch.setattr(exdep.mesh, "lattice_mesh_2d", lambda *a, **k: pytest.fail("mesh built"))
     out = tmp_path / "sim.csv"
-    code = run_cli(["simulate-and-chi", "--seed", "1", "--samples", "100", "--mesh-nodes", "4",
-                    "--n-sites", "3", "--extension", "1", "--out", str(out)])
-    assert code == 1
+    assert run_cli(["simulate-and-chi", "--seed", "1", "--samples", "0", "--mesh-nodes", "4",
+                    "--n-sites", "3", "--extension", "1", *flags, "--out", str(out)]) == 1
     assert not out.exists()
 
 
@@ -457,7 +453,7 @@ def test_eta_summary_schema_admits_only_what_the_program_writes(change):
 
 def test_matern_eta_factors_once_for_all_odd_alphas(tmp_path, monkeypatch):
     grid = lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), 8, 1)
-    n_shifts = len(fem_assemble(grid, 2.0, 2).quadrature.shifts)
+    n_shifts = len(fem_assemble(grid, 2.0).quadrature.shifts)
     calls = []
     real_splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda a, **kw: calls.append(1) or real_splu(a, **kw))
@@ -470,7 +466,7 @@ def test_matern_eta_factors_once_for_all_odd_alphas(tmp_path, monkeypatch):
 
 def test_matern_eta_solves_each_step_of_the_alpha_sweep_once(tmp_path, monkeypatch):
     grid = lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), 8, 1)
-    n_shifts = len(fem_assemble(grid, 2.0, 2).quadrature.shifts)
+    n_shifts = len(fem_assemble(grid, 2.0).quadrature.shifts)
     solves, locates = [], []
     real_splu, real_locate = spla.splu, Mesh2D.locate
 
@@ -519,10 +515,8 @@ def test_matern_eta_checks_every_alpha_before_computing(tmp_path, monkeypatch, a
     assert not out.exists()
 
 
-def test_matern_eta_backward_error_exits_1(tmp_path, monkeypatch, capsys):
-    real = FemSystem._factor  # K_2 solves off by a relative 1e-6
-    monkeypatch.setattr(FemSystem, "_factor", lambda self: SimpleNamespace(
-        solve=lambda rhs, lu=real(self): lu.solve(rhs) * (1.0 + 1e-6)))
+def test_matern_eta_backward_error_exits_1(tmp_path, tamper_k2_solves, capsys):
+    tamper_k2_solves()
     out = tmp_path / "m.csv"
     assert run_cli(["matern-eta", "--seed", "2", "--alphas", "3", "--mesh-nodes", "8",
                     "--n-sites", "3", "--extension", "1", "--out", str(out)]) == 1
@@ -610,7 +604,8 @@ def test_matern_eta_rows_equal_the_per_pair_closed_form(tmp_path):
         kern = kernels.matern_kernel(2.0, alpha, 2)
         g0 = kern.value_at_zero
         rows = {"integral": mesh.integral_coefficients(kern, sites, grid).normalized,
-                "fem": fem.fem_coefficients(fem.fem_assemble(grid, 2.0, alpha), sites).normalized}
+                "fem": next(fem.fem_coefficients(fem.fem_assemble(grid, 2.0), sites,
+                                                 [alpha])).normalized}
         for i in range(5):
             for j in range(i + 1, 5):
                 h = float(np.linalg.norm(sites[i] - sites[j]))
@@ -691,6 +686,31 @@ def test_chi_vs_a22_grid_point_one_exits_1(tmp_path, capsys):
     assert run_cli(["chi-vs-a22", "--a22-grid", "0.5,1.0", "--out", str(out)]) == 1
     assert not out.exists()
     assert "[0, 1)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0.9,0.5", "0.1,0.2", "0.2,0.3,0.9,0.3,0.25"])
+def test_chi_vs_a22_takes_any_grid_in_the_unit_interval(tmp_path, grid):
+    # every default law's chi rises up to a22 = a12 = 0.3, where it is 1, and falls above
+    out = tmp_path / "c.csv"
+    assert run_cli(["chi-vs-a22", "--a22-grid", grid, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    a22 = grid.split(",") + ["1.0"]
+    assert [row[3] for row in rows] == a22 * 12  # the grid in the user's order, then the limit
+    for law in range(12):
+        chi = {float(row[3]): float(row[4]) for row in rows[law * len(a22):][:len(a22) - 1]}
+        curve = [chi[a] for a in sorted(chi)]
+        peak = curve.index(max(curve))
+        assert np.all(np.diff(curve[:peak + 1]) > 0) and np.all(np.diff(curve[peak:]) < 0)
+
+
+@pytest.mark.parametrize("grid, values", [("0.1,0.2", [0.5, 0.4]), ("0.6,0.5", [0.5, 0.4])])
+def test_chi_vs_a22_curve_off_its_shape_exits_1(tmp_path, monkeypatch, capsys, grid, values):
+    # a fall below a12 = 0.3, and a rise above it
+    monkeypatch.setattr(exdep.cli, "chi_gh_two", lambda *a: np.array([*values, 0.0]))
+    out = tmp_path / "c.csv"
+    assert run_cli(["chi-vs-a22", "--a22-grid", grid, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "not strictly rising up to a22 = a12" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec", [

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +10,8 @@ from scipy.sparse import linalg as spla
 
 from exdep.cli import random_sites
 from exdep.errors import DomainError, NonnegativityError, ParameterError, SolveError
-from exdep.fem import (_BATCH, BACKWARD_TOL, MAX_RATIO, RATIONAL_TOL, FemSystem,
-                       TypeGNoise, basis_matrix, dual_cell_areas, fem_assemble,
+from exdep.fem import (_BATCH, BACKWARD_TOL, MAX_RATIO, RATIONAL_TOL, TypeGNoise,
+                       basis_matrix, dual_cell_areas, fem_assemble,
                        fem_coefficients, inverse_sqrt_quadrature, simulate_field)
 from exdep.kernels import matern_kernel
 from exdep.lintrans import (CoefficientMatrix, Regime, classify,
@@ -27,23 +26,23 @@ def unit_triangle():
 
 def test_element_mass_matrix_exact():
     # an element mass row, area/6 on the diagonal and area/12 off it, sums to area/3
-    sys1 = fem_assemble(unit_triangle(), 1.0, 2)
+    sys1 = fem_assemble(unit_triangle(), 1.0)
     assert np.allclose(sys1.mass_lumped, 0.5 / 3.0)
     # the two lattice triangles share the nodes 0 and 3 of their diagonal
-    square = fem_assemble(lattice_mesh_2d((0, 0, 1, 1), 2, 0), 1.0, 2)
+    square = fem_assemble(lattice_mesh_2d((0, 0, 1, 1), 2, 0), 1.0)
     assert np.allclose(square.mass_lumped, [1 / 3, 1 / 6, 1 / 6, 1 / 3])
 
 
 def test_stiffness_rows_sum_to_zero():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 6, 0)
-    system = fem_assemble(mesh, 2.0, 2)
+    system = fem_assemble(mesh, 2.0)
     assert np.abs(np.asarray(system.stiffness.sum(axis=1))).max() < 1e-12
 
 
 def test_k2_robin_is_mass_plus_stiffness_plus_boundary_and_spd():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 5, 0)
     kappa = 2.0
-    system = fem_assemble(mesh, kappa, 2)
+    system = fem_assemble(mesh, kappa)
     k = system.base.toarray()
     # the boundary mass B of the unit square, lattice step 1/4: each boundary
     # node has two boundary edges (2/3 of a step), each edge joins two nodes (1/6)
@@ -67,70 +66,67 @@ def test_k2_robin_is_mass_plus_stiffness_plus_boundary_and_spd():
 def test_k_alpha_polynomial_solve_round_trip():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 5, 0)
     for alpha in (2, 4, 6):
-        system = fem_assemble(mesh, 2.0, alpha)
+        system = fem_assemble(mesh, 2.0)
         # the explicit polynomial K_alpha = K_2 (C^{-1} K_2)^{alpha/2 - 1}
         k = system.base
         for _ in range(alpha // 2 - 1):
             k = k @ sparse.diags(1.0 / system.mass_lumped) @ system.base
         rhs = np.arange(float(mesh.n_nodes)) + 1.0
-        x = system.solve_k_alpha(rhs)
+        x = system.solve_k_alpha(rhs, alpha)
         assert np.allclose(k @ x, rhs, rtol=1e-9, atol=1e-9)
-        assert system.backward_error(x, rhs) < 1e-14
+        assert system.backward_error(x, rhs, alpha) < 1e-14
 
 
-def spectral_solve(system, rhs):
+def spectral_solve(system, rhs, alpha):
     """Dense oracle K_alpha^{-1} rhs = C^{-1/2} Q diag(l^{-alpha/2}) Q^T C^{-1/2} rhs,
     from the eigendecomposition Q diag(l) Q^T of S = C^{-1/2} K_2 C^{-1/2}."""
     root = np.sqrt(system.mass_lumped)[:, None]
     eigvals, q = np.linalg.eigh(system.base.toarray() / root / root.T)
-    return q @ (eigvals[:, None] ** (-system.alpha / 2.0) * (q.T @ (rhs / root))) / root
+    return q @ (eigvals[:, None] ** (-alpha / 2.0) * (q.T @ (rhs / root))) / root
 
 
 def test_k_alpha_spectral_matches_polynomial():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
-    system = fem_assemble(mesh, 2.0, 4)
+    system = fem_assemble(mesh, 2.0)
     rhs = np.random.default_rng(0).random((mesh.n_nodes, 2))
-    x_poly = system.solve_k_alpha(rhs)
-    x_spec = spectral_solve(system, rhs)
+    x_poly = system.solve_k_alpha(rhs, 4)
+    x_spec = spectral_solve(system, rhs, 4)
     assert np.allclose(x_poly, x_spec, rtol=1e-10, atol=1e-12)
 
 
 @pytest.mark.parametrize("side,rings", [(8, 1), (25, 2), (40, 6)])
 def test_rational_odd_alpha_solve_matches_spectral_oracle(side, rings):
     mesh = lattice_mesh_2d((0, 0, 1, 1), side, rings)
-    base = fem_assemble(mesh, 2.0, 2)
+    system = fem_assemble(mesh, 2.0)
     phi = basis_matrix(mesh, random_sites(np.random.default_rng(side), 12)).toarray().T
     for alpha in (3, 5):
-        system = base.with_alpha(alpha)
-        x = system.solve_k_alpha(phi)
-        ref = spectral_solve(system, phi)
+        x = system.solve_k_alpha(phi, alpha)
+        ref = spectral_solve(system, phi, alpha)
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert base.quadrature.error <= RATIONAL_TOL / 2
+    assert system.quadrature.error <= RATIONAL_TOL / 2
 
 
 @pytest.mark.parametrize("side,rings", [(8, 1), (25, 2)])
 def test_apply_k_alpha_inverts_solve_k_alpha(side, rings):
     mesh = lattice_mesh_2d((0, 0, 1, 1), side, rings)
-    base = fem_assemble(mesh, 2.0, 2)
+    system = fem_assemble(mesh, 2.0)
     rhs = np.random.default_rng(3).random((mesh.n_nodes, 3))
     for alpha in (2, 3, 4, 5, 6):
-        system = base.with_alpha(alpha)
-        x = system.solve_k_alpha(rhs)
-        assert system.backward_error(x, rhs) < 1e-14
+        x = system.solve_k_alpha(rhs, alpha)
+        assert system.backward_error(x, rhs, alpha) < 1e-14
         if side == 8:
-            assert np.abs(system.apply_k_alpha(x) - rhs).max() < 1e-10 * rhs.max()
-        assert np.allclose(system.solve_k_alpha(rhs[:, 0]), x[:, 0], rtol=1e-13, atol=0)
+            assert np.abs(system.apply_k_alpha(x, alpha) - rhs).max() < 1e-10 * rhs.max()
+        assert np.allclose(system.solve_k_alpha(rhs[:, 0], alpha), x[:, 0], rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("kappa,rtol", [(2.0, 1e-12), (0.05, 1e-12), (1e-4, 1e-10)])
 def test_odd_alpha_solve_twice_is_the_even_solve(kappa, rtol):
     # K_6^{-1} = K_3^{-1} C K_3^{-1}: two rational solves against K_2 solves alone
     mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
-    base = fem_assemble(mesh, kappa, 2)
+    system = fem_assemble(mesh, kappa)
     rhs = np.random.default_rng(4).random((mesh.n_nodes, 2))
-    three = base.with_alpha(3)
-    twice = three.solve_k_alpha(base.mass_matrix @ three.solve_k_alpha(rhs))
-    ref = base.with_alpha(6).solve_k_alpha(rhs)
+    twice = system.solve_k_alpha(system.mass_matrix @ system.solve_k_alpha(rhs, 3), 3)
+    ref = system.solve_k_alpha(rhs, 6)
     # at kappa 1e-4 S has condition 1.5e6 and K_6 its cube
     assert np.abs(twice - ref).max() <= rtol * np.abs(ref).max()
 
@@ -160,7 +156,7 @@ def test_inverse_sqrt_quadrature_rejects_bad_bounds():
 def test_spectrum_bounds_enclose_the_spectrum():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
     for kappa in (2.0, 1e-4):
-        system = fem_assemble(mesh, kappa, 2)
+        system = fem_assemble(mesh, kappa)
         eigvals = linalg.eigh(system.base.toarray(), system.mass_matrix.toarray(),
                               eigvals_only=True)
         lower, upper = system.spectrum_bounds
@@ -168,14 +164,14 @@ def test_spectrum_bounds_enclose_the_spectrum():
         # the inverse-iteration bound is tight to its 1% margin
         assert lower >= 0.98 * eigvals.min()
     # Robin: the smallest eigenvalue is of order kappa, far above kappa^2
-    assert fem_assemble(mesh, 1e-4, 2).spectrum_bounds[0] > 1e4 * 1e-4 ** 2
+    assert fem_assemble(mesh, 1e-4).spectrum_bounds[0] > 1e4 * 1e-4 ** 2
 
 
 def test_inverse_iteration_bound_needs_an_m_matrix():
     # a fan of obtuse triangles gives K_2 positive off-diagonal entries
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.1], [0.5, -0.1]])
     mesh = Mesh2D(nodes, np.array([[0, 1, 2], [0, 3, 1]]))
-    system = fem_assemble(mesh, 1e-3, 2)
+    system = fem_assemble(mesh, 1e-3)
     assert system._inverse_iteration_bound() == 0.0
     assert system.spectrum_bounds[0] == 1e-3 ** 2
 
@@ -183,67 +179,68 @@ def test_inverse_iteration_bound_needs_an_m_matrix():
 def test_small_kappa_odd_alpha_solve_matches_spectral_oracle():
     # kappa^2 alone would put the spectrum ratio at 5e8, past MAX_RATIO
     mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
-    base = fem_assemble(mesh, 1e-3, 2)
-    lower, upper = base.spectrum_bounds
+    system = fem_assemble(mesh, 1e-3)
+    lower, upper = system.spectrum_bounds
     assert upper > MAX_RATIO * 1e-3 ** 2 and upper < 1e-2 * MAX_RATIO * lower
     phi = basis_matrix(mesh, random_sites(np.random.default_rng(5), 4)).toarray().T
     # S has condition 2e5 here: the dense oracle is itself 2e-12 of the max
     # away from the alpha-2 LU solve, hence the wider tolerance
     for alpha in (3, 5):
-        system = base.with_alpha(alpha)
-        ref = spectral_solve(system, phi)
-        assert np.abs(system.solve_k_alpha(phi) - ref).max() <= 1e-11 * np.abs(ref).max()
+        ref = spectral_solve(system, phi, alpha)
+        assert np.abs(system.solve_k_alpha(phi, alpha) - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("kappa", [math.nan, math.inf])
 def test_non_finite_kappa_is_a_parameter_error(kappa):
     mesh = lattice_mesh_2d((0, 0, 1, 1), 4, 1)
     with pytest.raises(ParameterError, match="kappa must be positive and finite"):
-        fem_assemble(mesh, kappa, 2)
+        fem_assemble(mesh, kappa)
 
 
 def test_too_small_kappa_for_odd_alpha_is_a_parameter_error():
     # the smallest eigenvalue of S is of order kappa: here the spectrum ratio is 1.5e9
     mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
-    system = fem_assemble(mesh, 1e-7, 3)
+    system = fem_assemble(mesh, 1e-7)
     lower, upper = system.spectrum_bounds
     assert upper > 10.0 * MAX_RATIO * lower
     with pytest.raises(ParameterError, match="too small for odd alpha"):
-        system.solve_k_alpha(np.ones(mesh.n_nodes))
+        system.solve_k_alpha(np.ones(mesh.n_nodes), 3)
     rhs = np.ones(mesh.n_nodes)  # even exponents need no quadrature
-    x = system.with_alpha(2).solve_k_alpha(rhs)
-    assert system.with_alpha(2).backward_error(x, rhs) < 1e-14
+    x = system.solve_k_alpha(rhs, 2)
+    assert system.backward_error(x, rhs, 2) < 1e-14
 
 
 def test_odd_alpha_solve_residual():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
-    system = fem_assemble(mesh, 2.0, 3)
+    system = fem_assemble(mesh, 2.0)
     rhs = np.random.default_rng(1).random(mesh.n_nodes)
-    assert system.backward_error(system.solve_k_alpha(rhs), rhs) < 1e-14
+    assert system.backward_error(system.solve_k_alpha(rhs, 3), rhs, 3) < 1e-14
     with pytest.raises(ParameterError):
-        fem_assemble(mesh, 2.0, 7)
+        system.solve_k_alpha(rhs, 7)
 
 
 def test_non_integer_alpha_rejected():
-    mesh = lattice_mesh_2d((0, 0, 1, 1), 5, 0)
-    with pytest.raises(ParameterError):
-        fem_assemble(mesh, 2.0, 2.5)
-    assert fem_assemble(mesh, 2.0, 4.0).alpha == 4
+    system = fem_assemble(lattice_mesh_2d((0, 0, 1, 1), 5, 0), 2.0)
+    rhs = np.ones(system.mesh.n_nodes)
+    for solve in (system.solve_k_alpha, system.apply_k_alpha):
+        with pytest.raises(ParameterError):
+            solve(rhs, 2.5)
+    assert np.array_equal(system.solve_k_alpha(rhs, 4.0), system.solve_k_alpha(rhs, 4))
 
 
 def test_fem_coefficients_argmax_at_site_node():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 20, 2)
-    system = fem_assemble(mesh, 2.0, 2)
+    system = fem_assemble(mesh, 2.0)
     node = 250
-    matrix = fem_coefficients(system, [mesh.nodes[node], [0.9, 0.33]])
+    matrix, = fem_coefficients(system, [mesh.nodes[node], [0.9, 0.33]], [2])
     assert matrix.argmax_sets[0] == frozenset({node})
 
 
 def test_fem_coefficient_scale_invariance():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 12, 1)
-    system = fem_assemble(mesh, 2.0, 2)
+    system = fem_assemble(mesh, 2.0)
     sites = [[0.31, 0.52], [0.7, 0.44]]
-    matrix = fem_coefficients(system, sites)
+    matrix, = fem_coefficients(system, sites, [2])
     scaled = CoefficientMatrix(matrix.entries * np.array([[3.0], [0.5]]))
     assert classify(scaled).regime is classify(matrix).regime
     assert eta_closed_form(scaled) == pytest.approx(eta_closed_form(matrix), abs=1e-13)
@@ -251,10 +248,10 @@ def test_fem_coefficient_scale_invariance():
 
 def test_fem_vs_integral_eta_close_on_fine_mesh():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 20, 2)
-    system = fem_assemble(mesh, 2.0, 2)
+    system = fem_assemble(mesh, 2.0)
     kern = matern_kernel(2.0, 2.0, 2)
     sites = np.array([[0.28, 0.51], [0.73, 0.49]])
-    e_fem = eta_closed_form(fem_coefficients(system, sites))
+    e_fem = eta_closed_form(next(fem_coefficients(system, sites, [2])))
     e_int = eta_closed_form(integral_coefficients(kern, sites, mesh))
     assert abs(e_fem - e_int) < 0.05
 
@@ -279,8 +276,8 @@ def test_eta_pairs_on_matern_rows_equals_all_terms(alpha):
     sites = random_sites(np.random.default_rng(3), 6)
     pairs = [(i, j) for i in range(6) for j in range(6) if i != j]
     kern = matern_kernel(2.0, alpha, 2)
-    system = fem_assemble(mesh, 2.0, 2).with_alpha(alpha)
-    for matrix in (integral_coefficients(kern, sites, mesh), fem_coefficients(system, sites)):
+    fem_matrix, = fem_coefficients(fem_assemble(mesh, 2.0), sites, [alpha])
+    for matrix in (integral_coefficients(kern, sites, mesh), fem_matrix):
         rows = matrix.normalized
         for (i, j), eta in zip(pairs, eta_pairs(matrix, pairs).tolist()):
             m = CoefficientMatrix(rows[[i, j]])
@@ -296,7 +293,7 @@ def test_dual_cell_areas_partition_the_mesh():
     assert areas.sum() == pytest.approx(mesh.triangle_areas().sum(), rel=1e-12)
     assert np.all(areas > 0)
     # dual areas equal the lumped mass rows (integral of each hat)
-    system = fem_assemble(mesh, 1.0, 2)
+    system = fem_assemble(mesh, 1.0)
     assert np.allclose(areas, system.mass_lumped, atol=1e-14)
 
 
@@ -337,29 +334,31 @@ def test_typeg_mixing_scales_linearly_in_area():
 
 def test_simulate_field_empty():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 5, 0)
-    system = fem_assemble(mesh, 2.0, 2)
+    system = fem_assemble(mesh, 2.0)
     noise = TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0)
-    out = simulate_field(system, [[0.5, 0.5]], noise, 0, 0)
+    out = simulate_field(system, 2, [[0.5, 0.5]], noise, 0, 0)
     assert out.shape == (0, 1)
+    with pytest.raises(ParameterError, match="alpha"):  # checked with no rows to draw
+        simulate_field(system, 7, [[0.5, 0.5]], noise, 0, 0)
 
 
 def test_simulate_field_deterministic_per_seed():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 6, 1)
-    system = fem_assemble(mesh, 2.0, 2)
+    system = fem_assemble(mesh, 2.0)
     noise = TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0)
-    a = simulate_field(system, [[0.4, 0.6]], noise, 500, 42)
-    b = simulate_field(system, [[0.4, 0.6]], noise, 500, 42)
+    a = simulate_field(system, 2, [[0.4, 0.6]], noise, 500, 42)
+    b = simulate_field(system, 2, [[0.4, 0.6]], noise, 500, 42)
     assert np.array_equal(a, b)
 
 
 def test_constant_mixing_hook_matches_gaussian_covariance():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 10, 1)
-    system = fem_assemble(mesh, 2.0, 2)
+    system = fem_assemble(mesh, 2.0)
     noise = TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0)
     sites = np.array([[0.35, 0.5], [0.6, 0.5]])
-    x = simulate_field(system, sites, noise, 60_000, 7, constant_mixing=1.0)
+    x = simulate_field(system, 2, sites, noise, 60_000, 7, constant_mixing=1.0)
     phi = basis_matrix(mesh, sites).toarray()
-    rows = system.solve_k_alpha(phi.T).T
+    rows = system.solve_k_alpha(phi.T, 2).T
     cov = rows @ rows.T  # K^{-1} diag(1) K^{-1} between the two sites
     emp = np.cov(x.T)
     se = cov[0, 1] * math.sqrt(2.0 / x.shape[0]) * 4
@@ -369,9 +368,9 @@ def test_constant_mixing_hook_matches_gaussian_covariance():
 
 def test_simulate_field_nig_skewed_marginals():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 10, 1)
-    system = fem_assemble(mesh, 2.0, 2)
+    system = fem_assemble(mesh, 2.0)
     noise = TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0)
-    x = simulate_field(system, [[0.4, 0.5], [0.62, 0.5]], noise, 100_000, 3)
+    x = simulate_field(system, 2, [[0.4, 0.5], [0.62, 0.5]], noise, 100_000, 3)
     skew = stats.skew(x, axis=0)
     assert np.all(skew > 0.2)  # clearly non-Gaussian
 
@@ -391,7 +390,7 @@ def _draw_noise(noise, areas, size, stream, constant_mixing=None):
     return noise.mu * areas[order][:, None] + noise.gamma * v + np.sqrt(v) * z, order
 
 
-def _per_batch_reference(system, sites, noise, sizes, streams):
+def _per_batch_reference(system, alpha, sites, noise, sizes, streams):
     """The field as one K_alpha solve per batch, mapped to the sites by phi."""
     phi = basis_matrix(system.mesh, sites)
     areas = dual_cell_areas(system.mesh)
@@ -400,32 +399,32 @@ def _per_batch_reference(system, sites, noise, sizes, streams):
         rhs_perm, order = _draw_noise(noise, areas, size, stream)
         rhs = np.empty_like(rhs_perm)
         rhs[order] = rhs_perm  # back to node order
-        chunks.append((phi @ system.solve_k_alpha(rhs)).T)
+        chunks.append((phi @ system.solve_k_alpha(rhs, alpha)).T)
     return np.vstack(chunks)
 
 
 @pytest.mark.parametrize("alpha", [2, 3, 4])
 def test_simulate_field_matches_per_batch_solve(alpha):
     mesh = lattice_mesh_2d((0, 0, 1, 1), 6, 1)
-    system = fem_assemble(mesh, 2.0, alpha)
+    system = fem_assemble(mesh, 2.0)
     noise = TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0)
     sites = [[0.3, 0.4], [0.7, 0.55], [0.5, 0.5]]
     n = 3 * _BATCH + 232
     sizes = [_BATCH] * 3 + [232]
-    x = simulate_field(system, sites, noise, n, 11)
-    ref = _per_batch_reference(system, sites, noise, sizes, substreams(11, 4))
+    x = simulate_field(system, alpha, sites, noise, n, 11)
+    ref = _per_batch_reference(system, alpha, sites, noise, sizes, substreams(11, 4))
     assert x.shape == (n, 3) and x.flags.f_contiguous
     np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
     # a Generator is one sequential stream over the same batches
-    x = simulate_field(system, sites, noise, n, np.random.default_rng(11))
-    ref = _per_batch_reference(system, sites, noise, sizes,
+    x = simulate_field(system, alpha, sites, noise, n, np.random.default_rng(11))
+    ref = _per_batch_reference(system, alpha, sites, noise, sizes,
                                [np.random.default_rng(11)] * 4)
     np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
-def _one_shot_reference(system, sites, noise, sizes, streams, constant_mixing=None):
+def _one_shot_reference(system, alpha, sites, noise, sizes, streams, constant_mixing=None):
     """Each batch's noise built in one piece, then mapped by W in one product."""
-    weights_t = system.solve_k_alpha(basis_matrix(system.mesh, sites).toarray().T)
+    weights_t = system.solve_k_alpha(basis_matrix(system.mesh, sites).toarray().T, alpha)
     areas = dual_cell_areas(system.mesh)
     chunks = []
     for size, stream in zip(sizes, streams):
@@ -440,38 +439,38 @@ def _one_shot_reference(system, sites, noise, sizes, streams, constant_mixing=No
 ])
 def test_simulate_field_equals_the_one_shot_batch(noise):
     mesh = lattice_mesh_2d((0, 0, 1, 1), 6, 1)
-    system = fem_assemble(mesh, 2.0, 3)
+    system = fem_assemble(mesh, 2.0)
     sites = [[0.3, 0.4], [0.7, 0.55], [0.5, 0.5]]
     short = _BATCH // 2 + 22
     sizes = [_BATCH, _BATCH, short]  # two full batches and a shorter last one
     n = sum(sizes)
-    ref = _one_shot_reference(system, sites, noise, sizes, substreams(4, 3))
+    ref = _one_shot_reference(system, 3, sites, noise, sizes, substreams(4, 3))
     for threads in (1, 2):
-        x = simulate_field(system, sites, noise, n, 4, threads=threads)
+        x = simulate_field(system, 3, sites, noise, n, 4, threads=threads)
         assert x.flags.f_contiguous and np.array_equal(x, ref)
-    ref = _one_shot_reference(system, sites, noise, sizes, substreams(4, 3), 0.8)
+    ref = _one_shot_reference(system, 3, sites, noise, sizes, substreams(4, 3), 0.8)
     for threads in (1, 2):
-        x = simulate_field(system, sites, noise, n, 4, constant_mixing=0.8, threads=threads)
+        x = simulate_field(system, 3, sites, noise, n, 4, constant_mixing=0.8, threads=threads)
         assert x.flags.f_contiguous and np.array_equal(x, ref)
-    ref = _one_shot_reference(system, sites, noise, sizes, [np.random.default_rng(9)] * 3)
-    x = simulate_field(system, sites, noise, n, np.random.default_rng(9))
+    ref = _one_shot_reference(system, 3, sites, noise, sizes, [np.random.default_rng(9)] * 3)
+    x = simulate_field(system, 3, sites, noise, n, np.random.default_rng(9))
     assert x.flags.f_contiguous and np.array_equal(x, ref)
     # fewer replicates than one batch: the buffer holds only those
-    ref = _one_shot_reference(system, sites, noise, [short], substreams(4, 1))
-    x = simulate_field(system, sites, noise, short, 4)
+    ref = _one_shot_reference(system, 3, sites, noise, [short], substreams(4, 1))
+    x = simulate_field(system, 3, sites, noise, short, 4)
     assert x.flags.f_contiguous and np.array_equal(x, ref)
 
 
 def test_simulate_field_holds_one_copy_of_the_field():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 5, 2)
-    system = fem_assemble(mesh, 2.0, 2)
+    system = fem_assemble(mesh, 2.0)
     noise = TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0)
     sites = random_sites(np.random.default_rng(0), 8)
-    simulate_field(system, sites, noise, 10, 1)  # factor K_2 outside the trace
+    simulate_field(system, 2, sites, noise, 10, 1)  # factor K_2 outside the trace
     n, batch, k, nodes = 40_000, _BATCH, len(sites), mesh.n_nodes
     tracemalloc.start()
     try:
-        x = simulate_field(system, sites, noise, n, 1)
+        x = simulate_field(system, 2, sites, noise, n, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -485,11 +484,11 @@ def test_simulate_field_holds_one_copy_of_the_field():
 
 def test_simulate_field_threads_do_not_change_draws():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 6, 1)
-    system = fem_assemble(mesh, 2.0, 2)
+    system = fem_assemble(mesh, 2.0)
     noise = TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0)
     sites = [[0.3, 0.4], [0.7, 0.55]]
-    one = simulate_field(system, sites, noise, 5000, 8, threads=1)
-    two = simulate_field(system, sites, noise, 5000, 8, threads=2)
+    one = simulate_field(system, 2, sites, noise, 5000, 8, threads=1)
+    two = simulate_field(system, 2, sites, noise, 5000, 8, threads=2)
     assert np.array_equal(one, two)
 
 
@@ -497,11 +496,11 @@ def test_simulate_field_threads_do_not_change_draws():
                                  dict(threads=2.5)])
 def test_simulate_field_rejects_chunking_below_one(bad):
     mesh = lattice_mesh_2d((0, 0, 1, 1), 5, 1)
-    system = fem_assemble(mesh, 2.0, 2)
+    system = fem_assemble(mesh, 2.0)
     noise = TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0)
     for n in (100, 0):  # also with no rows to draw
         with pytest.raises(ParameterError, match="at least 1"):
-            simulate_field(system, [[0.4, 0.6]], noise, n, 1, **bad)
+            simulate_field(system, 2, [[0.4, 0.6]], noise, n, 1, **bad)
 
 
 def _mixing_moments(noise, areas):
@@ -516,15 +515,15 @@ def _assert_closed_form_moments(mesh, noise, rng):
     """The law of the field, whatever stream draws it: mean W (mu|D| + gamma E v)
     and covariance W diag(gamma^2 Var v + E v) W^T at three sites, each
     within 5 standard errors, drawn from ``rng`` (a root seed or a Generator)."""
-    system = fem_assemble(mesh, 2.0, 2)
+    system = fem_assemble(mesh, 2.0)
     sites = [[1.2, 1.6], [1.8, 2.0], [2.8, 2.2]]
     areas = dual_cell_areas(mesh)
-    w = system.solve_k_alpha(basis_matrix(mesh, sites).toarray().T).T
+    w = system.solve_k_alpha(basis_matrix(mesh, sites).toarray().T, 2).T
     mean_v, var_v = _mixing_moments(noise, areas)
     mean = w @ (noise.mu * areas + noise.gamma * mean_v)
     cov = (w * (noise.gamma ** 2 * var_v + mean_v)) @ w.T
     n = 40_000
-    x = simulate_field(system, sites, noise, n, rng)
+    x = simulate_field(system, 2, sites, noise, n, rng)
     centered = x - x.mean(axis=0)
     assert np.all(np.abs(x.mean(axis=0) - mean) <= 5.0 * np.sqrt(np.diag(cov) / n))
     for i in range(3):
@@ -558,142 +557,163 @@ def test_simulate_field_moments_where_every_area_is_its_own_class(noise):
     _assert_closed_form_moments(mesh, noise, 17)
 
 
-def test_simulate_field_checks_site_weight_residual(monkeypatch):
+def test_simulate_field_checks_site_weight_residual(tamper_k2_solves):
     mesh = lattice_mesh_2d((0, 0, 1, 1), 6, 1)
-    system = fem_assemble(mesh, 2.0, 2)
+    system = fem_assemble(mesh, 2.0)
     noise = TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0)
-    real = FemSystem._factor  # K_2 solves off by a relative 1e-6
-    monkeypatch.setattr(FemSystem, "_factor", lambda self: SimpleNamespace(
-        solve=lambda rhs, lu=real(self): lu.solve(rhs) * (1.0 + 1e-6)))
+    tamper_k2_solves()
     with pytest.raises(SolveError):
-        simulate_field(system, [[0.4, 0.6]], noise, 100, 1)
+        simulate_field(system, 2, [[0.4, 0.6]], noise, 100, 1)
 
 
-def test_with_alpha_shares_the_k2_factorizations(monkeypatch):
+def test_one_system_factors_once_for_every_alpha(monkeypatch):
     mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
     calls = []
     real_splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda a, **kw: calls.append(1) or real_splu(a, **kw))
     for module in (np.linalg, linalg):
         monkeypatch.setattr(module, "eigh", lambda *a, **k: pytest.fail("dense eigh called"))
-    base = fem_assemble(mesh, 2.0, 2)
-    n_shifts = len(base.quadrature.shifts)
+    system = fem_assemble(mesh, 2.0)
+    n_shifts = len(system.quadrature.shifts)
     rhs = np.linspace(0.5, 1.5, mesh.n_nodes)
     for alpha in (3, 5, 2, 4):
-        view = base.with_alpha(alpha)
-        assert view.alpha == alpha and base.alpha == 2
-        fresh = fem_assemble(mesh, 2.0, alpha)
-        assert np.array_equal(view.solve_k_alpha(rhs), fresh.solve_k_alpha(rhs))
-    # the views factor K_2 and its shifts once; each fresh system its own
+        fresh = fem_assemble(mesh, 2.0)
+        assert np.array_equal(system.solve_k_alpha(rhs, alpha), fresh.solve_k_alpha(rhs, alpha))
+    # the one system factors K_2 and its shifts once; each fresh system its own
     assert len(calls) == (1 + n_shifts) + 2 * (1 + n_shifts) + 2 * 1
-    with pytest.raises(ParameterError):
-        base.with_alpha(2.5)
 
 
-def test_a_continued_solve_is_checked_and_kept_only_when_it_passes(monkeypatch):
+def test_a_continued_solve_is_the_fresh_solve():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
-    base = fem_assemble(mesh, 2.0, 2)
+    system = fem_assemble(mesh, 2.0)
     rhs = np.linspace(0.5, 1.5, mesh.n_nodes)
-    x3 = base.with_alpha(3).solve_k_alpha(rhs)
-    x3[:] = np.nan  # the caller's copy: the kept solution is untouched
-    assert np.array_equal(base.with_alpha(3).solve_k_alpha(rhs),
-                          fem_assemble(mesh, 2.0, 3).solve_k_alpha(rhs))
-    real = FemSystem._factor  # K_2 solves off by a relative 1e-6
-    monkeypatch.setattr(FemSystem, "_factor", lambda self: SimpleNamespace(
-        solve=lambda rhs, lu=real(self): lu.solve(rhs) * (1.0 + 1e-6)))
-    with pytest.raises(SolveError, match="backward error"):
-        base.with_alpha(5).solve_k_alpha(rhs)  # one K_2 step on from alpha 3
-    monkeypatch.undo()
-    assert np.array_equal(base.with_alpha(5).solve_k_alpha(rhs),
-                          fem_assemble(mesh, 2.0, 5).solve_k_alpha(rhs))
+    for low, high in [(2, 4), (2, 6), (3, 5), (5, 5)]:
+        start = (low, system.solve_k_alpha(rhs, low))
+        assert np.array_equal(system.solve_k_alpha(rhs, high, start=start),
+                              fem_assemble(mesh, 2.0).solve_k_alpha(rhs, high))
+    for low, high in [(3, 4), (4, 2), (5, 3)]:  # another parity, or above alpha
+        with pytest.raises(SolveError, match="backward error"):
+            system.solve_k_alpha(rhs, high, start=(low, system.solve_k_alpha(rhs, low)))
 
 
-def test_fem_coefficients_checks_backward_error(monkeypatch):
+def test_fem_coefficients_sweep_equals_fresh_systems_in_any_order():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
     sites = [[0.4, 0.6], [0.3, 0.35]]
+    alphas = (5, 2, 4, 3, 6)
+    for alpha, matrix in zip(alphas, fem_coefficients(fem_assemble(mesh, 2.0), sites, alphas)):
+        fresh, = fem_coefficients(fem_assemble(mesh, 2.0), sites, [alpha])
+        assert np.array_equal(matrix.entries, fresh.entries)
+
+
+def test_fem_coefficients_solves_each_alpha_when_pulled(monkeypatch):
+    mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
+    calls, locates = [], []
+    real_splu, real_locate = spla.splu, Mesh2D.locate
+    monkeypatch.setattr(spla, "splu", lambda a, **kw: calls.append(1) or real_splu(a, **kw))
+    monkeypatch.setattr(Mesh2D, "locate",
+                        lambda self, point: locates.append(1) or real_locate(self, point))
+    system = fem_assemble(mesh, 2.0)
+    sweep = fem_coefficients(system, [[0.4, 0.6], [0.3, 0.35]], (2, 3))
+    assert calls == [] and locates == []  # nothing before the first next()
+    next(sweep)
+    assert len(calls) == 1 and len(locates) == 2  # K_2 alone, and each site once
+    next(sweep)
+    assert len(calls) == 1 + len(system.quadrature.shifts) and len(locates) == 2
+
+
+def test_a_continued_solve_is_checked(monkeypatch, tamper_k2_solves):
+    mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
+    system = fem_assemble(mesh, 2.0)
+    rhs = np.linspace(0.5, 1.5, mesh.n_nodes)
+    x3 = system.solve_k_alpha(rhs, 3)
+    tamper_k2_solves()
+    with pytest.raises(SolveError, match="backward error"):
+        system.solve_k_alpha(rhs, 5, start=(3, x3))  # one K_2 step on from alpha 3
+    monkeypatch.undo()
+    assert np.array_equal(system.solve_k_alpha(rhs, 5, start=(3, x3)),
+                          fem_assemble(mesh, 2.0).solve_k_alpha(rhs, 5))
+
+
+def test_fem_coefficients_checks_backward_error(tamper_k2_solves):
+    mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
+    sites = [[0.4, 0.6], [0.3, 0.35]]
+    system = fem_assemble(mesh, 2.0)
+    phi = basis_matrix(mesh, sites).toarray().T
     for alpha in (2, 3, 4, 5):
-        system = fem_assemble(mesh, 2.0, alpha)
-        phi = basis_matrix(mesh, sites).toarray().T
-        assert system.backward_error(system.solve_k_alpha(phi), phi) < 1e-14
-    real = FemSystem._factor  # K_2 solves off by a relative 1e-6
-    monkeypatch.setattr(FemSystem, "_factor", lambda self: SimpleNamespace(
-        solve=lambda rhs, lu=real(self): lu.solve(rhs) * (1.0 + 1e-6)))
+        assert system.backward_error(system.solve_k_alpha(phi, alpha), phi, alpha) < 1e-14
+    tamper_k2_solves()
     for alpha in (2, 3):
-        system = fem_assemble(mesh, 2.0, alpha)
         with pytest.raises(SolveError, match="backward error"):
-            fem_coefficients(system, sites)
+            next(fem_coefficients(fem_assemble(mesh, 2.0), sites, [alpha]))
     assert BACKWARD_TOL == 1e-12
 
 
 def test_backward_error_of_a_zero_solution_is_infinite():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 5, 0)
-    system = fem_assemble(mesh, 2.0, 3)
+    system = fem_assemble(mesh, 2.0)
     rhs = np.zeros((mesh.n_nodes, 2))
     rhs[3, 1] = 1.0
-    assert system.backward_error(np.zeros_like(rhs), rhs) == np.inf
-    assert system.backward_error(np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes)) == 0.0
+    assert system.backward_error(np.zeros_like(rhs), rhs, 3) == np.inf
+    assert system.backward_error(np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes), 3) == 0.0
 
 
-def test_nan_solution_fails_the_backward_error_check(monkeypatch):
+def test_nan_solution_fails_the_backward_error_check(tamper_k2_solves):
     mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 1)
-    system = fem_assemble(mesh, 2.0, 2)
+    system = fem_assemble(mesh, 2.0)
     rhs = np.ones((mesh.n_nodes, 2))
-    x = system.solve_k_alpha(rhs)
+    x = system.solve_k_alpha(rhs, 2)
     x[5, 1] = np.nan
-    assert np.isnan(system.backward_error(x, rhs))
-    real = FemSystem._factor  # K_2 solves that put NaN in one entry
+    assert np.isnan(system.backward_error(x, rhs, 2))
 
-    def nan_solve(rhs, lu):
-        out = lu.solve(rhs)
+    def nan_entry(out):  # K_2 solves that put NaN in one entry
         out.flat[7] = np.nan
         return out
 
-    monkeypatch.setattr(FemSystem, "_factor", lambda self: SimpleNamespace(
-        solve=lambda rhs, lu=real(self): nan_solve(rhs, lu)))
+    tamper_k2_solves(nan_entry)
     for alpha in (2, 3):
         with pytest.raises(SolveError, match="backward error nan"):
-            fem_coefficients(fem_assemble(mesh, 2.0, alpha), [[0.4, 0.6], [0.3, 0.35]])
+            next(fem_coefficients(fem_assemble(mesh, 2.0), [[0.4, 0.6], [0.3, 0.35]], [alpha]))
 
 
 def test_fem_coefficients_rejects_a_nan_row(monkeypatch):
     mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 0)
-    system = fem_assemble(mesh, 2.0, 2)
+    system = fem_assemble(mesh, 2.0)
     real_solve = system.solve_k_alpha
 
-    def nan_solve(rhs):
-        out = real_solve(rhs)
+    def nan_solve(*args):
+        out = real_solve(*args)
         out[3, 0] = np.nan
         return out
 
     monkeypatch.setattr(system, "solve_k_alpha", nan_solve)
     with pytest.raises(SolveError, match="NaN row"):
-        fem_coefficients(system, [[0.4, 0.5]])
+        next(fem_coefficients(system, [[0.4, 0.5]], [2]))
 
 
 def test_negative_coefficient_guard(monkeypatch):
     mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 0)
-    system = fem_assemble(mesh, 2.0, 2)
+    system = fem_assemble(mesh, 2.0)
 
-    def bad_solve(rhs):
+    def bad_solve(rhs, alpha, start):
         out = np.abs(np.asarray(rhs, dtype=float))
         out.flat[0] = -1.0  # material negative, far beyond round-off
         return out
 
     monkeypatch.setattr(system, "solve_k_alpha", bad_solve)
     with pytest.raises(NonnegativityError):
-        fem_coefficients(system, [[0.4, 0.5]])
+        next(fem_coefficients(system, [[0.4, 0.5]], [2]))
 
 
 def test_tiny_negative_coefficients_are_clamped(monkeypatch):
     mesh = lattice_mesh_2d((0, 0, 1, 1), 8, 0)
-    system = fem_assemble(mesh, 2.0, 2)
+    system = fem_assemble(mesh, 2.0)
     real_solve = system.solve_k_alpha
 
-    def noisy_solve(rhs):
-        out = real_solve(rhs)
+    def noisy_solve(*args):
+        out = real_solve(*args)
         out.flat[0] = -1e-13 * out.max()
         return out
 
     monkeypatch.setattr(system, "solve_k_alpha", noisy_solve)
-    matrix = fem_coefficients(system, [[0.4, 0.5]])
+    matrix, = fem_coefficients(system, [[0.4, 0.5]], [2])
     assert np.all(matrix.entries >= 0.0)
