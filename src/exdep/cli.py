@@ -5,12 +5,12 @@ Each subcommand writes a plot-ready CSV (or JSON) artifact atomically
 2 usage error.  Identical configurations produce byte-identical output.
 
 A subcommand loads only the scipy subpackages it calls: ``fem``
-(``scipy.sparse``), ``kernels`` (``scipy.special`` in the Matern
-kernel) and ``exptail`` (``scipy.special``) are imported inside the
-commands that use them, so ``counterexample``, ``eta`` and
-``ou-convergence`` run on numpy alone.  The first ``matern-eta`` or
-``simulate-and-chi`` call of a process pays for the ``scipy.sparse``
-import.
+(``scipy.sparse``) and ``exptail`` (``scipy.special``) are imported
+inside the commands that use them, and ``kernels`` loads
+``scipy.special`` only inside the Matern kernel, so ``counterexample``,
+``eta`` and ``ou-convergence`` run on numpy alone.  The first
+``matern-eta`` or ``simulate-and-chi`` call of a process pays for the
+``scipy.sparse`` import.
 """
 
 import argparse
@@ -24,7 +24,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import estimate, mesh
+from . import estimate, kernels, mesh
 from .errors import DomainError, ExdepError
 from .lintrans import CoefficientMatrix, chi_gh_two, eta_pairs, tail_summary
 
@@ -185,25 +185,18 @@ def _ou_partition(s1, T, delta):
 
 
 def cmd_ou_convergence(args):
-    from . import kernels
-
     h_grid = args.h_grid or [round(OU_H_STEP * i, 10)
                              for i in range(1, int(args.T / OU_H_STEP) + 1)]
+    limits = kernels.ou_eta(args.a, h_grid).tolist()
     rows = []
     sup_gap_finest = 0.0
     finest = min(args.deltas)
     for delta in args.deltas:
         part = _ou_partition(args.s1, args.T, delta)
-        # row 0 is the site s1, row t + 1 the site s1 + h_t; zero columns pad the short rows
-        mats = [mesh.ou_coefficients(args.a, args.s1, args.s1 + h, part) for h in h_grid]
-        padded = np.zeros((1 + len(mats), max(m.shape[1] for m in mats)))
-        for t, m in enumerate(mats):
-            padded[[0, t + 1], :m.shape[1]] = m.entries
-        matrix = CoefficientMatrix(padded)
-        del mats, padded  # the matrix holds its own copy: free these before eta
+        # row 0 is the site s1, row t + 1 the site s1 + h_t
+        matrix = mesh.ou_coefficients(args.a, [args.s1] + [args.s1 + h for h in h_grid], part)
         etas = eta_pairs(matrix, [(0, t + 1) for t in range(len(h_grid))])
-        for h, eta_n in zip(h_grid, etas.tolist()):
-            eta_limit = kernels.ou_eta(args.a, h)
+        for h, eta_n, eta_limit in zip(h_grid, etas.tolist(), limits):
             if eta_n < eta_limit - 1e-9:
                 raise ExdepError(f"eta_n below the limit at delta={delta}, h={h}")
             if delta == finest:
@@ -226,7 +219,7 @@ def random_sites(rng, n_sites):
 
 
 def cmd_matern_eta(args):
-    from . import fem, kernels
+    from . import fem
 
     for alpha in args.alphas:  # all are checked before any is computed
         fem._check_alpha(alpha)
@@ -241,7 +234,7 @@ def cmd_matern_eta(args):
     rows = []
     fem_matrices = fem.fem_coefficients(fem.fem_assemble(grid, args.kappa), sites, args.alphas)
     for alpha in args.alphas:
-        kern = kernels.matern_kernel(args.kappa, alpha, 2)
+        kern = kernels.matern_kernel(args.kappa, alpha)
         g0 = kern.value_at_zero
         # per alpha the integral rows, then the FEM rows (the generator's next
         # matrix), then both etas: eta's temporaries between the two builds, or
@@ -476,10 +469,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ExdepError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ExdepError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

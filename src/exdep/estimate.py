@@ -28,6 +28,8 @@ __all__ = [
     "empirical_eta",
 ]
 
+_Z_95 = 1.959963984540054  # the 97.5 % standard normal quantile: 95 % intervals
+
 
 class LowCountWarning(UserWarning):
     """Fewer than 20 exceedances back the estimate."""
@@ -166,13 +168,13 @@ def chi_from_exceedances(above1, above2, q):
     return ChiEstimate(value=float(p), se=se, q=float(q), n_conditioning=m, low_count=low)
 
 
-def empirical_eta(sample, k=None, z=1.959963984540054):
+def empirical_eta(sample, k=None):
     """Hill estimator of eta on the min-structure variable.
 
     T = min{1/(1-U1), 1/(1-U2)} has a regularly varying tail with index
     1/eta, so the Hill estimate over the top ``k`` order statistics
-    (default ceil(sqrt(n))) estimates eta directly, with the normal
-    confidence interval eta * (1 +- z / sqrt(k)).
+    (default ceil(sqrt(n))) estimates eta directly, with the 95 % normal
+    confidence interval eta * (1 +- 1.96 / sqrt(k)).
     """
     n = sample.n
     if k is None:
@@ -185,7 +187,7 @@ def empirical_eta(sample, k=None, z=1.959963984540054):
     top = np.partition(t, n - k - 1)[n - k - 1:]
     top.sort()
     eta = float(np.mean(np.log(top[1:] / top[0])))
-    half = z / np.sqrt(k)
+    half = _Z_95 / np.sqrt(k)
     return EtaEstimate(value=eta, ci_low=eta * (1.0 - half),
                        ci_high=eta * (1.0 + half), k=k)
 

@@ -26,13 +26,13 @@ the quadrature moments come from one adaptive Gauss-Kronrod integrator
 10-point Gauss rule, QUADPACK's qk21 error estimate).  It takes a batch
 of integrals and evaluates the array route of ``logpdf`` on every
 pending subinterval of the batch in one call.  Half-infinite pieces are
-mapped to (0, 1] by y = a +- (1 - u)/u, QUADPACK's qagi transform; where
-the density is unbounded (tau = 0 with a small lambda) the pieces that
-end at the singular point are mapped by y = c +- s^p, which makes the
-integrand bounded.  An integral that misses its tolerance, or meets a
-NaN or infinite integrand value, raises ``QuadratureError``.  The
-Bessel function of the normalizing constant is computed once per
-distribution.
+mapped to (0, 1] by y = a +- scale (1 - u)/u, QUADPACK's qagi transform
+stretched by the law's own scale; where the density is unbounded
+(tau = 0 with a small lambda) the pieces that end at the singular point
+are mapped by y = c +- s^p, which makes the integrand bounded.  An
+integral that misses its tolerance, or meets a NaN or infinite
+integrand value, raises ``QuadratureError``.  The Bessel function of
+the normalizing constant is computed once per distribution.
 """
 
 import math
@@ -280,7 +280,7 @@ class NoiseDistribution:
     """An exponential-tailed GIG or GH noise law.
 
     Instances are immutable after construction and safe to share across
-    threads; the density normalizer is cached lazily on first use.
+    threads; what a law computes once is cached lazily on first use.
     Samplers take an explicit generator (or integer seed) per caller and
     are bit-reproducible on a single stream.
     """
@@ -295,7 +295,6 @@ class NoiseDistribution:
         else:
             raise ParameterError("params must be GigParams or GhParams")
         self.params = params
-        self._gig_sampler = None
 
     # -- constructors --------------------------------------------------
 
@@ -445,7 +444,12 @@ class NoiseDistribution:
 
     # -- quadrature anchors and the cusp -----------------------------------
 
+    @cached_property
     def _center_scale(self):
+        """(center, scale) of the quadrature's cuts and maps.  A GH law takes
+        mu and 2 sqrt(E[R]) + |gamma| E[R] for its GIG mixing law R, so with
+        mu = gamma = 0 the law GH(lambda, c tau, psi/c), GH(lambda, tau, psi)
+        stretched by sqrt(c), has its scale stretched with it."""
         p = self.params
         if self.family == "GIG":
             if p.tau == 0.0:  # median, as scipy.stats.gamma.ppf(0.5)
@@ -453,8 +457,12 @@ class NoiseDistribution:
                 return m, m
             mode = ((p.lam - 1.0) + math.sqrt((p.lam - 1.0) ** 2 + p.tau * p.psi)) / p.psi
             return mode, max(mode, 1.0 / p.psi, math.sqrt(p.tau / p.psi))
-        scale = 1.0 + math.sqrt(p.tau + 1.0) + abs(p.gamma)
-        return p.mu, scale
+        if p.tau == 0.0:  # gamma(lambda, rate psi/2)
+            mean = 2.0 * p.lam / p.psi
+        else:  # sqrt(tau/psi) K_{lambda+1}(omega) / K_lambda(omega), omega = sqrt(tau psi)
+            mean = math.sqrt(p.tau) / math.sqrt(p.psi) * math.exp(log_bessel_k(
+                p.lam + 1.0, math.sqrt(p.tau) * math.sqrt(p.psi)) - self._log_k_mixing)
+        return p.mu, 2.0 * math.sqrt(mean) + abs(p.gamma) * mean
 
     @cached_property
     def _power_maps(self):
@@ -488,6 +496,9 @@ class NoiseDistribution:
         index beta or at it; with s = psi - 2u
 
             E[exp(u R)] = (psi/s)^{lambda/2} K_lambda(sqrt(tau s)) / K_lambda(sqrt(tau psi)).
+
+        An s within 2 eps psi of 0 is t at the tail index up to rounding,
+        which the Bessel form would amplify to about (tau s)^{|lambda|}.
         """
         t = float(t)
         if t == 0.0:
@@ -501,7 +512,8 @@ class NoiseDistribution:
         slack = 1e-12 * max(1.0, half_psi)  # u within this of psi/2 counts as psi/2
         if not (u < half_psi - slack or (u <= half_psi + slack and p.lam < 0.0)):
             return np.inf  # NaN included
-        return math.exp(shift + self._mixing_log_mgf(p.psi - 2.0 * u))
+        s = p.psi - 2.0 * u
+        return math.exp(shift + self._mixing_log_mgf(s if s > 2.0 * _EPMACH * p.psi else 0.0))
 
     def _mixing_log_mgf(self, s):
         """log E[exp(u R)] for R ~ GIG(lambda, tau, psi), at s = psi - 2u > 0,
@@ -522,11 +534,12 @@ class NoiseDistribution:
 
         Each integral is cut at the centre of the law and at an anchor
         moved from it toward the integrand's peak by t scale^2, at most 50
-        scales (none below 1e-3 scales).  A half-infinite piece is
-        integrated over u in (0, 1] with y = a + (1 - u)/u (or
-        b - (1 - u)/u).  A piece that ends at the singular point c of the
-        density takes y = c +- s^p, and a half-infinite one at a tail index
-        y = a +- ((1 - u)/u)^p, with the powers p of :attr:`_power_maps`.
+        scales (none below 1e-3 scales), of :attr:`_center_scale`.  A
+        half-infinite piece is integrated over u in (0, 1] with
+        y = a + scale (1 - u)/u (or b - scale (1 - u)/u).  A piece that ends
+        at the singular point c of the density takes y = c +- s^p, and a
+        half-infinite one at a tail index y = a +- scale ((1 - u)/u)^p,
+        with the powers p of :attr:`_power_maps`.
         The integrand is exp(t*y + log f(y) + log dy/du) from
         :meth:`_log_tilted`, the route of ``logpdf``; a node beyond the
         float range, where the map would drop mass, counts as a NaN value
@@ -541,7 +554,8 @@ class NoiseDistribution:
         quantile) must ask for a relative tolerance instead.
         """
         t, lo, hi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (t, lo, hi)))
-        center, scale = self._center_scale()
+        center, scale = self._center_scale
+        log_scale = math.log(scale)
         cusp, cusp_power, tail_power = self._power_maps
         left, right = self._tail_indices
         pieces = []  # (owner, origin, sign, power, half-infinite, length)
@@ -572,17 +586,18 @@ class NoiseDistribution:
             tilt = t.ravel()[owner]
             upper = np.where(infinite, 1.0, length ** (1.0 / power))
             mapped = np.any(power != 1.0)  # some piece takes y = a +- s^p
+            step = sign * np.where(infinite, scale, 1.0)  # y = origin + step * v
 
             def integrand(j, u):
                 inf = infinite[j]
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                     v = np.where(inf, (1.0 - u) / u, u)
-                    log_jac = np.where(inf, -2.0 * np.log(u), 0.0)
+                    log_jac = np.where(inf, log_scale - 2.0 * np.log(u), 0.0)
                     if mapped:
                         pw = power[j]
                         log_jac += np.log(pw) + (pw - 1.0) * np.log(v)
                         v = v ** pw
-                    z = sign[j] * v
+                    z = step[j] * v
                     y = origin[j] + z
                     f = np.exp(self._log_tilted(tilt[j], origin[j], z) + log_jac)
                     if k:
@@ -618,9 +633,12 @@ class NoiseDistribution:
         p = self.params
         if p.tau == 0.0:
             return rng.gamma(shape=p.lam, scale=2.0 / p.psi, size=n)
-        if self._gig_sampler is None:
-            self._gig_sampler = _GigLogSampler(p.lam, p.tau, p.psi)
         return self._gig_sampler.draw(rng, n)
+
+    @cached_property
+    def _gig_sampler(self):
+        """The ratio-of-uniforms sampler of the mixing law (tau > 0)."""
+        return _GigLogSampler(self.params.lam, self.params.tau, self.params.psi)
 
     # -- quadrature moments (test oracles) ---------------------------------
 

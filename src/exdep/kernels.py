@@ -1,13 +1,16 @@
 """Moving-average kernels and their limiting residual tail dependence.
 
-Two families are built in: the Whittle-Matern Green's function
+Two families are built in: the Whittle-Matern Green's function of
+(kappa^2 - Laplace)^{alpha/2} on R^2,
 
-    G(h) = 2^{1-nu} / ((4 pi)^{d/2} Gamma(alpha/2) kappa^{2 nu})
-           * (kappa h)^{nu} K_{nu}(kappa h),     nu = (alpha - d) / 2,
+    G(h) = 2^{1-nu} / (4 pi Gamma(alpha/2) kappa^{2 nu})
+           * (kappa h)^{nu} K_{nu}(kappa h),     nu = (alpha - 2) / 2,
 
-which is finite at zero iff alpha > d, and the one-sided exponential
-kernel exp(-a h) of the Ornstein-Uhlenbeck construction.  The limiting
-residual-tail-dependence functions are
+which is finite at zero iff alpha > 2, and the one-sided exponential
+kernel exp(-a h) of the Ornstein-Uhlenbeck construction.  Every kernel
+formula and parameter rule of the package lives here; the coefficient
+builders of :mod:`exdep.mesh` evaluate :class:`Kernel` values.  The
+limiting residual-tail-dependence functions are
 
     symmetric (two-sided) domains, convex G:   1/2 + G(h) / (2 G(0)),
     one-sided domains:                         1 / (2 - G(h) / G(0)),
@@ -44,8 +47,7 @@ class Kernel:
     limiting eta functions.
     """
 
-    def __init__(self, kind, func, value_at_zero, convex):
-        self.kind = kind
+    def __init__(self, func, value_at_zero, convex):
         self._func = func
         self.value_at_zero = value_at_zero
         self.convex = convex
@@ -58,30 +60,27 @@ class Kernel:
         return out if np.ndim(out) else float(out)
 
     def __repr__(self):
-        return f"Kernel({self.kind!r}, G(0)={self.value_at_zero}, convex={self.convex})"
+        return f"Kernel(G(0)={self.value_at_zero}, convex={self.convex})"
 
 
-def matern_green(kappa, alpha, d, h):
-    """Green's function of (kappa^2 - Laplace)^{alpha/2} on R^d at lag h.
+def matern_green(kappa, alpha, h):
+    """Green's function of (kappa^2 - Laplace)^{alpha/2} on R^2 at lag h.
 
-    Requires alpha >= d (smoothness nu = (alpha-d)/2 >= 0).  At h = 0 the
-    value is the finite small-argument limit for alpha > d and ``inf``
-    for alpha = d.
+    Requires alpha >= 2 (smoothness nu = (alpha - 2)/2 >= 0).  At h = 0
+    the value is the finite small-argument limit for alpha > 2 and
+    ``inf`` for alpha = 2.
     """
     from scipy import special as _sp  # the only scipy call of this module
 
     if not 0.0 < kappa < math.inf:
         raise ParameterError(f"kappa must be positive and finite, got {kappa!r}")
-    if d not in (1, 2, 3):
-        raise ParameterError("dimension must be 1, 2 or 3")
-    nu = (alpha - d) / 2.0
+    nu = (alpha - 2) / 2.0
     if nu < 0.0:
-        raise ParameterError("alpha < d kernels are not supported")
+        raise ParameterError(f"alpha must be at least 2 in two dimensions, got {alpha!r}")
     h = np.asarray(h, dtype=float)
     if np.any(h < 0.0):
         raise DomainError("h must be non-negative")
-    const = 2.0 ** (1.0 - nu) / ((4.0 * math.pi) ** (d / 2.0)
-                                 * _sp.gamma(alpha / 2.0) * kappa ** (2.0 * nu))
+    const = 2.0 ** (1.0 - nu) / (4.0 * math.pi * _sp.gamma(alpha / 2.0) * kappa ** (2.0 * nu))
     out = np.empty(h.shape)
     zero = h == 0.0
     if nu == 0.0:
@@ -94,17 +93,13 @@ def matern_green(kappa, alpha, d, h):
     return out if out.ndim else float(out)
 
 
-def matern_kernel(kappa, alpha, d=2):
-    """Matern Green's function on R^2 as a :class:`Kernel` value; its
-    parameters are checked by :func:`matern_green`.  It is convex iff
-    alpha <= 3, the known threshold in two dimensions; any other ``d``
-    raises :class:`ParameterError`."""
-    if d != 2:
-        raise ParameterError(f"Matern kernels are built in two dimensions only, got d = {d!r}")
+def matern_kernel(kappa, alpha):
+    """:func:`matern_green` as a :class:`Kernel` value, which checks its
+    parameters.  It is convex iff alpha <= 3, the known threshold in two
+    dimensions."""
     return Kernel(
-        kind="matern_green",
-        func=lambda h: matern_green(kappa, alpha, 2, h),
-        value_at_zero=matern_green(kappa, alpha, 2, 0.0),
+        func=lambda h: matern_green(kappa, alpha, h),
+        value_at_zero=matern_green(kappa, alpha, 0.0),
         convex=alpha <= 3.0,
     )
 
@@ -113,12 +108,7 @@ def exponential_kernel(a):
     """The one-sided exponential kernel exp(-a h) of the OU process."""
     if not 0.0 < a < math.inf:
         raise ParameterError(f"a must be positive and finite, got {a!r}")
-    return Kernel(
-        kind="ou_exponential",
-        func=lambda h: np.exp(-a * np.asarray(h, dtype=float)),
-        value_at_zero=1.0,
-        convex=True,
-    )
+    return Kernel(func=lambda h: np.exp(-a * h), value_at_zero=1.0, convex=True)
 
 
 # ----------------------------------------------------------------------
@@ -131,8 +121,7 @@ def limit_eta_symmetric(kernel, h):
     1/2 when G(0) is infinite."""
     if not kernel.convex:
         raise PreconditionError(
-            "kernel is not convex; use limit_eta_conjecture for the unproven case"
-        )
+            "kernel is not convex; use limit_eta_conjecture for the unproven case")
     h = float(h)
     if h == 0.0:
         return 1.0
@@ -160,18 +149,18 @@ def limit_eta_conjecture(kernel, h):
 
 def limit_eta_onesided(kernel, h):
     """Mesh-refinement limit of eta(h) for one-sided approximations:
-    1 / (2 - G(h)/G(0)).  Requires a finite G(0)."""
+    1 / (2 - G(h)/G(0)), elementwise over an array h (1 at h = 0).
+    Requires a finite G(0)."""
     if math.isinf(kernel.value_at_zero):
         raise PreconditionError("one-sided limit requires finite G(0)")
-    h = float(h)
-    if h == 0.0:
-        return 1.0
-    return 1.0 / (2.0 - float(kernel(h)) / kernel.value_at_zero)
+    h = np.asarray(h, dtype=float)
+    out = np.where(h == 0.0, 1.0, 1.0 / (2.0 - kernel(h) / kernel.value_at_zero))
+    return out if out.ndim else float(out)
 
 
 def ou_eta(a, h):
-    """Residual tail dependence of the exponential-tailed OU process at lag h,
-    the one-sided limit of the exponential kernel."""
+    """Residual tail dependence of the exponential-tailed OU process at lag h
+    (a float or an array), the one-sided limit of the exponential kernel."""
     return limit_eta_onesided(exponential_kernel(a), h)
 
 

@@ -576,7 +576,7 @@ def chi_gh_two(a12, a22, params):
         from .exptail import NoiseDistribution  # loads scipy.special
 
         dist = NoiseDistribution(params)
-        beta = math.sqrt(params.psi)
+        beta = dist.tail_index
         m_12 = dist.mgf(a12 * beta)
         b = a22[todo]
         m_22 = np.array([dist.mgf(a * beta) for a in b.tolist()])

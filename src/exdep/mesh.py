@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError, PreconditionError, SingularCoefficientError
+from .kernels import exponential_kernel
 from .lintrans import CoefficientMatrix
 
 __all__ = [
@@ -67,33 +68,30 @@ def partition_1d(start, end, delta):
     return Partition1D(np.linspace(start, end, m + 1))
 
 
-def ou_coefficients(a, s1, s2, partition):
-    """Coefficient matrix of the one-sided exponential moving average at
-    two sites.
+def ou_coefficients(a, sites, partition):
+    """Coefficient matrix of the one-sided exponential moving average, one
+    row per site s in (start, end] of the partition.
 
-    Cell i = [t_i, t_{i+1}) enters row j with weight exp(-a (s_j - t_i))
-    when the cell lies entirely below s_j, so the largest coefficient of
-    each row sits at the last full cell below the site.  Columns above
-    s2's cells are dropped.
+    Cell i = [t_i, t_{i+1}) enters the row of s with the weight G(s - t_i)
+    of :func:`exdep.kernels.exponential_kernel` when the cell lies
+    entirely below s, so the largest coefficient of each row sits at the
+    last full cell below its site, which must exist.
     """
-    if not 0.0 < a < math.inf:
-        raise ParameterError(f"a must be positive and finite, got {a!r}")
+    kern = exponential_kernel(a)
     pts = partition.points
-    if not (partition.start < s1 < s2 <= partition.end):
-        raise PreconditionError("need start < s1 < s2 <= end of the partition")
-    # n_j = index of the largest partition point <= s_j; snapping is fuzzy
-    # so sites sitting on a cell boundary up to float rounding behave as
-    # in exact arithmetic
+    sites = np.asarray(sites, dtype=float)
+    inside = (partition.start < sites) & (sites <= partition.end)
+    if sites.ndim != 1 or not inside.size or not inside.all():
+        raise PreconditionError("need one or more sites s, each in (start, end] of the partition")
+    # full[j] = index of the largest partition point <= s_j; snapping is fuzzy
+    # so sites on a cell boundary up to float rounding behave as in exact arithmetic
     eps = 1e-9 * float(np.diff(pts).min())
-    n1 = int(np.searchsorted(pts, s1 + eps, side="right")) - 1
-    n2 = int(np.searchsorted(pts, s2 + eps, side="right")) - 1
-    if n1 < 1:
-        raise PreconditionError("no full cell below s1; extend the partition left")
-    row1 = np.zeros(n2)
-    row2 = np.zeros(n2)
-    row1[:n1] = np.exp(-a * (s1 - pts[:n1]))
-    row2[:n2] = np.exp(-a * (s2 - pts[:n2]))
-    return CoefficientMatrix(np.vstack([row1, row2]))
+    full = np.searchsorted(pts, sites + eps, side="right") - 1
+    if np.any(full < 1):
+        raise PreconditionError("no full cell below a site; extend the partition left")
+    below = np.arange(full.max()) < full[:, None]  # the full cells below each site
+    lags = np.where(below, sites[:, None] - pts[:full.max()], 0.0)
+    return CoefficientMatrix(np.where(below, kern(lags), 0.0))
 
 
 class Mesh2D:

@@ -67,7 +67,8 @@ def log_bessel_k(order, x, scaled=False):
     ``scaled`` gives log(K_v(x) e^x) instead, with no cancellation of
     the x for large x.  A float (or 0-d) argument gives a float.
     """
-    v = abs(order)
+    # kve is inf at a subnormal order, where K_v is K_0 to double precision
+    v = abs(order) if abs(order) >= np.finfo(float).tiny else 0.0
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)

@@ -130,7 +130,7 @@ def test_criterion_04_chi_curves():
 def test_criterion_05_theorem1_mesh_refinement():
     crit = Criterion(5, "two-sided refinement toward 1/2 + G(h)/(2 G(0))", 600)
     hs = np.round(np.arange(0.1, 1.01, 0.1), 10)
-    k3 = matern_kernel(2.0, 3.0, 2)
+    k3 = matern_kernel(2.0, 3.0)
     sup_gaps = []
     for side in (10, 20, 40):
         grid = lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), side, 2)
@@ -144,7 +144,7 @@ def test_criterion_05_theorem1_mesh_refinement():
                f"alpha=3 sup-gaps non-increasing: {np.round(sup_gaps, 4)}")
     crit.check(sup_gaps[-1] < 0.05, f"finest sup-gap = {sup_gaps[-1]:.4f}")
     # alpha = 2: G(0) infinite, eta decreasing toward the constant 1/2
-    k2 = matern_kernel(2.0, 2.0, 2)
+    k2 = matern_kernel(2.0, 2.0)
     etas = []
     for side in (10, 20, 40):
         grid = lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), side, 2)
@@ -168,7 +168,7 @@ def test_criterion_06_ou_partition_convergence():
     for delta in (0.4, 0.2, 0.05):
         pad = math.ceil(25.0 / delta) * delta
         part = partition_1d(-pad, end, delta=delta)
-        etas[delta] = np.array([eta_closed_form(ou_coefficients(a, 0.0, h, part)) for h in hs])
+        etas[delta] = np.array([eta_closed_form(ou_coefficients(a, [0.0, h], part)) for h in hs])
         crit.check(np.all(etas[delta] >= limit - 1e-12),
                    f"delta={delta}: eta_n >= limit pointwise")
     crit.check(np.all(etas[0.4] >= etas[0.2] - 1e-12)
@@ -188,7 +188,7 @@ def test_criterion_07_fem_vs_integral_and_conjecture():
     grid = lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), 40, 6)
     pairs = list(combinations(range(50), 2))
 
-    k3 = matern_kernel(2.0, 3.0, 2)
+    k3 = matern_kernel(2.0, 3.0)
     rows_int = integral_coefficients(k3, sites, grid).normalized
     rows_fem = next(fem_coefficients(fem_assemble(grid, 2.0), sites, [3])).normalized
     diffs = [abs(eta_closed_form(CoefficientMatrix(rows_int[[i, j]]))
@@ -197,7 +197,7 @@ def test_criterion_07_fem_vs_integral_and_conjecture():
                f"alpha=3 mean |eta_fem - eta_integral| = {np.mean(diffs):.4f}")
 
     for alpha in (4, 5):
-        kern = matern_kernel(2.0, float(alpha), 2)
+        kern = matern_kernel(2.0, float(alpha))
         rows_i = integral_coefficients(kern, sites, grid).normalized
         rows_f = next(fem_coefficients(fem_assemble(grid, 2.0), sites, [alpha])).normalized
         worst = 0.0

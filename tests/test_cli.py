@@ -601,7 +601,7 @@ def test_matern_eta_rows_equal_the_per_pair_closed_form(tmp_path):
     sites = random_sites(np.random.default_rng(4), 5)
     lines = ["alpha,method,h,eta,eta_thm1,eta_conjecture"]
     for alpha in (2.0, 3.0, 5.0):
-        kern = kernels.matern_kernel(2.0, alpha, 2)
+        kern = kernels.matern_kernel(2.0, alpha)
         g0 = kern.value_at_zero
         rows = {"integral": mesh.integral_coefficients(kern, sites, grid).normalized,
                 "fem": next(fem.fem_coefficients(fem.fem_assemble(grid, 2.0), sites,
@@ -742,6 +742,22 @@ def test_chi_vs_a22_malformed_params_exit_2_before_quadrature(tmp_path, monkeypa
         run_cli(["chi-vs-a22", "--params", str(params), "--out", str(out)])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+def test_chi_vs_a22_concentrated_law_gives_the_unit_laws_curve(tmp_path):
+    # GH(1, 1e-6, 1e6) is GH(1, 1, 1) shrunk by 1e-3 (standard deviation about
+    # 1e-3), and chi does not see a common scale of the noise
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps([{"lambda": 1.0, "tau": tau, "psi": psi} for tau, psi in
+                                  [(1.0, 1.0), (1e-6, 1e6), (1e6, 1e-6)]]))
+    out = tmp_path / "chi.csv"
+    assert run_cli(["chi-vs-a22", "--params", str(params), "--a22-grid", "0.5,0.7,0.9",
+                    "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1).reshape(3, 4, 5)
+    np.testing.assert_array_equal(rows[1:, :, 3], rows[:2, :, 3])  # the same a22 grid
+    for law in rows[1:]:
+        np.testing.assert_allclose(law[:, 4], rows[0, :, 4], rtol=0.0, atol=1e-12)
+    assert rows[0, 1, 4] == pytest.approx(0.6513525359059211, abs=1e-12)  # chi at a22 = 0.7
 
 
 def test_chi_vs_a22_params_keep_their_numbers(tmp_path):

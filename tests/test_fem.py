@@ -249,7 +249,7 @@ def test_fem_coefficient_scale_invariance():
 def test_fem_vs_integral_eta_close_on_fine_mesh():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 20, 2)
     system = fem_assemble(mesh, 2.0)
-    kern = matern_kernel(2.0, 2.0, 2)
+    kern = matern_kernel(2.0, 2.0)
     sites = np.array([[0.28, 0.51], [0.73, 0.49]])
     e_fem = eta_closed_form(next(fem_coefficients(system, sites, [2])))
     e_int = eta_closed_form(integral_coefficients(kern, sites, mesh))
@@ -275,7 +275,7 @@ def test_eta_pairs_on_matern_rows_equals_all_terms(alpha):
     mesh = lattice_mesh_2d((0, 0, 1, 1), 6, 1)
     sites = random_sites(np.random.default_rng(3), 6)
     pairs = [(i, j) for i in range(6) for j in range(6) if i != j]
-    kern = matern_kernel(2.0, alpha, 2)
+    kern = matern_kernel(2.0, alpha)
     fem_matrix, = fem_coefficients(fem_assemble(mesh, 2.0), sites, [alpha])
     for matrix in (integral_coefficients(kern, sites, mesh), fem_matrix):
         rows = matrix.normalized

@@ -11,12 +11,12 @@ from exdep.kernels import (exponential_kernel, gaussian_ou_eta,
 
 
 def test_matern_infinite_at_zero_when_alpha_equals_d():
-    assert matern_green(2.0, 2.0, 2, 0.0) == math.inf
+    assert matern_green(2.0, 2.0, 0.0) == math.inf
 
 
 def test_matern_finite_limit_at_zero():
-    g0 = matern_green(2.0, 3.0, 2, 0.0)
-    assert g0 == pytest.approx(matern_green(2.0, 3.0, 2, 1e-6), rel=1e-4)
+    g0 = matern_green(2.0, 3.0, 0.0)
+    assert g0 == pytest.approx(matern_green(2.0, 3.0, 1e-6), rel=1e-4)
     # closed form of the limit: Gamma(nu) / ((4 pi)^{d/2} Gamma(alpha/2) kappa^{2 nu})
     from scipy.special import gamma
     nu = 0.5
@@ -27,27 +27,27 @@ def test_matern_finite_limit_at_zero():
 def test_matern_strictly_decreasing():
     hs = np.geomspace(0.01, 3.0, 40)
     for alpha in (2.0, 3.0, 4.5):
-        vals = matern_green(2.0, alpha, 2, hs)
+        vals = matern_green(2.0, alpha, hs)
         assert np.all(np.diff(vals) < 0)
 
 
 def test_matern_alpha3_is_exponential():
     # nu = 1/2 collapses the Bessel factor to a pure exponential
-    k = matern_kernel(2.0, 3.0, 2)
+    k = matern_kernel(2.0, 3.0)
     assert k(1.0) / k(0.5) == pytest.approx(math.exp(-2.0 * 0.5), rel=1e-12)
 
 
 def test_matern_rejects_alpha_below_d():
     with pytest.raises(ParameterError):
-        matern_green(1.0, 1.5, 2, 0.5)
+        matern_green(1.0, 1.5, 0.5)
     with pytest.raises(DomainError):
-        matern_green(1.0, 3.0, 2, -0.1)
+        matern_green(1.0, 3.0, -0.1)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("build", [
-    lambda v: matern_green(v, 3.0, 2, 0.5),
-    lambda v: matern_kernel(v, 3.0, 2),
+    lambda v: matern_green(v, 3.0, 0.5),
+    lambda v: matern_kernel(v, 3.0),
     lambda v: ou_eta(v, 0.5),
     lambda v: exponential_kernel(v),
 ], ids=["matern_green", "matern_kernel", "ou_eta", "exponential_kernel"])
@@ -57,16 +57,10 @@ def test_non_finite_rate_is_a_parameter_error(build, value):
 
 
 def test_matern_convexity_threshold_2d():
-    assert matern_kernel(2.0, 2.0, 2).convex
-    assert matern_kernel(2.0, 3.0, 2).convex
-    assert not matern_kernel(2.0, 4.0, 2).convex
-    assert not matern_kernel(2.0, 5.0, 2).convex
-
-
-@pytest.mark.parametrize("d", [1, 3])
-def test_matern_kernel_is_built_in_two_dimensions_only(d):
-    with pytest.raises(ParameterError, match="two dimensions"):
-        matern_kernel(2.0, 3.0, d=d)
+    assert matern_kernel(2.0, 2.0).convex
+    assert matern_kernel(2.0, 3.0).convex
+    assert not matern_kernel(2.0, 4.0).convex
+    assert not matern_kernel(2.0, 5.0).convex
 
 
 def test_exponential_kernel_values():
@@ -78,28 +72,28 @@ def test_exponential_kernel_values():
 
 
 def test_limit_eta_symmetric():
-    k3 = matern_kernel(2.0, 3.0, 2)
+    k3 = matern_kernel(2.0, 3.0)
     assert limit_eta_symmetric(k3, 0.0) == 1.0
     assert limit_eta_symmetric(k3, 1.0) == pytest.approx(
         0.5 + k3(1.0) / (2 * k3.value_at_zero))
-    k2 = matern_kernel(2.0, 2.0, 2)
+    k2 = matern_kernel(2.0, 2.0)
     assert limit_eta_symmetric(k2, 0.7) == 0.5  # infinite G(0)
 
 
 def test_limit_eta_symmetric_requires_convexity():
     with pytest.raises(PreconditionError):
-        limit_eta_symmetric(matern_kernel(2.0, 5.0, 2), 0.5)
+        limit_eta_symmetric(matern_kernel(2.0, 5.0), 0.5)
 
 
 def test_conjecture_matches_symmetric_for_convex():
-    k3 = matern_kernel(2.0, 3.0, 2)
+    k3 = matern_kernel(2.0, 3.0)
     for h in np.linspace(0.01, 2.0, 25):
         assert limit_eta_conjecture(k3, h) == pytest.approx(
             limit_eta_symmetric(k3, h), abs=1e-12)
 
 
 def test_conjecture_second_branch_dominates_for_rough_kernel():
-    k5 = matern_kernel(2.0, 5.0, 2)
+    k5 = matern_kernel(2.0, 5.0)
     h = 0.05
     first = 0.5 + k5(h) / (2 * k5.value_at_zero)
     second = k5(h / 2) / k5.value_at_zero
@@ -110,7 +104,7 @@ def test_conjecture_second_branch_dominates_for_rough_kernel():
 
 @pytest.mark.parametrize("alpha", [2.0, 3.0, 5.0])
 def test_conjecture_on_an_array_equals_each_distance(alpha):
-    k = matern_kernel(2.0, alpha, 2)
+    k = matern_kernel(2.0, alpha)
     hs = np.concatenate([[0.0], np.geomspace(1e-4, 3.0, 50)])
     g0 = k.value_at_zero
 
@@ -133,7 +127,23 @@ def test_limit_eta_onesided():
     assert limit_eta_onesided(e, 1.0) == pytest.approx(1.0 / (2.0 - math.exp(-0.2)))
     assert limit_eta_onesided(e, 60.0) == pytest.approx(0.5, abs=1e-5)
     with pytest.raises(PreconditionError):
-        limit_eta_onesided(matern_kernel(2.0, 2.0, 2), 1.0)
+        limit_eta_onesided(matern_kernel(2.0, 2.0), 1.0)
+
+
+@pytest.mark.parametrize("limit", [
+    lambda h: limit_eta_onesided(exponential_kernel(0.2), h),
+    lambda h: limit_eta_onesided(matern_kernel(2.0, 3.0), h),
+    lambda h: ou_eta(0.2, h),
+    lambda h: ou_eta(3.0, h),
+], ids=["exponential", "matern_alpha3", "ou_eta", "ou_eta_steep"])
+def test_onesided_limit_on_an_array_equals_each_distance(limit):
+    hs = np.concatenate([[0.0], np.geomspace(1e-4, 30.0, 50), [0.0, 0.4]])
+    values = limit(hs)
+    assert values.shape == hs.shape
+    each = [limit(h) for h in hs.tolist()]
+    assert all(type(v) is float for v in each)
+    assert values.tolist() == each
+    assert values[0] == values[-2] == 1.0
 
 
 def test_ou_eta_values_and_rates():
@@ -152,7 +162,7 @@ def test_ou_eta_below_gaussian_ou_eta():
 
 
 def test_limit_functions_range_and_monotonicity():
-    k3 = matern_kernel(2.0, 3.0, 2)
+    k3 = matern_kernel(2.0, 3.0)
     hs = np.linspace(0.0, 3.0, 30)
     for fun in (lambda h: limit_eta_symmetric(k3, h),
                 lambda h: limit_eta_conjecture(k3, h),

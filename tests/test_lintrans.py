@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -535,6 +535,19 @@ def test_chi_gh_two_rejects_unsupported_parameters():
         chi_gh_two(0.3, 0.7, GhParams(-0.5, 1.0, 0.0))
     with pytest.raises(ParameterError):
         chi_gh_two(0.3, 0.7, GhParams(-0.5, 1.0, 1.0, 0.0, 0.5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=st.floats(-3.0, 5.0), tau=st.one_of(st.just(0.0), st.floats(0.1, 5.0)),
+       psi=st.floats(0.1, 5.0), c=st.sampled_from([1e-6, 1e-3, 1e3, 1e6]))
+def test_chi_gh_two_is_unchanged_when_the_law_is_rescaled(lam, tau, psi, c):
+    # with mu = gamma = 0, GH(lambda, c tau, psi / c) is GH(lambda, tau, psi)
+    # stretched by sqrt(c), and chi does not see a common scale of the noise
+    assume((lam <= 0.0 and tau > 0.0) or (lam > 0.05 and tau >= 0.0))
+    grid = [0.0, 0.2, 0.35, 0.5, 0.7, 0.95, 1.0]
+    unit = chi_gh_two(0.3, grid, GhParams(lam, tau, psi))
+    scaled = chi_gh_two(0.3, grid, GhParams(lam, c * tau, psi / c))
+    np.testing.assert_allclose(scaled, unit, rtol=0.0, atol=1e-12)
 
 
 def test_chi_limit_zero_for_nonnegative_lambda():

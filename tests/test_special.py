@@ -51,6 +51,14 @@ def test_small_argument_asymptotics():
         assert x ** nu * bessel_k(nu, x) == pytest.approx(2 ** (nu - 1) * gamma(nu), rel=1e-5)
 
 
+def test_subnormal_order_is_order_zero():
+    x = np.array([4.47e-5, 0.3, 2.0, 700.0])
+    for order in (5e-324, -1e-310):
+        assert np.array_equal(log_bessel_k(order, x), log_bessel_k(0.0, x))
+        assert np.array_equal(log_bessel_k(order, x, scaled=True),
+                              log_bessel_k(0.0, x, scaled=True))
+
+
 def test_domain_errors():
     with pytest.raises(DomainError):
         bessel_k(1.0, 0.0)
