@@ -132,7 +132,7 @@ def _min_samples(q):
     """Fewest samples, at least two, with a pseudo-uniform rank r/(n+1)
     above q, compared as :func:`exdep.estimate.exceedances` does."""
     n = max(2, math.floor(q / (1.0 - q)))
-    while not n / (n + 1.0) > q:
+    while not estimate._ranks_above(n, q):
         n += 1
     return n
 
@@ -223,7 +223,7 @@ def cmd_matern_eta(args):
 
     for alpha in args.alphas:  # all are checked before any is computed
         fem._check_alpha(alpha)
-    fem._check_kappa(args.kappa)
+    kernels._check_kappa(args.kappa)
     n_sites = args.n_sites if args.n_sites is not None else (225 if args.paper_scale else 50)
     grid = mesh.lattice_mesh_2d((0.0, 0.0, 1.0, 1.0), args.mesh_nodes, args.extension)
     rng = np.random.default_rng(args.seed)
@@ -235,7 +235,6 @@ def cmd_matern_eta(args):
     fem_matrices = fem.fem_coefficients(fem.fem_assemble(grid, args.kappa), sites, args.alphas)
     for alpha in args.alphas:
         kern = kernels.matern_kernel(args.kappa, alpha)
-        g0 = kern.value_at_zero
         # per alpha the integral rows, then the FEM rows (the generator's next
         # matrix), then both etas: eta's temporaries between the two builds, or
         # every FEM matrix held at once, fragment the heap, and peak RSS grows
@@ -244,7 +243,7 @@ def cmd_matern_eta(args):
         coeff_fem = next(fem_matrices)
         eta_int = eta_pairs(coeff_int, pairs)
         eta_fem = eta_pairs(coeff_fem, pairs)
-        thm1 = np.full(h.size, 0.5) if math.isinf(g0) else 0.5 + kern(h) / (2.0 * g0)
+        thm1 = kernels._two_sided_limit(kern, h)
         conj = kernels.limit_eta_conjecture(kern, h)
         # tolist(): Python floats, whose str is their repr
         for d, e_int, e_fem, t, c in zip(h.tolist(), eta_int.tolist(), eta_fem.tolist(),
@@ -263,7 +262,7 @@ def cmd_simulate_and_chi(args):
     from . import fem
 
     fem._check_alpha(args.alpha)  # also when no mesh is built
-    fem._check_kappa(args.kappa)
+    kernels._check_kappa(args.kappa)
     noise = fem.TypeGNoise("nig", **DEFAULT_NIG_NOISE)
     mesh_sides = [5, 10, 25] if args.appendix_d else [args.mesh_nodes]
     n = args.samples if args.samples is not None else (10 ** 5 if args.appendix_d else 10 ** 6)

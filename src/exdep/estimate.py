@@ -63,8 +63,7 @@ def rank_columns(x):
     """Pseudo-uniforms rank / (n + 1) of each column of an (n, k) array
     (or of a 1-d array of n values), average ranks on ties."""
     # imported here: scipy.stats is slow to import, and no subcommand
-    # ranks on its usual path (only rank_transform and exceedances' tie
-    # fallback call this)
+    # ranks (only rank_transform calls this)
     from scipy.stats import rankdata
 
     x = np.asarray(x, dtype=float)
@@ -104,10 +103,12 @@ def exceedances(x, q):
     alone.  Where they differ, no tie group straddles the gap: a group
     below it has an average rank of at most n - c, one above of at least
     n - c + 1, and division by n + 1 keeps that order.  The mask is then
-    x >= x_(n-c+1).  Where they tie, the group's average rank may land on
-    either side, and the column is ranked in full.  NaN or infinite
-    values raise :class:`EstimateError`; they have no place among the
-    ranks.
+    x >= cut, the cut being x_(n-c+1).  Where they tie, the values equal
+    to the cut share the ranks #(x < cut) + 1 .. #(x <= cut), and the
+    mask is x >= cut if their average rank over n + 1 is above q, as
+    :func:`rank_columns` ranks them, and x > cut if not.
+    NaN or infinite values raise :class:`EstimateError`; they have no
+    place among the ranks.
 
     The mask is column-major, like the field of
     :func:`exdep.fem.simulate_field`, whose columns it reads in place.
@@ -125,11 +126,14 @@ def exceedances(x, q):
     columns = x.reshape(n, -1)
     above = np.empty(columns.shape, dtype=bool, order="F")
     for j in range(columns.shape[1]):
-        low, cut = np.partition(columns[:, j], (n - c - 1, n - c))[n - c - 1:n - c + 1]
-        if low == cut:
-            above[:, j] = rank_columns(columns[:, j]) > q
+        col = columns[:, j]
+        low, cut = np.partition(col, (n - c - 1, n - c))[n - c - 1:n - c + 1]
+        # a tie at the cut whose group's average rank is not above q
+        if low == cut and not (np.count_nonzero(col < cut) + 1
+                               + np.count_nonzero(col <= cut)) / 2 / (n + 1) > q:
+            np.greater(col, cut, out=above[:, j])
         else:
-            np.greater_equal(columns[:, j], cut, out=above[:, j])
+            np.greater_equal(col, cut, out=above[:, j])
     return above.reshape(x.shape)
 
 

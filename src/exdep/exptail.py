@@ -212,14 +212,23 @@ def _as_generator(rng):
 # acceptance probability.
 # ----------------------------------------------------------------------
 
+def _gig_root(lam, tau, psi):
+    """The positive root of psi y^2 - 2 lam y - tau = 0, without
+    cancellation for either sign of lam.  For R ~ GIG(lam, tau, psi) its
+    log is the mode of log R; with lam - 1 it is the mode of R."""
+    root = math.sqrt(lam * lam + tau * psi)
+    return (lam + root) / psi if lam >= 0.0 else tau / (root - lam)
+
+
 class _GigLogSampler:
+    """GIG draws by ratio-of-uniforms on T = log X, shifted to the mode
+    t_star of T from :func:`_gig_root`, exact however small tau psi is."""
+
     def __init__(self, lam, tau, psi):
         self.lam = lam
         self.tau = tau
         self.psi = psi
-        # mode of T: psi*y^2 - 2*lam*y - tau = 0 with y = exp(t)
-        y_star = (lam + math.sqrt(lam * lam + tau * psi)) / psi
-        self.t_star = math.log(y_star)
+        self.t_star = math.log(_gig_root(lam, tau, psi))  # the mode of T
         self.l_star = self._logdens(self.t_star)
         self.v_lo = self._extreme(side=-1)
         self.v_hi = self._extreme(side=+1)
@@ -445,24 +454,31 @@ class NoiseDistribution:
     # -- quadrature anchors and the cusp -----------------------------------
 
     @cached_property
+    def _mixing_mean(self):
+        """E[R] of the GIG law R: the law itself, or a GH law's mixing law."""
+        p = self.params
+        if p.tau == 0.0:  # gamma(lambda, rate psi/2)
+            return 2.0 * p.lam / p.psi
+        # sqrt(tau/psi) K_{lambda+1}(omega) / K_lambda(omega), omega = sqrt(tau psi)
+        return math.sqrt(p.tau) / math.sqrt(p.psi) * math.exp(log_bessel_k(
+            p.lam + 1.0, math.sqrt(p.tau) * math.sqrt(p.psi)) - self._log_k_mixing)
+
+    @cached_property
     def _center_scale(self):
-        """(center, scale) of the quadrature's cuts and maps.  A GH law takes
-        mu and 2 sqrt(E[R]) + |gamma| E[R] for its GIG mixing law R, so with
+        """(center, scale) of the quadrature's cuts and maps.  A GIG law
+        takes its mode and mean, which follow it however concentrated it
+        is (its median for both when tau = 0).  A GH law takes mu and
+        2 sqrt(E[R]) + |gamma| E[R] for its GIG mixing law R, so with
         mu = gamma = 0 the law GH(lambda, c tau, psi/c), GH(lambda, tau, psi)
         stretched by sqrt(c), has its scale stretched with it."""
         p = self.params
-        if self.family == "GIG":
-            if p.tau == 0.0:  # median, as scipy.stats.gamma.ppf(0.5)
-                m = _sp.gammaincinv(p.lam, 0.5) * (2.0 / p.psi)
-                return m, m
-            mode = ((p.lam - 1.0) + math.sqrt((p.lam - 1.0) ** 2 + p.tau * p.psi)) / p.psi
-            return mode, max(mode, 1.0 / p.psi, math.sqrt(p.tau / p.psi))
-        if p.tau == 0.0:  # gamma(lambda, rate psi/2)
-            mean = 2.0 * p.lam / p.psi
-        else:  # sqrt(tau/psi) K_{lambda+1}(omega) / K_lambda(omega), omega = sqrt(tau psi)
-            mean = math.sqrt(p.tau) / math.sqrt(p.psi) * math.exp(log_bessel_k(
-                p.lam + 1.0, math.sqrt(p.tau) * math.sqrt(p.psi)) - self._log_k_mixing)
-        return p.mu, 2.0 * math.sqrt(mean) + abs(p.gamma) * mean
+        mean = self._mixing_mean
+        if self.family == "GH":
+            return p.mu, 2.0 * math.sqrt(mean) + abs(p.gamma) * mean
+        if p.tau == 0.0:  # median, as scipy.stats.gamma.ppf(0.5)
+            m = _sp.gammaincinv(p.lam, 0.5) * (2.0 / p.psi)
+            return m, m
+        return _gig_root(p.lam - 1.0, p.tau, p.psi), mean
 
     @cached_property
     def _power_maps(self):

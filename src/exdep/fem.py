@@ -50,6 +50,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
 
+from . import kernels
 from .errors import DomainError, NonnegativityError, ParameterError, SolveError
 from .lintrans import CoefficientMatrix
 from .streams import map_chunks
@@ -345,11 +346,6 @@ def _check_alpha(alpha):
     return int(alpha)
 
 
-def _check_kappa(kappa):
-    if not 0.0 < kappa < math.inf:
-        raise ParameterError(f"kappa must be positive and finite, got {kappa!r}")
-
-
 def fem_assemble(mesh, kappa):
     """Assemble the lumped mass, stiffness and K_2 of a mesh, the
     :class:`FemSystem` that solves K_alpha for every alpha.
@@ -367,7 +363,7 @@ def fem_assemble(mesh, kappa):
     :class:`ParameterError`.  m is of order kappa, so on the 2,704-node
     desk mesh (side 40, 6 rings) kappa down to about 5e-5 works.
     """
-    _check_kappa(kappa)
+    kernels._check_kappa(kappa)
     tris = mesh.triangles
     p = mesh.nodes[tris]
     x, y = p[..., 0], p[..., 1]

@@ -63,6 +63,11 @@ class Kernel:
         return f"Kernel(G(0)={self.value_at_zero}, convex={self.convex})"
 
 
+def _check_kappa(kappa):
+    if not 0.0 < kappa < math.inf:
+        raise ParameterError(f"kappa must be positive and finite, got {kappa!r}")
+
+
 def matern_green(kappa, alpha, h):
     """Green's function of (kappa^2 - Laplace)^{alpha/2} on R^2 at lag h.
 
@@ -72,8 +77,7 @@ def matern_green(kappa, alpha, h):
     """
     from scipy import special as _sp  # the only scipy call of this module
 
-    if not 0.0 < kappa < math.inf:
-        raise ParameterError(f"kappa must be positive and finite, got {kappa!r}")
+    _check_kappa(kappa)
     nu = (alpha - 2) / 2.0
     if nu < 0.0:
         raise ParameterError(f"alpha must be at least 2 in two dimensions, got {alpha!r}")
@@ -115,6 +119,15 @@ def exponential_kernel(a):
 # Limiting residual tail dependence functions
 # ----------------------------------------------------------------------
 
+def _two_sided_limit(kernel, h):
+    """1/2 + G(h)/(2 G(0)) elementwise over an array h: the constant 1/2
+    when G(0) is infinite, and 1 at h = 0."""
+    h = np.asarray(h, dtype=float)
+    g0 = kernel.value_at_zero
+    out = np.full(h.shape, 0.5) if math.isinf(g0) else 0.5 + kernel(h) / (2.0 * g0)
+    return np.where(h == 0.0, 1.0, out)
+
+
 def limit_eta_symmetric(kernel, h):
     """Mesh-refinement limit of eta(h) for two-sided integral approximations
     with a convex kernel: 1/2 + G(h)/(2 G(0)), collapsing to the constant
@@ -122,12 +135,7 @@ def limit_eta_symmetric(kernel, h):
     if not kernel.convex:
         raise PreconditionError(
             "kernel is not convex; use limit_eta_conjecture for the unproven case")
-    h = float(h)
-    if h == 0.0:
-        return 1.0
-    if math.isinf(kernel.value_at_zero):
-        return 0.5
-    return 0.5 + float(kernel(h)) / (2.0 * kernel.value_at_zero)
+    return float(_two_sided_limit(kernel, float(h)))
 
 
 def limit_eta_conjecture(kernel, h):
@@ -137,13 +145,9 @@ def limit_eta_conjecture(kernel, h):
     Unproven; downstream outputs label values from this function as
     CONJECTURE.  For convex kernels it coincides with the proven limit.
     """
-    h = np.asarray(h, dtype=float)
-    g0 = kernel.value_at_zero
-    if math.isinf(g0):
-        out = np.full(h.shape, 0.5)
-    else:
-        out = np.maximum(0.5 + kernel(h) / (2.0 * g0), kernel(h / 2.0) / g0)
-    out = np.where(h == 0.0, 1.0, out)
+    out = _two_sided_limit(kernel, h)
+    if math.isfinite(kernel.value_at_zero):  # G(h/2)/G(0) is 1 at h = 0
+        out = np.maximum(out, kernel(np.divide(h, 2.0)) / kernel.value_at_zero)
     return out if out.ndim else float(out)
 
 

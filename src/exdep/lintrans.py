@@ -16,19 +16,19 @@ its denominator vanishes.  Each term is the gauge sum |y| at a point of
 {b_1.y >= 1, b_2.y >= 1} supported on one or two columns, so by LP
 duality eta also equals min over w in [0, 1] of the convex envelope
 max_i (w b_1i + (1 - w) b_2i).  ``eta_pairs`` evaluates the closed form
-that way for many row pairs of one :class:`CoefficientMatrix`: each
-row is sorted once, in descending order.  Per pair, one running maximum
-along one row's order keeps the columns near the Pareto front, the only
-ones that can touch the envelope (a median of 48 to 98 of the 2,704 FEM
-or 5,202 integral columns of ``matern-eta``'s desk mesh).  A 40-step
-bisection over those columns finds the envelope minimum, and the terms
-of the columns active there give the value: on all pairs of a chunk at
-once for large fronts, in Python floats pair by pair for small ones.
-``eta_closed_form`` is its one-pair call.  ``eta_gauge_oracle``
-recomputes eta for small instances, independent of the closed form: it
-solves the gauge program as a linear program by enumerating the basic
-solutions of the LP and of its dual, and checks their primal-dual
-certificate.
+for many row pairs of one :class:`CoefficientMatrix`.  On a matrix of at
+most ``_TERM_COLUMNS`` columns it takes every term as written above.  On
+a larger one each row is sorted once, in descending order.  Per pair,
+one running maximum along one row's order keeps the columns near the
+Pareto front, the only ones that can touch the envelope (a median of 48
+to 98 of the 2,704 FEM or 5,202 integral columns of ``matern-eta``'s
+desk mesh).  A 40-step bisection over those columns, on the pairs of a
+chunk at once, finds the envelope minimum, and the terms of the columns
+active there give the value.  ``eta_closed_form`` is its one-pair call.
+``eta_gauge_oracle`` recomputes eta for small instances, independent of
+the closed form: it solves the gauge program as a linear program by
+enumerating the basic solutions of the LP and of its dual, and checks
+their primal-dual certificate.
 
 The exact chi of the GH model imports ``exptail`` (``scipy.special``)
 inside the function that calls it, so importing this module, every eta
@@ -70,7 +70,7 @@ _ACTIVE_RTOL = 1e-9      # envelope lines within this of the minimum are active
 _CERTIFICATE_TOL = 1e-9  # feasibility and duality-gap tolerance of the LP oracle
 _FRONT_MARGIN = 1e-6     # columns beaten by this much in both rows never touch the envelope
 _CHUNK_ENTRIES = 1 << 14  # entries per chunk of pairs: 128 KiB of float64
-_LOOP_ENTRIES = 64       # fronts up to this size bisect in Python floats, below numpy's cost
+_TERM_COLUMNS = 32       # matrices up to this many columns take every closed-form term
 _MC_CHUNK = 1 << 17      # Monte Carlo draws per sub-stream of chi_mc
 
 
@@ -202,17 +202,26 @@ def _chunks(lengths, budget):
         start = end
 
 
-def _min_terms(b1a, b2a, b1, b2, own):
+def _min_terms(b1a, b2a, b1, b2):
     """Smallest closed-form term of each active column (b1a, b2a): its
     single term, or its pair term with a column of the matching row of
-    b1, b2; ``own`` is its own column there."""
+    b1, b2 (with itself, the determinant is exactly 0 and the term +inf)."""
     det = np.abs(b2a[:, None] * b1 - b1a[:, None] * b2)
     num = np.abs(b2a - b1a)[:, None] + np.abs(b2 - b1)
     with np.errstate(divide="ignore", over="ignore"):  # such terms are +inf
         per_index = np.maximum(1.0 / b1a, 1.0 / b2a)
         pair = np.where(det > 0.0, num / np.where(det > 0.0, det, 1.0), np.inf)
-    pair[np.arange(own.size), own] = np.inf
     return np.minimum(per_index, pair.min(axis=1))
+
+
+def _all_terms_eta(b, first, second):
+    """eta of the row pairs (first, second) of the normalized ``b`` from
+    every closed-form term: each column's single term and its pair term
+    with every other column (:func:`_min_terms`)."""
+    n = b.shape[1]
+    b1, b2 = b[first], b[second]
+    terms = _min_terms(b1.ravel(), b2.ravel(), np.repeat(b1, n, axis=0), np.repeat(b2, n, axis=0))
+    return np.minimum(1.0 / terms.reshape(-1, n).min(axis=1), 1.0)
 
 
 def _bisect_rows(slope, base):
@@ -234,71 +243,42 @@ def _bisect_rows(slope, base):
     return 0.5 * (lo + hi)
 
 
-def _bisect_lines(slope, base):
-    """:func:`_bisect_rows` of one row of lines, given as lists, in Python
-    floats: the same midpoints, products, sums, first-index argmax and
-    sign rule, so the same bits, without a numpy call per step."""
-    lines = list(zip(slope, base))
-    lo, hi = 0.0, 1.0
-    for _ in range(40):
-        w = 0.5 * (lo + hi)
-        top, s = -math.inf, slope[0]  # all lines at -inf: argmax is the first
-        for a, c in lines:
-            line = w * a + c
-            if line > top:
-                top, s = line, a
-        if s >= 0.0:
-            hi = w
-        if s <= 0.0:
-            lo = w
-        if s == 0.0:  # lo = hi = w, which then stays put
-            break
-    return 0.5 * (lo + hi)
-
-
 def _envelope_eta(b, first, second, front):
     """eta of the row pairs (first, second) of the normalized ``b`` from
     their candidate columns ``front`` (one row per pair, in original
     column order, padded with the all-zero column of ``b``).
 
-    The envelope minimum of each pair is bisected over its lines.
-    Padding is a line at -inf of slope 0, so the first-index argmax still
-    breaks ties at the first original column.  A front of at most
-    ``_LOOP_ENTRIES`` entries is bisected pair by pair in Python floats
-    (:func:`_bisect_lines`), where the six numpy calls of each of the 40
-    steps would cost more than the arithmetic; a larger one runs all pairs
-    at once (:func:`_bisect_rows`).  Both give the same bits.
+    The envelope minima of all pairs are bisected at once over their
+    lines (:func:`_bisect_rows`).  Padding is a line at -inf of slope 0,
+    so the first-index argmax still breaks ties at the first original
+    column.
     """
     b1, b2 = b[first[:, None], front], b[second[:, None], front]
     slope = b1 - b2
     base = np.where(front == b.shape[1] - 1, -np.inf, b2)
-    if slope.size <= _LOOP_ENTRIES:
-        w = np.array([_bisect_lines(*lines) for lines in zip(slope.tolist(), base.tolist())])
-    else:
-        w = _bisect_rows(slope, base)
+    w = _bisect_rows(slope, base)
     lines = base + w[:, None] * slope
     pair_of, col = np.nonzero(lines >= lines.max(axis=1, keepdims=True) * (1.0 - _ACTIVE_RTOL))
     b1a, b2a = b1[pair_of, col], b2[pair_of, col]
-    terms = _min_terms(b1a, b2a, b1[pair_of], b2[pair_of], col)
+    terms = _min_terms(b1a, b2a, b1[pair_of], b2[pair_of])
     # every pair term of an active column on the diagonal is 1/b1a up to
     # rounding, whatever the partner: take them over the whole rows
     diagonal = np.flatnonzero(np.abs(b1a - b2a) <= _FRONT_MARGIN)
     if diagonal.size:
         p = pair_of[diagonal]
-        terms[diagonal] = _min_terms(b1a[diagonal], b2a[diagonal], b[first[p]], b[second[p]],
-                                     front[p, col[diagonal]])
+        terms[diagonal] = _min_terms(b1a[diagonal], b2a[diagonal], b[first[p]], b[second[p]])
     starts = np.searchsorted(pair_of, np.arange(len(front)))  # every pair has an active column
     return np.minimum(1.0 / np.minimum.reduceat(terms, starts), 1.0)  # terms are positive
 
 
 def _flush_fronts(b, first, second, held, out):
     """Write to ``out`` the eta of the pairs whose kept columns are held,
-    as (pair indices, run sizes, columns) with one run of columns per
-    pair.  Pairs go to the bisection in order of front size, in chunks
-    padded to their largest front."""
+    as (pair index, columns) per pair.  Pairs go to the bisection in order
+    of front size, in chunks padded to their largest front."""
     if not held:
         return
-    q, size, cols = (np.concatenate(parts) for parts in zip(*held))
+    q, runs = zip(*held)
+    q, size, cols = np.array(q), np.array([r.size for r in runs]), np.concatenate(runs)
     start = np.cumsum(size) - size
     by_size = np.argsort(size, kind="stable")
     for lo, hi in _chunks(size[by_size], _CHUNK_ENTRIES):
@@ -322,18 +302,19 @@ def eta_pairs(matrix, pairs):
     only the pair indices are checked here.  Pairs whose argmax sets
     intersect are settled first: when all of them do, nothing is sorted.
 
-    Only columns near the Pareto front, which no other column beats in
-    both rows, can touch the envelope.  Each row is sorted once in
-    descending order.  For a pair, one running maximum of row j along
-    row i's order finds the columns that some column beats by at least
-    ``_FRONT_MARGIN`` in both rows; these lie at least that far below
-    the envelope, are never active and are dropped.  The walk stops once
-    the columns within the margin of row j's maximum beat all the rest
-    by the margin, and each pair walks the row where that comes sooner.
-    Walks run in chunks of about ``_CHUNK_ENTRIES`` entries, pairs that
-    walk the same row together; the kept columns of many pairs are then
-    bisected together, or pair by pair in Python floats when their fronts
-    hold at most ``_LOOP_ENTRIES`` entries (:func:`_envelope_eta`).
+    A matrix of at most ``_TERM_COLUMNS`` columns takes every closed-form
+    term (:func:`_all_terms_eta`), in chunks of pairs of about
+    ``_CHUNK_ENTRIES`` pair terms.  On a larger one, only columns near the
+    Pareto front, which no other column beats in both rows, can touch the
+    envelope.  Each row is sorted once in descending order.  For a pair,
+    one running maximum of row j along row i's order finds the columns
+    that some column beats by at least ``_FRONT_MARGIN`` in both rows;
+    these lie at least that far below the envelope, are never active and
+    are dropped.  The walk stops once the columns within the margin of row
+    j's maximum beat all the rest by the margin, and each pair walks the
+    row where that comes sooner.  Once about ``_CHUNK_ENTRIES`` columns
+    are kept, the fronts of their pairs are bisected together
+    (:func:`_envelope_eta`).
 
     Only closed-form terms that involve a column active at the envelope
     minimum can attain the minimum: any other term exceeds it by at least
@@ -361,6 +342,12 @@ def eta_pairs(matrix, pairs):
         return out
     b = np.zeros((k, n + 1))  # column n pads the fronts
     np.divide(matrix.entries, matrix.row_max[:, None], out=b[:, :n])  # matrix.normalized
+    first, second = p[:, 0], p[:, 1]
+    if n <= _TERM_COLUMNS:
+        step = max(1, _CHUNK_ENTRIES // (n * n))  # n * n pair terms per pair
+        for q in np.split(live, range(step, live.size, step)):
+            out[q] = _all_terms_eta(b[:, :n], first[q], second[q])
+        return out
     desc = -b[:, :n]
     order = np.argsort(desc, axis=1)
     desc.sort(axis=1)  # ascending: minus the sorted rows
@@ -371,32 +358,22 @@ def eta_pairs(matrix, pairs):
     # the margin of row j's maximum
     low = np.column_stack([b[:, near].min(axis=1) for near in b >= 1.0 - _FRONT_MARGIN])
     reach = np.array([np.searchsorted(d, _FRONT_MARGIN - m) for d, m in zip(desc, low)])
-    first, second = p[:, 0], p[:, 1]
     swap = reach[second, first] < reach[first, second]  # walk the row that stops sooner
     walker, other = np.where(swap, second, first), np.where(swap, first, second)
     stop = reach[walker, other]
-    by_walker = live[np.lexsort((stop[live], walker[live]))]
-    held = []
-    edges = np.flatnonzero(np.diff(walker[by_walker])) + 1
-    for group_start, group_end in zip([0, *edges.tolist()], [*edges.tolist(), by_walker.size]):
-        group = by_walker[group_start:group_end]
-        i = walker[group[0]]
-        for start, end in _chunks(stop[group], _CHUNK_ENTRIES):
-            q = group[start:end]
-            j = other[q]
-            cols = order[i, :stop[q].max()]
-            walk = b[j[:, None], cols]
-            best = np.empty((q.size, cols.size + 1))  # best[:, t]: max of row j over the first t
-            best[:, 0] = -np.inf
-            np.maximum.accumulate(walk, axis=1, out=best[:, 1:])
-            # kept unless a column at least the margin ahead in row i beats it by the margin in row j
-            pair_of, step = np.nonzero(best[:, lead[i, :cols.size]] < walk + _FRONT_MARGIN)
-            kept = step < stop[q[pair_of]]
-            # step 0 is always kept, so every pair has a run
-            held.append((q, np.bincount(pair_of[kept], minlength=q.size), cols[step[kept]]))
-            if sum(c.size for _, _, c in held) >= _CHUNK_ENTRIES:
-                _flush_fronts(b, first, second, held, out)
-                held = []
+    held, entries = [], 0
+    for q, i, j, s in zip(live.tolist(), walker[live].tolist(), other[live].tolist(),
+                          stop[live].tolist()):
+        cols = order[i, :s]
+        walk = b[j, cols]
+        best = np.concatenate(([-np.inf], np.maximum.accumulate(walk)))  # best[t]: max over the first t
+        # kept unless a column at least the margin ahead in row i beats it by the
+        # margin in row j; step 0 is always kept, so every pair has a run
+        held.append((q, cols[best[lead[i, :s]] < walk + _FRONT_MARGIN]))
+        entries += held[-1][1].size
+        if entries >= _CHUNK_ENTRIES:
+            _flush_fronts(b, first, second, held, out)
+            held, entries = [], 0
     _flush_fronts(b, first, second, held, out)
     return out
 

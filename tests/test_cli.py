@@ -223,18 +223,21 @@ LOADS_SCRIPT = """
 import json
 import sys
 
-from exdep import cli, lintrans
+from exdep import cli, estimate, lintrans
 
 work, argv = sys.argv[1], json.loads(sys.argv[2])
 if argv == ["oracle"]:
     lintrans.eta_gauge_oracle(lintrans.CoefficientMatrix([[1.0, 0.3, 0.0], [0.5, 1.0, 0.25]]))
+elif argv == ["exceedances"]:  # ranks 2..4 tie at the cut, and their average 3/6 is not above q
+    assert estimate.exceedances([0.0, 1.0, 1.0, 1.0, 2.0], 0.5).tolist() == [False] * 4 + [True]
 elif argv:
     assert cli.main(argv + ["--out", f"{work}/out"]) == 0, argv
 print(json.dumps(sorted(m for m in %r if m in sys.modules)))
 """ % (SCIPY_SUBPACKAGES,)
 
-# (argv after ``from exdep import cli, lintrans``, the scipy subpackages it loads);
-# an empty argv only imports, and ["oracle"] calls eta_gauge_oracle
+# (argv after ``from exdep import cli, estimate, lintrans``, the scipy subpackages
+# it loads); an empty argv only imports, ["oracle"] calls eta_gauge_oracle, and
+# ["exceedances"] masks a column tied at the cut
 SCIPY_LOADS = {
     "import": ([], []),
     "simulate-and-chi": (["simulate-and-chi", "--seed", "1", "--samples", "4000",
@@ -249,6 +252,7 @@ SCIPY_LOADS = {
     "chi-vs-a22": (["chi-vs-a22", "--a12", "0.3", "--a22-grid", "0.5,0.9"],
                    ["scipy.special"]),
     "oracle": (["oracle"], []),
+    "exceedances": (["exceedances"], []),
 }
 
 

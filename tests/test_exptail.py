@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from exdep import exptail
 from exdep.errors import DomainError, ParameterError, QuadratureError
@@ -50,6 +50,32 @@ def quad_full(dist):
 def test_gig_density_normalizes():
     dist = NoiseDistribution.gig(-0.5, 1.0, 1.0)
     assert quad_full(dist) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("lam,tau,psi", [(-5.0, 1e-6, 1e-6), (-5.0, 1e-8, 1e-8)])
+def test_concentrated_gig_quadrature_keeps_its_mass(lam, tau, psi):
+    # the law sits near 1e-7 (1e-9); cuts and maps on the scale 1/psi = 1e6
+    # (1e8) lost most of its mass without an error
+    dist = NoiseDistribution.gig(lam, tau, psi)
+    omega = math.sqrt(tau * psi)
+    mean = math.sqrt(tau / psi) * special.kv(lam + 1.0, omega) / special.kv(lam, omega)
+    assert dist.moment(0) == pytest.approx(1.0, abs=1e-9)
+    assert dist.mean() == pytest.approx(mean, rel=1e-9)
+
+
+def test_gig_quadrature_mass_is_one_or_raises_over_a_grid():
+    # 324 laws from concentrated to spread out: none may lose mass silently
+    lost = []
+    for lam in (-5.0, -2.0, -1.0, -0.5, -0.1, 0.0, 0.3, 1.0, 3.0):
+        for tau in (1e-8, 1e-4, 1e-2, 1.0, 1e2, 1e4):
+            for psi in (1e-8, 1e-4, 1e-2, 1.0, 1e2, 1e4):
+                try:
+                    mass = NoiseDistribution.gig(lam, tau, psi).moment(0)
+                except QuadratureError:
+                    continue
+                if not abs(mass - 1.0) <= 1e-9:
+                    lost.append((lam, tau, psi, mass))
+    assert lost == []
 
 
 def test_gig_gamma_limit_value():
@@ -472,6 +498,15 @@ def test_gig_sampler_matches_scipy_distribution():
     b = math.sqrt(tau * psi)
     scale = math.sqrt(tau / psi)
     ks = stats.kstest(s, lambda x: stats.geninvgauss.cdf(x, p=lam, b=b, scale=scale))
+    assert ks.pvalue > 1e-4
+
+
+def test_gig_sampler_mode_has_no_cancellation():
+    # lambda + sqrt(lambda^2 + tau psi) rounds to 0 here, and its log raised;
+    # GIG(-1/2, tau, psi) is the inverse Gaussian law of mean 1 and shape tau
+    tau = psi = 1e-10
+    s = NoiseDistribution.gig(-0.5, tau, psi).sample(np.random.default_rng(3), 5000)
+    ks = stats.kstest(s, stats.invgauss(mu=1.0 / tau, scale=tau).cdf)
     assert ks.pvalue > 1e-4
 
 

@@ -216,19 +216,30 @@ def eta_by_all_pairs(m):
     return min(1.0, 1.0 / inv)
 
 
+def both_eta_paths():
+    """Yield twice: with matrices of at most ``_TERM_COLUMNS`` columns
+    taking every closed-form term, then with every matrix taking the
+    Pareto front, so the front is also pinned on small and tied ones."""
+    for term_columns in (lintrans._TERM_COLUMNS, 0):
+        with mock.patch.object(lintrans, "_TERM_COLUMNS", term_columns):
+            yield
+
+
 @settings(max_examples=300, deadline=None)
 @given(coefficient_matrices())
 def test_eta_property_equals_closed_form_terms(a):
     m = CoefficientMatrix(a)
     if classify(m).regime is Regime.ASYMPTOTIC_INDEPENDENCE:
-        assert eta_closed_form(m) == eta_by_all_pairs(m)
+        for _ in both_eta_paths():
+            assert eta_closed_form(m) == eta_by_all_pairs(m)
 
 
 @settings(max_examples=200, deadline=None)
 @given(coefficient_matrices())
 def test_eta_property_matches_oracle(a):
     m = CoefficientMatrix(a)
-    assert eta_closed_form(m) == pytest.approx(eta_gauge_oracle(m), abs=1e-9)
+    for _ in both_eta_paths():
+        assert eta_closed_form(m) == pytest.approx(eta_gauge_oracle(m), abs=1e-9)
 
 
 # -- eta of many row pairs ------------------------------------------------------
@@ -264,13 +275,14 @@ def row_stacks(draw, max_rows=5, max_columns=10):
 @given(row_stacks())
 def test_eta_pairs_property_equals_closed_form_terms(case):
     a, pairs = case
-    got = eta_pairs(CoefficientMatrix(a), pairs)
-    assert got.shape == (len(pairs),)
-    for (i, j), eta in zip(pairs, got.tolist()):
-        m = CoefficientMatrix(a[[i, j]])
-        independent = classify(m).regime is Regime.ASYMPTOTIC_INDEPENDENCE
-        assert eta == (eta_by_all_pairs(m) if independent else 1.0)
-        assert eta == eta_closed_form(m)
+    for _ in both_eta_paths():
+        got = eta_pairs(CoefficientMatrix(a), pairs)
+        assert got.shape == (len(pairs),)
+        for (i, j), eta in zip(pairs, got.tolist()):
+            m = CoefficientMatrix(a[[i, j]])
+            independent = classify(m).regime is Regime.ASYMPTOTIC_INDEPENDENCE
+            assert eta == (eta_by_all_pairs(m) if independent else 1.0)
+            assert eta == eta_closed_form(m)
 
 
 @pytest.mark.parametrize("a", [
@@ -283,16 +295,17 @@ def test_eta_pairs_walks_past_near_copies_of_a_row_maximum(a):
     # of eta, so the walk must not stop at the maximal column itself
     a = np.array(a)
     expected = [eta_by_all_pairs(CoefficientMatrix(a)), eta_by_all_pairs(CoefficientMatrix(a[::-1]))]
-    assert eta_pairs(CoefficientMatrix(a), [(0, 1), (1, 0)]).tolist() == expected
+    for _ in both_eta_paths():
+        assert eta_pairs(CoefficientMatrix(a), [(0, 1), (1, 0)]).tolist() == expected
 
 
 @st.composite
 def long_front_stacks(draw, max_columns=120):
     """k rows of concave profiles 1 - |u - c|^e on a grid of n points u, each
     peaking at its own c, so a pair's Pareto front holds the columns between
-    its peaks: from one column to about n, on both sides of the
-    ``_LOOP_ENTRIES`` size rule.  Some columns are scaled into the interior,
-    and every ordered pair of distinct rows is asked for."""
+    its peaks: from one column to about n.  The n columns lie on both sides
+    of the ``_TERM_COLUMNS`` size rule.  Some columns are scaled into the
+    interior, and every ordered pair of distinct rows is asked for."""
     k = draw(st.integers(2, 4))
     n = draw(st.integers(1, max_columns))
     u = np.linspace(0.0, 1.0, n)
@@ -313,25 +326,9 @@ def test_eta_pairs_batched_equals_one_pair_on_both_sides_of_the_size_rule(case):
     got = eta_pairs(m, pairs)
     for (i, j), eta in zip(pairs, got.tolist()):
         assert eta == eta_closed_form(CoefficientMatrix(a[[i, j]]))
-    for size_rule in (0, 10 ** 9):  # every front bisected in numpy, then in Python floats
-        with mock.patch.object(lintrans, "_LOOP_ENTRIES", size_rule):
+    for size_rule in (0, 10 ** 9):  # every matrix through its fronts, then through every term
+        with mock.patch.object(lintrans, "_TERM_COLUMNS", size_rule):
             assert eta_pairs(m, pairs).tolist() == got.tolist()
-
-
-# lines of one bisection: slopes b_1 - b_2 and bases b_2 (-inf for padding),
-# mostly dyadic so that lines tie exactly at the midpoints
-_slope = st.one_of(st.sampled_from([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0]), st.floats(-1.0, 1.0))
-_base = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, -math.inf]), st.floats(0.0, 1.0))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 6).flatmap(lambda n: st.lists(
-    st.lists(st.tuples(_slope, _base), min_size=n, max_size=n), min_size=1, max_size=5)))
-def test_bisection_in_python_floats_equals_the_numpy_loop(rows):
-    slope = np.array([[a for a, _ in row] for row in rows])
-    base = np.array([[c for _, c in row] for row in rows])
-    expected = lintrans._bisect_rows(slope, base).tolist()
-    assert [lintrans._bisect_lines(*lines) for lines in zip(slope.tolist(), base.tolist())] == expected
 
 
 @pytest.mark.parametrize("a, w, value", [
@@ -343,14 +340,13 @@ def test_bisection_in_python_floats_equals_the_numpy_loop(rows):
 def test_eta_flat_active_line_collapses_the_bisection(monkeypatch, a, w, value):
     # a slope of exactly 0 at a midpoint sets lo = hi = w there
     seen = []
-    real = lintrans._bisect_lines
-    monkeypatch.setattr(lintrans, "_bisect_lines", lambda *lines: seen.append(real(*lines)) or seen[-1])
+    real = lintrans._bisect_rows
+    monkeypatch.setattr(lintrans, "_bisect_rows", lambda *lines: seen.append(real(*lines)) or seen[-1])
+    monkeypatch.setattr(lintrans, "_TERM_COLUMNS", 0)  # through the front
     m = CoefficientMatrix(a)
     eta = eta_closed_form(m)
-    assert seen == [w]
+    assert [mid.tolist() for mid in seen] == [[w]]
     assert eta == eta_by_all_pairs(m) == pytest.approx(value, abs=1e-15)
-    monkeypatch.setattr(lintrans, "_LOOP_ENTRIES", 0)  # the same collapse in the numpy loop
-    assert eta_closed_form(m) == eta
 
 
 def test_eta_pairs_returns_ones_before_any_front_when_every_argmax_set_meets(monkeypatch):
