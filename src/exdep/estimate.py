@@ -36,7 +36,7 @@ class LowCountWarning(UserWarning):
 
 
 class BivariateSample:
-    """Paired observations with lazily computed pseudo-uniform ranks."""
+    """Paired observations, at least two, of equal length."""
 
     def __init__(self, x1, x2):
         x1 = np.asarray(x1, dtype=float)
@@ -47,23 +47,17 @@ class BivariateSample:
             raise PreconditionError("need at least two observations")
         self.x1 = x1
         self.x2 = x2
-        self._u = None
 
     @property
     def n(self):
         return self.x1.size
-
-    def pseudo_uniforms(self):
-        if self._u is None:
-            self._u = rank_transform(self)
-        return self._u
 
 
 def rank_columns(x):
     """Pseudo-uniforms rank / (n + 1) of each column of an (n, k) array
     (or of a 1-d array of n values), average ranks on ties."""
     # imported here: scipy.stats is slow to import, and no subcommand
-    # ranks (only rank_transform calls this)
+    # ranks (only rank_transform calls this, for empirical_eta)
     from scipy.stats import rankdata
 
     x = np.asarray(x, dtype=float)
@@ -186,7 +180,7 @@ def empirical_eta(sample, k=None):
     k = int(k)
     if not 10 <= k <= n // 2:
         raise PreconditionError(f"k={k} outside [10, n/2] for n={n}")
-    u1, u2 = sample.pseudo_uniforms()
+    u1, u2 = rank_transform(sample)
     t = np.minimum(1.0 / (1.0 - u1), 1.0 / (1.0 - u2))
     top = np.partition(t, n - k - 1)[n - k - 1:]
     top.sort()

@@ -197,12 +197,6 @@ class GhParams:
         _check_gig_triple(self.lam, self.tau, self.psi, "GH mixing")
 
 
-def _as_generator(rng):
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 # ----------------------------------------------------------------------
 # GIG sampling: ratio-of-uniforms on the log scale.  The density of
 # T = log X is proportional to exp(l(t)) with
@@ -267,14 +261,14 @@ class _GigLogSampler:
         root = brentq(g, *sorted((prev, t)), xtol=1e-12)
         return (root - self.t_star) * math.exp((self._logdens(root) - self.l_star) / 2.0)
 
-    def draw(self, rng, n):
+    def draw(self, stream, n):
         out = np.empty(n)
         filled = 0
         width = self.v_hi - self.v_lo
         while filled < n:
             m = max(1024, 2 * (n - filled))
-            u = rng.random(m)
-            v = self.v_lo + width * rng.random(m)
+            u = stream.random(m)
+            v = self.v_lo + width * stream.random(m)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 t = self.t_star + v / u
                 accept = (u > 0.0) & (2.0 * np.log(u) <= self._logdens(t) - self.l_star)
@@ -290,8 +284,9 @@ class NoiseDistribution:
 
     Instances are immutable after construction and safe to share across
     threads; what a law computes once is cached lazily on first use.
-    Samplers take an explicit generator (or integer seed) per caller and
-    are bit-reproducible on a single stream.
+    :meth:`sample` draws from the ``Generator`` its caller hands it (a
+    sub-stream of :func:`exdep.streams.map_chunks`), and its draws are
+    bit-reproducible from that stream's state.
     """
 
     def __init__(self, params):
@@ -626,30 +621,34 @@ class NoiseDistribution:
 
     # -- sampling ---------------------------------------------------------
 
-    def sample(self, rng, n):
-        """n i.i.d. draws, deterministic for a given generator state.
+    def sample(self, stream, n):
+        """n i.i.d. draws from the ``numpy.random.Generator`` ``stream``,
+        deterministic for a given state of it; anything else raises
+        :class:`ParameterError`.  Seeded samples of many draws come from
+        :func:`exdep.streams.map_chunks`, one sub-stream per chunk.
 
         GIG draws use mode-shifted ratio-of-uniforms rejection on the log
         scale (log-concave for all admissible parameters); GH draws use
         the normal mean-variance mixture mu + gamma*R + sqrt(R)*W.
         """
+        if not isinstance(stream, np.random.Generator):
+            raise ParameterError(f"sample draws from a numpy Generator, got {stream!r}")
         if n < 0:
             raise DomainError("sample size must be non-negative")
-        rng = _as_generator(rng)
         if n == 0:
             return np.empty(0)
         if self.family == "GIG":
-            return self._sample_mixing(rng, n)
+            return self._sample_mixing(stream, n)
         p = self.params
-        r = self._sample_mixing(rng, n)
-        w = rng.standard_normal(n)
+        r = self._sample_mixing(stream, n)
+        w = stream.standard_normal(n)
         return p.mu + p.gamma * r + np.sqrt(r) * w
 
-    def _sample_mixing(self, rng, n):
+    def _sample_mixing(self, stream, n):
         p = self.params
         if p.tau == 0.0:
-            return rng.gamma(shape=p.lam, scale=2.0 / p.psi, size=n)
-        return self._gig_sampler.draw(rng, n)
+            return stream.gamma(shape=p.lam, scale=2.0 / p.psi, size=n)
+        return self._gig_sampler.draw(stream, n)
 
     @cached_property
     def _gig_sampler(self):

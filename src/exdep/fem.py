@@ -97,12 +97,12 @@ class TypeGNoise:
         if self.family == "variance_gamma" and self.lam <= 0.0:
             raise ParameterError("variance_gamma mixing needs lam > 0")
 
-    def draw_mixing(self, rng, area, shape):
+    def draw_mixing(self, stream, area, shape):
         """Mixing values of cells of one ``area``, an array of ``shape``,
         from one call of the sampler with scalar parameters."""
         if self.family == "nig":  # Wald law with mean area*sqrt(tau/psi), shape tau*area^2
-            return rng.wald(area * math.sqrt(self.tau / self.psi), self.tau * area * area, shape)
-        return rng.gamma(self.lam * area, 2.0 / self.psi, shape)
+            return stream.wald(area * math.sqrt(self.tau / self.psi), self.tau * area * area, shape)
+        return stream.gamma(self.lam * area, 2.0 / self.psi, shape)
 
 
 RATIONAL_TOL = 1e-13    # relative error bound of the odd-exponent quadrature
@@ -447,7 +447,7 @@ def dual_cell_areas(mesh):
     return out
 
 
-def simulate_field(system, alpha, sites, noise, n, rng, constant_mixing=None, threads=1):
+def simulate_field(system, alpha, sites, noise, n, seed, constant_mixing=None, threads=1):
     """Replicates of the approximated FEM field at the given sites, an
     (n, k) array in column-major order.
 
@@ -456,15 +456,14 @@ def simulate_field(system, alpha, sites, noise, n, rng, constant_mixing=None, th
     ``alpha`` with a right-hand side per site, checked by its backward
     error, and each replicate
     batch of cell noises rhs = mu*|D| + gamma*v + sqrt(v)*Z is mapped
-    through W in one matrix product.  ``rng`` is an integer root seed
-    (batch i draws from the i-th of its sub-streams, and ``threads``
-    workers may draw batches in parallel) or a Generator (one sequential
-    stream over the batches in order); batches hold ``_BATCH`` (256)
+    through W in one matrix product.  ``seed`` is an integer root seed:
+    batch i draws from the i-th of its sub-streams, and ``threads``
+    workers may draw batches in parallel; batches hold ``_BATCH`` (256)
     rows, the last one fewer.  ``constant_mixing`` freezes the mixing
     variables at a constant, which makes the field Gaussian (the
     Gaussian control of the simulated comparisons).  ``alpha`` is
-    checked, and ``threads`` as :func:`exdep.streams.map_chunks` checks
-    it, also when n = 0.
+    checked, and ``seed`` and ``threads`` as
+    :func:`exdep.streams.map_chunks` checks them, also when n = 0.
 
     The nodes are grouped by the exact value of their dual-cell area, in
     ascending order of the classes (``np.unique``; no rounding), and the
@@ -490,10 +489,10 @@ def simulate_field(system, alpha, sites, noise, n, rng, constant_mixing=None, th
         raise DomainError("n must be non-negative")
     if not isinstance(noise, TypeGNoise):
         raise ParameterError("FEM simulation needs a TypeGNoise specification")
+    map_chunks(None, 0, _BATCH, seed, threads)  # checks seed and threads before any solve
     phi = basis_matrix(system.mesh, sites)
     out = np.empty((n, phi.shape[0]), order="F")
     if n == 0:
-        map_chunks(None, 0, _BATCH, rng, threads)  # checks threads, draws nothing
         return out
     areas = dual_cell_areas(system.mesh)
     classes, inverse, counts = np.unique(areas, return_inverse=True, return_counts=True)
@@ -522,5 +521,5 @@ def simulate_field(system, alpha, sites, noise, n, rng, constant_mixing=None, th
         v += z
         out.T[:, start:start + size] = weights @ v
 
-    map_chunks(one_batch, n, _BATCH, rng, threads)
+    map_chunks(one_batch, n, _BATCH, seed, threads)
     return out

@@ -34,7 +34,9 @@ The exact chi of the GH model imports ``exptail`` (``scipy.special``)
 inside the function that calls it, so importing this module, every eta
 computation and the oracle load numpy and no scipy subpackage.
 ``chi_gh_two`` takes a whole a22 curve, its a22 -> 1 limit included, and
-integrates it in one quadrature batch.
+integrates it in one quadrature batch.  ``simulate_linear`` and
+``chi_mc`` draw X = A Y through one sampler, in chunks of replicates on
+:func:`exdep.streams.map_chunks` from an integer root seed.
 """
 
 import bisect
@@ -71,7 +73,7 @@ _CERTIFICATE_TOL = 1e-9  # feasibility and duality-gap tolerance of the LP oracl
 _FRONT_MARGIN = 1e-6     # columns beaten by this much in both rows never touch the envelope
 _CHUNK_ENTRIES = 1 << 14  # entries per chunk of pairs: 128 KiB of float64
 _TERM_COLUMNS = 32       # matrices up to this many columns take every closed-form term
-_MC_CHUNK = 1 << 17      # Monte Carlo draws per sub-stream of chi_mc
+_MC_CHUNK = 1 << 17      # replicates of X = A Y per sub-stream (chi_mc, simulate_linear)
 
 
 class Regime(str, Enum):
@@ -461,29 +463,38 @@ def eta_gauge_oracle(matrix):
 # Tail dependence coefficient chi under asymptotic dependence
 # ----------------------------------------------------------------------
 
-def _welford_combine(stats_a, stats_b):
-    n_a, mean_a, m2_a = stats_a
-    n_b, mean_b, m2_b = stats_b
-    if n_a == 0:
-        return stats_b
-    if n_b == 0:
-        return stats_a
-    n = n_a + n_b
-    delta = mean_b - mean_a
-    mean = mean_a + delta * (n_b / n)
-    m2 = m2_a + m2_b + delta * delta * (n_a * n_b / n)
-    return n, mean, m2
+def _linear_draws(a, dist, n, seed):
+    """n replicates of X = a Y, an (n, k) array, for a (k, m) array ``a``
+    and i.i.d. noise Y of law ``dist``.
+
+    Chunk i holds ``_MC_CHUNK`` replicates (the last one fewer) and draws
+    from the i-th sub-stream of the integer root ``seed``
+    (:func:`exdep.streams.map_chunks`): ``size * m`` noise values,
+    replicate-major, whose product with a^T fills the chunk's rows of the
+    result.  A row of ``a`` may be all zero.
+    """
+    m = a.shape[1]
+    out = np.empty((n, a.shape[0]))
+
+    def one_chunk(start, size, stream):
+        y = dist.sample(stream, size * m).reshape(size, m)
+        out[start:start + size] = y @ a.T
+
+    map_chunks(one_chunk, n, _MC_CHUNK, seed)
+    return out
 
 
-def chi_mc(matrix, dist, n_samples, rng):
+def chi_mc(matrix, dist, n_samples, seed):
     """Monte Carlo tail dependence coefficient under asymptotic dependence.
 
-    Averages min(exp(beta*Z1)/M_Z1(beta), exp(beta*Z2)/M_Z2(beta)) over
-    draws of the residual noise, for an exponential-tailed ``dist`` (a
+    The mean of min(exp(beta Z1 - log M_Z1(beta)), exp(beta Z2 - log
+    M_Z2(beta))) over ``n_samples`` draws of the residual noise Z = [r1;
+    r2] Y, for an exponential-tailed ``dist`` (a
     :class:`exdep.exptail.NoiseDistribution`, so its tail index beta is
-    positive).  ``rng`` may be an integer root seed (chunks of
-    ``_MC_CHUNK`` draws use independent spawned sub-streams, in order)
-    or a Generator (one sequential stream).
+    positive).  Z comes from the one sampler of X = A Y, from the integer
+    root ``seed`` (checked as :func:`exdep.streams.map_chunks` checks
+    it, also where no draw is needed); ``n_samples`` must be at least 2,
+    for a standard error.
 
     Returns
     -------
@@ -492,8 +503,9 @@ def chi_mc(matrix, dist, n_samples, rng):
     split = classify(matrix)
     if split.regime is not Regime.ASYMPTOTIC_DEPENDENCE:
         raise RegimeError(f"chi_mc requires asymptotic dependence, got {split.regime.value}")
-    if n_samples < 0:
-        raise DomainError("n_samples must be non-negative")
+    if n_samples < 2:
+        raise DomainError(f"chi_mc needs at least 2 samples, got {n_samples}")
+    map_chunks(None, 0, _MC_CHUNK, seed)  # checks the seed, draws nothing
     r1, r2 = split.residual_1, split.residual_2
     if r1.size == 0 or (np.all(r1 == 0.0) and np.all(r2 == 0.0)) or np.array_equal(r1, r2):
         return 1.0, 0.0  # Z1 = Z2 almost surely
@@ -505,23 +517,12 @@ def chi_mc(matrix, dist, n_samples, rng):
             if not np.isfinite(m):
                 raise MgfDivergenceError(f"residual MGF diverges at t = {c * beta}")
             log_m[row] += math.log(m)
-    log_m1, log_m2 = log_m
-
-    def one_chunk(_start, size, stream):
-        y = dist.sample(stream, size * r1.size).reshape(size, r1.size)
-        vals = np.minimum(
-            np.exp(beta * (y @ r1) - log_m1),
-            np.exp(beta * (y @ r2) - log_m2),
-        )
-        m = float(vals.mean())
-        return size, m, float(np.sum((vals - m) ** 2))
-
-    total = (0, 0.0, 0.0)
-    for part in map_chunks(one_chunk, n_samples, _MC_CHUNK, rng):
-        total = _welford_combine(total, part)
-    n, mean, m2 = total
-    var = m2 / (n - 1) if n > 1 else 0.0
-    return float(mean), float(math.sqrt(var / n)) if n else 0.0
+    z = _linear_draws(np.array([r1, r2]), dist, n_samples, seed)
+    z *= beta
+    z -= log_m
+    np.exp(z, out=z)
+    vals = np.minimum(z[:, 0], z[:, 1])
+    return float(vals.mean()), math.sqrt(vals.var(ddof=1) / n_samples)
 
 
 def _check_symmetric_gh(params):
@@ -610,8 +611,11 @@ def tail_summary(matrix):
     return TailSummary(regime=_regime(matrix), eta=eta_closed_form(matrix))
 
 
-def simulate_linear(matrix, dist, n, rng):
-    """Draw n replicates of X = A Y with i.i.d. noise; columns follow the
-    rows of A; ``rng`` is a Generator or an integer seed."""
-    y = dist.sample(rng, n * matrix.shape[1]).reshape(n, matrix.shape[1])
-    return y @ matrix.entries.T
+def simulate_linear(matrix, dist, n, seed):
+    """n replicates of X = A Y with i.i.d. noise Y of law ``dist``, an
+    (n, k) array whose columns follow the rows of A, from the integer
+    root ``seed``: chunk i of ``_MC_CHUNK`` replicates draws from its
+    i-th sub-stream (:func:`exdep.streams.map_chunks`)."""
+    if n < 0:
+        raise DomainError("n must be non-negative")
+    return _linear_draws(matrix.entries, dist, n, seed)

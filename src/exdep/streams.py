@@ -1,10 +1,12 @@
 """Seeded random streams and the chunked map that every sampler runs on.
 
-Every sub-stream is a ``Generator`` on an SFC64 bit generator, seeded
-by one child of the root seed's ``numpy.random.SeedSequence``; it draws
-the Wald and normal values of the simulated fields faster than numpy's
+The package draws noise one way: an integer root seed is split into
+sub-streams, and chunk i of a sample draws from the i-th of them.  Every
+sub-stream is a ``Generator`` on an SFC64 bit generator, seeded by one
+child of the root seed's ``numpy.random.SeedSequence``; it draws the
+Wald and normal values of the simulated fields faster than numpy's
 default PCG64.  numpy only, with no scipy import: the simulated fields
-of ``fem`` and the Monte Carlo chi of ``lintrans`` draw through
+of ``fem`` and the linear models X = A Y of ``lintrans`` draw through
 :func:`map_chunks` without loading the quadrature and optimization code
 of ``exptail``.
 """
@@ -40,7 +42,7 @@ def _spawn(root_seed, k):
         yield np.random.Generator(np.random.SFC64(seq.spawn(1)[0]))
 
 
-def map_chunks(func, n, chunk, rng, threads=1):
+def map_chunks(func, n, chunk, seed, threads=1):
     """``[func(start, size, stream), ...]`` over consecutive chunks of
     ``n`` draws.
 
@@ -48,24 +50,24 @@ def map_chunks(func, n, chunk, rng, threads=1):
     ``start`` is the index of its first draw, so a ``func`` may write its
     chunk into rows ``start:start + size`` of one preallocated result
     instead of returning it (disjoint rows, so threads may do this
-    concurrently).  An integer ``rng`` is a root seed: chunk i draws from
-    the i-th of its :func:`substreams`, and with ``threads > 1`` the
-    chunks run on a thread pool (the results keep chunk order).  Each
-    stream is built as its chunk is handed out: one thread holds one at
-    a time, and a pool at most ``2 * threads``, the chunks submitted and
-    not yet collected.  A Generator is one sequential stream shared by
-    all chunks, in order, on this thread.  ``chunk`` and ``threads`` must be
-    integers of at least 1, else :class:`ParameterError` is raised before
-    any draw.
+    concurrently).  ``seed`` is an integer root seed: chunk i draws from
+    the i-th of its :func:`substreams`, whatever the thread count, and
+    with ``threads > 1`` the chunks run on a thread pool (the results
+    keep chunk order).  Each stream is built as its chunk is handed out:
+    one thread holds one at a time, and a pool at most ``2 * threads``,
+    the chunks submitted and not yet collected.  ``chunk`` and
+    ``threads`` must be integers of at least 1 and ``seed`` a
+    non-negative integer, else :class:`ParameterError` is raised before
+    any draw, also when n = 0.
     """
     for name, value in (("chunk", chunk), ("threads", threads)):
         if not (isinstance(value, (int, np.integer)) and value >= 1):
             raise ParameterError(f"{name} must be an integer of at least 1, got {value!r}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     starts = range(0, n, chunk)
     sizes = [min(chunk, n - start) for start in starts]
-    if isinstance(rng, np.random.Generator):
-        return [func(start, size, rng) for start, size in zip(starts, sizes)]
-    streams = _spawn(rng, len(sizes))
+    streams = _spawn(seed, len(sizes))
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 

@@ -189,3 +189,28 @@ def test_gauge_oracle_references_nothing_of_the_closed_form():
     assert len(reached) > 1, "eta_gauge_oracle calls no helper; is the walk broken?"
     shared = sorted(used & CLOSED_FORM_NAMES)
     assert not shared, f"{sorted(reached)} reference {shared} of the closed form"
+
+
+STREAM_BUILDERS = {"Generator", "SeedSequence", "default_rng", "RandomState",
+                   "SFC64", "PCG64", "PCG64DXSM", "MT19937", "Philox"}
+
+
+def _stream_builds(tree):
+    """(line, callee) of each call in ``tree`` that builds a random stream or
+    seed sequence, or draws from numpy's global one (``np.random.<name>(...)``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            global_draw = (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute)
+                           and func.value.attr == "random")
+            if name in STREAM_BUILDERS or global_draw:
+                yield node.lineno, ast.unparse(func)
+
+
+@pytest.mark.parametrize("name", [name for name in MODULES if name not in ("streams", "cli")])
+def test_only_streams_and_cli_build_random_streams(name):
+    # every draw of the library comes from a sub-stream that streams.map_chunks
+    # hands out; cli.py places sites and draws the counterexample from its seed
+    built = list(_stream_builds(_tree(name)))
+    assert not built, f"src/exdep/{name}.py builds or draws from its own stream at {built}"

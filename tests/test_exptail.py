@@ -288,7 +288,9 @@ def _tilted_integrals(draw):
         lam = draw(st.floats(-2.0, 3.0))
         dist = NoiseDistribution.gh(lam, draw(st.floats(0.1, 4.0)), psi, mu, gamma)
     left, right = dist._tail_indices
-    t = draw(st.floats(-0.9, 0.9)) * (right if draw(st.booleans()) else min(left, right))
+    u = draw(st.floats(-0.9, 0.9))
+    # t inside (-left, right); a GIG law, with left = inf, scales both signs by right
+    t = u * (right if u >= 0.0 or math.isinf(left) else left)
     return dist, t, *draw(_BOUNDS)
 
 
@@ -303,6 +305,15 @@ def test_exp_weighted_integral_matches_quadpack(case):
     assume(reference is not None)
     value = dist._exp_weighted_integral(t, lo, hi)
     assert abs(value - reference) <= 1e-10 * max(1.0, abs(reference))
+
+
+def test_exp_weighted_integral_beyond_the_left_tail_index_raises():
+    # left = sqrt(1.25) - 0.5 = 0.618, so exp(t y) f(y) grows as y -> -inf at t = -0.809;
+    # QUADPACK returns a finite number here without a warning
+    dist = NoiseDistribution.gh(0.0, 1.0, 1.0, 0.0, -0.5)
+    assert dist.mgf(-0.809) == math.inf
+    with pytest.raises(QuadratureError, match="inf"):
+        dist._exp_weighted_integral(-0.809, -np.inf, np.inf)
 
 
 # -- tail index ----------------------------------------------------------
@@ -482,6 +493,12 @@ def test_mgf_log_convex_on_grid():
 def test_sample_empty():
     dist = NoiseDistribution.nig(1.0, 1.0)
     assert dist.sample(np.random.default_rng(0), 0).size == 0
+
+
+@pytest.mark.parametrize("stream", [7, 7.0, None, np.random.SFC64(7)])
+def test_sample_takes_only_a_generator(stream):
+    with pytest.raises(ParameterError, match="Generator"):
+        NoiseDistribution.nig(1.0, 1.0).sample(stream, 10)
 
 
 def test_sample_reproducible_single_stream():

@@ -15,7 +15,8 @@ from exdep.exptail import GhParams, NoiseDistribution
 from exdep.lintrans import (CoefficientMatrix, Regime, chi_gh_two,
                             chi_limit_a22, chi_mc, classify, eta_closed_form,
                             eta_gauge_oracle, eta_pairs, simulate_linear,
-                            tail_summary, _welford_combine)
+                            tail_summary)
+from exdep.streams import substreams
 
 
 def random_matrix(rng, n_range=(2, 7)):
@@ -502,6 +503,28 @@ def test_chi_mc_requires_dependence_regime():
         chi_mc(CoefficientMatrix([[1.0, 0.3], [0.5, 1.0]]), dist, 1000, 0)
 
 
+@pytest.mark.parametrize("entries", [[[1.0, 0.3], [1.0, 0.7]], [[1.0, 0.4], [1.0, 0.4]]])
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_chi_mc_needs_two_samples(entries, n_samples):
+    # no standard error from fewer; checked before the Z1 = Z2 shortcut too
+    dist = NoiseDistribution.nig(1.0, 1.0)
+    with pytest.raises(DomainError, match="at least 2 samples"):
+        chi_mc(CoefficientMatrix(entries), dist, n_samples, 0)
+
+
+def test_chi_mc_is_the_mean_over_the_simulated_residuals(monkeypatch):
+    # Z = [r1; r2] Y from the sampler of simulate_linear, over several chunks
+    monkeypatch.setattr(lintrans, "_MC_CHUNK", 64)
+    dist = NoiseDistribution.nig(1.0, 1.0)
+    beta = dist.tail_index
+    value, se = chi_mc(CoefficientMatrix([[1.0, 0.3], [1.0, 0.7]]), dist, 150, 5)
+    z = simulate_linear(CoefficientMatrix([[0.3], [0.7]]), dist, 150, 5)
+    vals = np.minimum(np.exp(beta * z[:, 0]) / dist.mgf(0.3 * beta),
+                      np.exp(beta * z[:, 1]) / dist.mgf(0.7 * beta))
+    assert value == pytest.approx(vals.mean(), rel=1e-12)
+    assert se == pytest.approx(vals.std(ddof=1) / math.sqrt(150), rel=1e-9)
+
+
 def test_chi_mc_matches_quadrature():
     params = GhParams(-0.5, 1.0, 1.0, 0.0, 0.0)
     dist = NoiseDistribution(params)
@@ -609,15 +632,6 @@ def test_tail_summary_dependence_chi_undetermined():
     assert summary.to_json()["chi"] is None
 
 
-def test_welford_merge_order_independent():
-    s1, s2, s3 = (100, 0.5, 2.0), (50, 0.7, 1.0), (75, 0.6, 1.5)
-    a = _welford_combine(_welford_combine(s1, s2), s3)
-    b = _welford_combine(s1, _welford_combine(s2, s3))
-    assert a[0] == b[0]
-    assert a[1] == pytest.approx(b[1], rel=1e-12)
-    assert a[2] == pytest.approx(b[2], rel=1e-12)
-
-
 def test_simulate_linear_shape_and_determinism():
     dist = NoiseDistribution.nig(1.0, 1.0)
     m = CoefficientMatrix([[1.0, 0.3], [0.5, 1.0]])
@@ -625,3 +639,30 @@ def test_simulate_linear_shape_and_determinism():
     y = simulate_linear(m, dist, 100, 9)
     assert x.shape == (100, 2)
     assert np.array_equal(x, y)
+
+
+def test_simulate_linear_rows_are_per_chunk_draws_of_the_substreams(monkeypatch):
+    monkeypatch.setattr(lintrans, "_MC_CHUNK", 64)
+    dist = NoiseDistribution.variance_gamma(1.0, 2.0)
+    a = np.array([[1.0, 0.3, 0.0], [0.5, 1.0, 0.2]])
+    x = simulate_linear(CoefficientMatrix(a), dist, 150, 9)
+    ref = [dist.sample(stream, 3 * size).reshape(size, 3) @ a.T
+           for stream, size in zip(substreams(9, 3), (64, 64, 22))]
+    assert np.array_equal(x, np.vstack(ref))
+
+
+@pytest.mark.parametrize("call", [
+    lambda dist, seed: simulate_linear(CoefficientMatrix([[1.0, 0.3], [0.5, 1.0]]),
+                                       dist, 100, seed),
+    lambda dist, seed: chi_mc(CoefficientMatrix([[1.0, 0.3], [1.0, 0.7]]), dist, 100, seed),
+    # no draw is needed when Z1 = Z2, and the seed is checked all the same
+    lambda dist, seed: chi_mc(CoefficientMatrix([[1.0, 0.4], [1.0, 0.4]]), dist, 100, seed),
+], ids=["simulate_linear", "chi_mc", "chi_mc-shortcut"])
+def test_samplers_take_only_an_integer_seed(call):
+    dist = NoiseDistribution.nig(1.0, 1.0)
+    generator = np.random.default_rng(3)
+    state = generator.bit_generator.state
+    for seed in (generator, 3.0):
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            call(dist, seed)
+    assert generator.bit_generator.state == state  # nothing was drawn from it

@@ -31,11 +31,17 @@ def test_map_chunks_sizes_streams_and_threads():
     threaded = map_chunks(draw, 10, 4, 99, threads=2)
     assert [chunk for chunk, _ in threaded] == [(0, 4), (4, 4), (8, 2)]
     assert all(np.array_equal(a[1], b[1]) for a, b in zip(out, threaded))
-    # a Generator is one sequential stream, whatever the thread count
-    seq = map_chunks(draw, 10, 4, np.random.default_rng(5), threads=2)
-    assert np.array_equal(np.concatenate([d for _, d in seq]),
-                          np.random.default_rng(5).random(10))
     assert map_chunks(draw, 0, 4, 99) == []
+
+
+# None would seed numpy from OS entropy, so no two runs would agree
+@pytest.mark.parametrize("seed", [np.random.default_rng(5), 5.0, -1, "5", None])
+def test_map_chunks_takes_only_a_non_negative_integer_seed(seed):
+    calls = []
+    for n, threads in ((10, 1), (10, 2), (0, 1)):  # also with nothing to draw
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            map_chunks(lambda *args: calls.append(args), n, 4, seed, threads)
+    assert calls == []
 
 
 @pytest.mark.parametrize("chunk, threads", [(0, 1), (-5, 1), (2.5, 1), (4, 0), (4, -1),
