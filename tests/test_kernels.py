@@ -37,6 +37,42 @@ def test_matern_alpha3_is_exponential():
     assert k(1.0) / k(0.5) == pytest.approx(math.exp(-2.0 * 0.5), rel=1e-12)
 
 
+def kv_green(kappa, alpha, h):
+    """G(h) at h > 0 through scipy's ``kv``, as the kernels docstring
+    writes it."""
+    from scipy.special import gamma, kv
+    nu = (alpha - 2) / 2.0
+    x = kappa * h
+    const = 2.0 ** (1.0 - nu) / (4.0 * math.pi * gamma(alpha / 2.0) * kappa ** (2.0 * nu))
+    return const * x ** nu * kv(nu, x)
+
+
+@pytest.mark.parametrize("alpha", [2, 3, 4, 5, 6])
+def test_matern_closed_form_orders_equal_the_kv_form(alpha):
+    hs = np.geomspace(1e-6, 20.0, 500)
+    for kappa in (0.5, 2.0):
+        np.testing.assert_allclose(matern_green(kappa, alpha, hs), kv_green(kappa, alpha, hs),
+                                   rtol=4e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("alpha", [2, 3, 4, 5, 6])
+def test_matern_closed_form_orders_against_mpmath(alpha):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    kappa, nu = 2.0, mpmath.mpf(alpha - 2) / 2
+    for h in (1e-5, 0.03, 0.4, 1.7, 9.0):
+        x = kappa * mpmath.mpf(h)
+        expected = (2 ** (1 - nu) / (4 * mpmath.pi * mpmath.gamma(mpmath.mpf(alpha) / 2)
+                                      * kappa ** (2 * nu)) * x ** nu * mpmath.besselk(nu, x))
+        assert matern_green(kappa, alpha, h) == pytest.approx(float(expected), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.7])
+def test_matern_non_integer_alpha_is_the_kv_form(alpha):
+    hs = np.geomspace(1e-6, 20.0, 200)
+    assert np.array_equal(matern_green(2.0, alpha, hs), kv_green(2.0, alpha, hs))
+
+
 def test_matern_rejects_alpha_below_d():
     with pytest.raises(ParameterError):
         matern_green(1.0, 1.5, 0.5)

@@ -1,10 +1,11 @@
 import math
+import random
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
@@ -180,9 +181,16 @@ def test_eta_property_range(a):
     assert 0.5 <= eta <= 1.0
 
 
+# near-parallel tiny columns next to the diagonal b_1 = b_2: row scaling leaves them
+# one ulp apart, which the determinant's product form cancelled to rounding noise
+NEAR_PARALLEL = np.array([[0.0, 0.0, 0.0, 1.0, 7.11036258e-158, 0.75],
+                          [0.0, 0.0, 1.0, 0.0, 7.11036258e-158, 0.75]])
+
+
 @settings(max_examples=300, deadline=None)
 @given(coefficient_matrices(), st.randoms(use_true_random=False),
        st.floats(0.1, 10.0), st.floats(0.1, 10.0))
+@example(NEAR_PARALLEL, random.Random(0), 1.0, 5.0)
 def test_eta_property_invariances(a, rnd, s1, s2):
     eta = eta_closed_form(CoefficientMatrix(a))
     perm = list(range(a.shape[1]))
@@ -211,7 +219,7 @@ def eta_by_all_pairs(m):
         if min(b1[i], b2[i]) > 0.0:
             inv = min(inv, max(1.0 / b1[i], 1.0 / b2[i]))
         for j in range(len(b1)):
-            det = abs(b2[i] * b1[j] - b1[i] * b2[j])
+            det = abs((b2[i] - b1[i]) * b1[j] - b1[i] * (b2[j] - b1[j]))
             if i != j and det > 0.0:
                 inv = min(inv, (abs(b2[i] - b1[i]) + abs(b2[j] - b1[j])) / det)
     return min(1.0, 1.0 / inv)
@@ -228,6 +236,7 @@ def both_eta_paths():
 
 @settings(max_examples=300, deadline=None)
 @given(coefficient_matrices())
+@example(NEAR_PARALLEL * [[1.0], [5.0]])
 def test_eta_property_equals_closed_form_terms(a):
     m = CoefficientMatrix(a)
     if classify(m).regime is Regime.ASYMPTOTIC_INDEPENDENCE:
@@ -237,6 +246,7 @@ def test_eta_property_equals_closed_form_terms(a):
 
 @settings(max_examples=200, deadline=None)
 @given(coefficient_matrices())
+@example(NEAR_PARALLEL * [[1.0], [5.0]])
 def test_eta_property_matches_oracle(a):
     m = CoefficientMatrix(a)
     for _ in both_eta_paths():
@@ -559,6 +569,8 @@ def test_chi_gh_two_rejects_unsupported_parameters():
 @settings(max_examples=40, deadline=None)
 @given(lam=st.floats(-3.0, 5.0), tau=st.one_of(st.just(0.0), st.floats(0.1, 5.0)),
        psi=st.floats(0.1, 5.0), c=st.sampled_from([1e-6, 1e-3, 1e3, 1e6]))
+@example(lam=-5e-324, tau=1.0, psi=1.0, c=1e-6)
+@example(lam=-2.2250738585072014e-308, tau=5.0, psi=5.0, c=1e6)
 def test_chi_gh_two_is_unchanged_when_the_law_is_rescaled(lam, tau, psi, c):
     # with mu = gamma = 0, GH(lambda, c tau, psi / c) is GH(lambda, tau, psi)
     # stretched by sqrt(c), and chi does not see a common scale of the noise
@@ -572,6 +584,13 @@ def test_chi_gh_two_is_unchanged_when_the_law_is_rescaled(lam, tau, psi, c):
 def test_chi_limit_zero_for_nonnegative_lambda():
     for lam in (1.0, 5.0, 30.0):
         assert chi_limit_a22(0.3, GhParams(lam, 1.0, 1.0)) == 0.0
+
+
+def test_chi_limit_is_taken_as_zero_next_to_lambda_zero():
+    # subnormal lambda: -2/lambda and the MGF at the tail index overflow
+    for lam in (-5e-324, -2.2250738585072014e-308, lintrans._LIMIT_LAMBDA):
+        assert chi_limit_a22(0.3, GhParams(lam, 1.0, 1.0)) == 0.0
+    assert 0.0 < chi_limit_a22(0.3, GhParams(2.0 * lintrans._LIMIT_LAMBDA, 1.0, 1.0)) < 1e-297
 
 
 def test_chi_limit_positive_below_zero_lambda():
