@@ -498,7 +498,8 @@ class NoiseDistribution:
     # -- moment generating function ------------------------------------------
 
     def mgf(self, t):
-        """E[exp(t*Y)] in closed form; ``inf`` when divergent.
+        """E[exp(t*Y)] in closed form; ``inf`` when divergent or above the
+        float range (lambda just below 0 at the tail index).
 
         Y = mu + gamma*R + sqrt(R)*W gives M(t) = e^{mu t} E[exp(u R)]
         with the mixing argument u = gamma*t + t^2/2 (u = t and mu = 0
@@ -524,7 +525,11 @@ class NoiseDistribution:
         if not (u < half_psi - slack or (u <= half_psi + slack and p.lam < 0.0)):
             return np.inf  # NaN included
         s = p.psi - 2.0 * u
-        return math.exp(shift + self._mixing_log_mgf(s if s > 2.0 * _EPMACH * p.psi else 0.0))
+        log_m = shift + self._mixing_log_mgf(s if s > 2.0 * _EPMACH * p.psi else 0.0)
+        try:
+            return math.exp(log_m)
+        except OverflowError:  # finite, but beyond the float range
+            return np.inf
 
     def _mixing_log_mgf(self, s):
         """log E[exp(u R)] for R ~ GIG(lambda, tau, psi), at s = psi - 2u > 0,

@@ -446,6 +446,7 @@ _BOUNDARY_OFFSETS = st.sampled_from([-1e-9, -2e-12, -1e-13, 0.0, 1e-13, 2e-12, 1
 @given(lam=st.floats(-3.0, 3.0), tau=st.floats(0.0, 5.0), psi=st.floats(0.05, 5.0),
        t=st.floats(-3.0, 3.0), offset=st.one_of(st.none(), _BOUNDARY_OFFSETS))
 @example(lam=5e-324, tau=1.0, psi=1.0, t=0.0, offset=-1e-9)  # a subnormal Bessel order
+@example(lam=-1.1125369292536007e-308, tau=1.0, psi=2.0, t=0.0, offset=0.0)  # M past float max
 def test_gh_mgf_is_the_gig_mgf_at_the_mixing_argument(lam, tau, psi, t, offset):
     # one rule for both families: a symmetric GH law's M(t) is its mixing
     # law's M(t^2/2), bit for bit, inf included, on both sides of psi/2
