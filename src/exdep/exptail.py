@@ -44,6 +44,7 @@ from scipy import special as _sp
 
 from .errors import DomainError, ParameterError, QuadratureError
 from .special import log_bessel_k
+from .streams import normal_mixture
 
 __all__ = [
     "GigParams",
@@ -157,10 +158,11 @@ def _gauss_kronrod(func, owner, upper, n):
 
 
 def _check_gig_triple(lam, tau, psi, what):
-    if not (psi > 0 and ((lam <= 0 and tau > 0) or (lam > 0 and tau >= 0))):
+    if not (all(map(math.isfinite, (lam, tau, psi)))
+            and psi > 0 and ((lam <= 0 and tau > 0) or (lam > 0 and tau >= 0))):
         raise ParameterError(
             f"inadmissible {what} parameters (lambda={lam}, tau={tau}, psi={psi}); "
-            "need psi>0 and either lambda<=0, tau>0 or lambda>0, tau>=0"
+            "need finite values, psi>0 and either lambda<=0, tau>0 or lambda>0, tau>=0"
         )
 
 
@@ -195,6 +197,8 @@ class GhParams:
 
     def __post_init__(self):
         _check_gig_triple(self.lam, self.tau, self.psi, "GH mixing")
+        if not (math.isfinite(self.mu) and math.isfinite(self.gamma)):
+            raise ParameterError(f"GH mu and gamma must be finite, got {self.mu}, {self.gamma}")
 
 
 # ----------------------------------------------------------------------
@@ -290,11 +294,13 @@ class NoiseDistribution:
     """
 
     def __init__(self, params):
+        # ``mixture``: (mu, gamma) of a GH law's normal mean-variance
+        # mixture; None for a GIG law, whose draws are its mixing values
         if isinstance(params, GigParams):
-            self.family = "GIG"
+            self.family, self.mixture = "GIG", None
             self._support = (0.0, np.inf)
         elif isinstance(params, GhParams):
-            self.family = "GH"
+            self.family, self.mixture = "GH", (params.mu, params.gamma)
             self._support = (-np.inf, np.inf)
         else:
             raise ParameterError("params must be GigParams or GhParams")
@@ -505,7 +511,8 @@ class NoiseDistribution:
         with the mixing argument u = gamma*t + t^2/2 (u = t and mu = 0
         for a GIG law Y = R).  It is finite iff u is below psi/2, or
         u = psi/2 exactly and lambda < 0, which is t below the tail
-        index beta or at it; with s = psi - 2u
+        index beta or at it; with s = psi - 2u, which a skewed GH law forms
+        as (right - t)(left + t), exact at its :attr:`_tail_indices`,
 
             E[exp(u R)] = (psi/s)^{lambda/2} K_lambda(sqrt(tau s)) / K_lambda(sqrt(tau psi)).
 
@@ -516,15 +523,13 @@ class NoiseDistribution:
         if t == 0.0:
             return 1.0
         p = self.params
-        if self.family == "GIG":
-            shift, u = 0.0, t
-        else:
-            shift, u = p.mu * t, p.gamma * t + 0.5 * t * t
+        shift, u = (0.0, t) if self.family == "GIG" else (p.mu * t, p.gamma * t + 0.5 * t * t)
         half_psi = 0.5 * p.psi
         slack = 1e-12 * max(1.0, half_psi)  # u within this of psi/2 counts as psi/2
         if not (u < half_psi - slack or (u <= half_psi + slack and p.lam < 0.0)):
             return np.inf  # NaN included
-        s = p.psi - 2.0 * u
+        left, right = self._tail_indices
+        s = (right - t) * (left + t) if self.family == "GH" and p.gamma else p.psi - 2.0 * u
         log_m = shift + self._mixing_log_mgf(s if s > 2.0 * _EPMACH * p.psi else 0.0)
         try:
             return math.exp(log_m)
@@ -630,30 +635,27 @@ class NoiseDistribution:
         """n i.i.d. draws from the ``numpy.random.Generator`` ``stream``,
         deterministic for a given state of it; anything else raises
         :class:`ParameterError`.  Seeded samples of many draws come from
-        :func:`exdep.streams.map_chunks`, one sub-stream per chunk.
-
-        GIG draws use mode-shifted ratio-of-uniforms rejection on the log
-        scale (log-concave for all admissible parameters); GH draws use
-        the normal mean-variance mixture mu + gamma*R + sqrt(R)*W.
+        :func:`exdep.streams.draw_linear`, one sub-stream per chunk.  A GH
+        law's draws are the :func:`exdep.streams.normal_mixture`
+        mu + gamma*R + sqrt(R)*W of R from :meth:`draw_mixing`.
         """
         if not isinstance(stream, np.random.Generator):
             raise ParameterError(f"sample draws from a numpy Generator, got {stream!r}")
         if n < 0:
             raise DomainError("sample size must be non-negative")
-        if n == 0:
-            return np.empty(0)
-        if self.family == "GIG":
-            return self._sample_mixing(stream, n)
-        p = self.params
-        r = self._sample_mixing(stream, n)
-        w = stream.standard_normal(n)
-        return p.mu + p.gamma * r + np.sqrt(r) * w
+        r = self.draw_mixing(stream, n)
+        return r if self.mixture is None else normal_mixture(stream, r, *self.mixture)
 
-    def _sample_mixing(self, stream, n):
+    def draw_mixing(self, stream, shape):
+        """An array of ``shape`` of the GIG law, or of a GH law's mixing law:
+        gamma draws when tau = 0, Wald draws when lambda = -1/2, else
+        ratio-of-uniforms rejection on the (log-concave) log scale."""
         p = self.params
         if p.tau == 0.0:
-            return stream.gamma(shape=p.lam, scale=2.0 / p.psi, size=n)
-        return self._gig_sampler.draw(stream, n)
+            return stream.gamma(p.lam, 2.0 / p.psi, shape)
+        if p.lam == -0.5:  # GIG(-1/2, tau, psi): mean sqrt(tau/psi), shape tau
+            return stream.wald(math.sqrt(p.tau / p.psi), p.tau, shape)
+        return self._gig_sampler.draw(stream, int(np.prod(shape))).reshape(shape)
 
     @cached_property
     def _gig_sampler(self):

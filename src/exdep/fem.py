@@ -28,21 +28,18 @@ mixtures over the dual cells D_j = {s : phi_j(s) >= phi_i(s) for all i},
 whose mixing variables must come from a convolution-closed GIG subclass
 (inverse Gaussian or gamma).
 
-:func:`simulate_field` draws replicates in batches of 256 rows
-(``_BATCH``), batch i from the i-th SFC64 sub-stream of the root seed.  The
-nodes are grouped once by the exact value of their dual-cell area (4,
-27 and 37 classes on the 81-, 196- and 841-node meshes of
-``simulate-and-chi --appendix-d``), and a batch is node-major: for
-each class in ascending area, one scalar-parameter call draws the
-mixing values of its nodes, then one call draws the normals.  So each
-worker thread holds two batch-sized cell-noise arrays (1.7 MB each on
-an 841-node mesh) and at most one temporary of that size, whatever the
-number of replicates, beside the one column-major result.
+:func:`simulate_field` draws the field at the sites as the linear model
+it is, X = W rhs with W = phi K_alpha^{-1}, through the package's one
+sampler :func:`exdep.streams.draw_linear`: one block per dual-cell area
+class (4, 27 and 37 on the 81-, 196- and 841-node meshes of
+``simulate-and-chi --appendix-d``), in batches of 256 rows (``_BATCH``)
+from one SFC64 sub-stream each.  A worker thread holds two batch-sized
+cell-noise arrays (1.7 MB each on an 841-node mesh) and at most one
+temporary of that size, beside the one column-major result.
 """
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -53,7 +50,7 @@ from scipy.sparse import linalg as spla
 from . import kernels
 from .errors import DomainError, NonnegativityError, ParameterError, SolveError
 from .lintrans import CoefficientMatrix
-from .streams import map_chunks
+from .streams import draw_linear, map_chunks
 
 __all__ = [
     "FemSystem",
@@ -90,6 +87,8 @@ class TypeGNoise:
             raise ParameterError(
                 "mixing family must be convolution-closed: 'nig' or 'variance_gamma'"
             )
+        if not all(map(math.isfinite, (self.mu, self.gamma, self.psi, self.tau, self.lam))):
+            raise ParameterError(f"type G noise parameters must be finite, got {self!r}")
         if self.psi <= 0.0:
             raise ParameterError("psi must be positive")
         if self.family == "nig" and self.tau <= 0.0:
@@ -453,38 +452,20 @@ def simulate_field(system, alpha, sites, noise, n, seed, constant_mixing=None, t
     """Replicates of the approximated FEM field at the given sites, an
     (n, k) array in column-major order.
 
-    The field at the sites is the linear model X = W rhs: the site
-    weights W = phi K_alpha^{-1} come from one solve of exponent
-    ``alpha`` with a right-hand side per site, checked by its backward
-    error, and each replicate
-    batch of cell noises rhs = mu*|D| + gamma*v + sqrt(v)*Z is mapped
-    through W in one matrix product.  ``seed`` is an integer root seed:
-    batch i draws from the i-th of its sub-streams, and ``threads``
-    workers may draw batches in parallel; batches hold ``_BATCH`` (256)
-    rows, the last one fewer.  ``constant_mixing`` freezes the mixing
-    variables at a constant, which makes the field Gaussian (the
-    Gaussian control of the simulated comparisons).  ``alpha`` is
-    checked, and ``seed`` and ``threads`` as
-    :func:`exdep.streams.map_chunks` checks them, also when n = 0.
-
-    The nodes are grouped by the exact value of their dual-cell area, in
-    ascending order of the classes (``np.unique``; no rounding), and the
-    columns of W are permuted to that order once.  A batch's noise is
-    node-major, (n_nodes, size), so each class owns a contiguous block
-    of rows: one ``draw_mixing`` call per class fills its block, class
-    by class, then one call fills the batch's normals Z.  v becomes
-    mu*|D| + gamma*v + sqrt(v)*Z in place: each term is rounded as in
-    the formula, and the in-place steps only swap the operands of a
-    product or a sum, which is exact, so the noise is bit-equal to
-    building it in one piece.
-
-    The result is allocated once, column-major, so each site's column is
-    contiguous for :func:`exdep.estimate.exceedances`; each batch copies
-    its product W v into its own rows, and concurrent batches write
-    disjoint rows.  Memory is the result and W plus, per worker thread,
-    two reused n_nodes x min(_BATCH, n) arrays (v and Z), one temporary
-    of at most that size (a class's mixing values, then sqrt(v)) and one
-    k x min(_BATCH, n) product.
+    The field at the sites is the linear model X = W rhs of
+    :func:`exdep.streams.draw_linear`, with W = phi K_alpha^{-1} from one
+    solve checked by its backward error and the cell noises
+    rhs = mu*|D| + gamma*v + sqrt(v)*Z.  Batch i of ``_BATCH`` (256)
+    rows draws from the i-th sub-stream of the integer root ``seed``,
+    and ``threads`` workers may draw batches in parallel.
+    ``constant_mixing`` freezes the mixing variables at a constant, which
+    makes the field Gaussian.  ``alpha`` is checked, and ``seed`` and
+    ``threads`` as :func:`exdep.streams.map_chunks` checks them, also
+    when n = 0.  The nodes are grouped by the exact value of their
+    dual-cell area (``np.unique``; no rounding) and the columns of W
+    permuted to that order once; each class is one block of the sampler,
+    drawn by one ``draw_mixing`` call per batch, and ``constant_mixing``
+    is one block over all nodes.
     """
     alpha = _check_alpha(alpha)
     if n < 0:
@@ -493,35 +474,17 @@ def simulate_field(system, alpha, sites, noise, n, seed, constant_mixing=None, t
         raise ParameterError("FEM simulation needs a TypeGNoise specification")
     map_chunks(None, 0, _BATCH, seed, threads)  # checks seed and threads before any solve
     phi = basis_matrix(system.mesh, sites)
-    out = np.empty((n, phi.shape[0]), order="F")
     if n == 0:
-        return out
+        return np.empty((0, phi.shape[0]), order="F")
     areas = dual_cell_areas(system.mesh)
     classes, inverse, counts = np.unique(areas, return_inverse=True, return_counts=True)
     order = np.argsort(inverse, kind="stable")  # node indices, class by class
-    ends = np.cumsum(counts).tolist()
-    blocks = list(zip([0] + ends[:-1], ends, classes))  # (first row, end row, area)
     weights = system.solve_k_alpha(phi.toarray().T, alpha)[order].T  # W, columns in class order
-    shift = (noise.mu * areas[order])[:, None]
-    cells = areas.size * min(_BATCH, n)
-    buffers = threading.local()  # concurrent batches must not share a buffer
-
-    def one_batch(start, size, stream):
-        if not hasattr(buffers, "v"):
-            buffers.v = np.empty(cells)
-            buffers.z = np.empty(cells)
-        v = buffers.v[:areas.size * size].reshape(areas.size, size)
-        if constant_mixing is not None:
-            v.fill(float(constant_mixing))
-        else:
-            for first, end, area in blocks:
-                v[first:end] = noise.draw_mixing(stream, area, (end - first, size))
-        z = stream.standard_normal(out=buffers.z[:v.size].reshape(v.shape))
-        z *= np.sqrt(v)  # sqrt(v)*Z
-        v *= noise.gamma
-        v += shift      # mu*|D| + gamma*v
-        v += z
-        out.T[:, start:start + size] = weights @ v
-
-    map_chunks(one_batch, n, _BATCH, seed, threads)
-    return out
+    if constant_mixing is not None:
+        blocks = [(0, areas.size, lambda stream, shape, c=float(constant_mixing): c)]
+    else:
+        ends = np.cumsum(counts).tolist()
+        blocks = [(first, end, lambda stream, shape, a=area: noise.draw_mixing(stream, a, shape))
+                  for first, end, area in zip([0] + ends[:-1], ends, classes)]
+    mixture = ((noise.mu * areas[order])[:, None], noise.gamma)
+    return draw_linear(weights, blocks, n, seed, _BATCH, mixture, threads)

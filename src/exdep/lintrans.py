@@ -35,8 +35,8 @@ inside the function that calls it, so importing this module, every eta
 computation and the oracle load numpy and no scipy subpackage.
 ``chi_gh_two`` takes a whole a22 curve, its a22 -> 1 limit included, and
 integrates it in one quadrature batch.  ``simulate_linear`` and
-``chi_mc`` draw X = A Y through one sampler, in chunks of replicates on
-:func:`exdep.streams.map_chunks` from an integer root seed.
+``chi_mc`` draw X = A Y as one block of the package's one sampler,
+:func:`exdep.streams.draw_linear`, node-major from an integer root seed.
 """
 
 import bisect
@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import (DomainError, MgfDivergenceError, OracleSizeError,
                      ParameterError, PreconditionError, RegimeError)
-from .streams import map_chunks
+from .streams import draw_linear, map_chunks
 
 __all__ = [
     "CoefficientMatrix",
@@ -472,27 +472,6 @@ def eta_gauge_oracle(matrix):
 # Tail dependence coefficient chi under asymptotic dependence
 # ----------------------------------------------------------------------
 
-def _linear_draws(a, dist, n, seed):
-    """n replicates of X = a Y, an (n, k) array, for a (k, m) array ``a``
-    and i.i.d. noise Y of law ``dist``.
-
-    Chunk i holds ``_MC_CHUNK`` replicates (the last one fewer) and draws
-    from the i-th sub-stream of the integer root ``seed``
-    (:func:`exdep.streams.map_chunks`): ``size * m`` noise values,
-    replicate-major, whose product with a^T fills the chunk's rows of the
-    result.  A row of ``a`` may be all zero.
-    """
-    m = a.shape[1]
-    out = np.empty((n, a.shape[0]))
-
-    def one_chunk(start, size, stream):
-        y = dist.sample(stream, size * m).reshape(size, m)
-        out[start:start + size] = y @ a.T
-
-    map_chunks(one_chunk, n, _MC_CHUNK, seed)
-    return out
-
-
 def chi_mc(matrix, dist, n_samples, seed):
     """Monte Carlo tail dependence coefficient under asymptotic dependence.
 
@@ -500,10 +479,10 @@ def chi_mc(matrix, dist, n_samples, seed):
     M_Z2(beta))) over ``n_samples`` draws of the residual noise Z = [r1;
     r2] Y, for an exponential-tailed ``dist`` (a
     :class:`exdep.exptail.NoiseDistribution`, so its tail index beta is
-    positive).  Z comes from the one sampler of X = A Y, from the integer
-    root ``seed`` (checked as :func:`exdep.streams.map_chunks` checks
-    it, also where no draw is needed); ``n_samples`` must be at least 2,
-    for a standard error.
+    positive).  Z is drawn as :func:`simulate_linear` draws [r1; r2] Y,
+    from the integer root ``seed`` (checked as
+    :func:`exdep.streams.map_chunks` checks it, also where no draw is
+    needed); ``n_samples`` must be at least 2, for a standard error.
 
     Returns
     -------
@@ -526,7 +505,8 @@ def chi_mc(matrix, dist, n_samples, seed):
             if not np.isfinite(m):
                 raise MgfDivergenceError(f"residual MGF diverges at t = {c * beta}")
             log_m[row] += math.log(m)
-    z = _linear_draws(np.array([r1, r2]), dist, n_samples, seed)
+    z = draw_linear(np.array([r1, r2]), [(0, r1.size, dist.draw_mixing)], n_samples, seed,
+                    _MC_CHUNK, dist.mixture)
     z *= beta
     z -= log_m
     np.exp(z, out=z)
@@ -628,9 +608,12 @@ def tail_summary(matrix):
 
 def simulate_linear(matrix, dist, n, seed):
     """n replicates of X = A Y with i.i.d. noise Y of law ``dist``, an
-    (n, k) array whose columns follow the rows of A, from the integer
-    root ``seed``: chunk i of ``_MC_CHUNK`` replicates draws from its
-    i-th sub-stream (:func:`exdep.streams.map_chunks`)."""
+    (n, k) array in column-major order whose columns follow the rows of
+    A.  A is one block of :func:`exdep.streams.draw_linear`, drawn by the
+    law's ``draw_mixing`` with its ``mixture`` (none for a GIG law):
+    chunk i of ``_MC_CHUNK`` replicates draws its node-major (m, size)
+    noise from the i-th sub-stream of the integer root ``seed``."""
     if n < 0:
         raise DomainError("n must be non-negative")
-    return _linear_draws(matrix.entries, dist, n, seed)
+    a = matrix.entries
+    return draw_linear(a, [(0, a.shape[1], dist.draw_mixing)], n, seed, _MC_CHUNK, dist.mixture)

@@ -1,16 +1,17 @@
-"""Seeded random streams and the chunked map that every sampler runs on.
+"""Seeded random streams and the one sampler of linear models X = A Y.
 
 The package draws noise one way: an integer root seed is split into
 sub-streams, and chunk i of a sample draws from the i-th of them.  Every
 sub-stream is a ``Generator`` on an SFC64 bit generator, seeded by one
 child of the root seed's ``numpy.random.SeedSequence``; it draws the
 Wald and normal values of the simulated fields faster than numpy's
-default PCG64.  numpy only, with no scipy import: the simulated fields
-of ``fem`` and the linear models X = A Y of ``lintrans`` draw through
-:func:`map_chunks` without loading the quadrature and optimization code
-of ``exptail``.
+default PCG64.  :func:`draw_linear` is the one sampler on
+:func:`map_chunks`: the type G fields of ``fem`` and the i.i.d. linear
+models of ``lintrans``, and :func:`normal_mixture` forms every normal
+mean-variance mixture.  numpy only, with no scipy import.
 """
 
+import threading
 from collections import deque
 
 import numpy as np
@@ -18,7 +19,9 @@ import numpy as np
 from .errors import ParameterError
 
 __all__ = [
+    "draw_linear",
     "map_chunks",
+    "normal_mixture",
     "substreams",
 ]
 
@@ -81,3 +84,50 @@ def map_chunks(func, n, chunk, seed, threads=1):
             results.extend(future.result() for future in window)
         return results
     return [func(start, size, stream) for start, size, stream in zip(starts, sizes, streams)]
+
+
+def normal_mixture(stream, v, shift, gamma, z=None):
+    """shift + gamma*V + sqrt(V)*Z in place of the mixing values ``v``, Z
+    drawn by one ``standard_normal`` call into ``z`` (new when None).  The
+    in-place steps only swap the operands of a product or a sum, so ``v``
+    ends bit-equal to the formula evaluated left to right."""
+    z = stream.standard_normal(out=np.empty_like(v) if z is None else z)
+    z *= np.sqrt(v)  # sqrt(V)*Z
+    v *= gamma
+    v += shift      # shift + gamma*V
+    v += z
+    return v
+
+
+def draw_linear(weights, blocks, n, seed, chunk, mixture=None, threads=1):
+    """n replicates of X = weights @ Y, an (n, k) array in column-major
+    order, for a (k, m) array ``weights``.
+
+    Chunk i of ``chunk`` replicates draws from the i-th sub-stream of the
+    integer root ``seed`` (:func:`map_chunks`, ``threads`` workers) into
+    a reused node-major (m, size) buffer V: each ``(first, end, draw)``
+    of ``blocks`` in turn sets rows first:end to ``draw(stream,
+    (end - first, size))``.  A ``mixture`` (shift, gamma) makes V the
+    :func:`normal_mixture` of those mixing values; ``shift`` broadcasts
+    against V.  ``weights @ V`` fills the chunk's rows of the result.
+    Memory is the result plus, per thread, V and Z of m x min(chunk, n)
+    values, one block's draw, sqrt(V) and one k x size product.
+    """
+    m = weights.shape[1]
+    out = np.empty((n, weights.shape[0]), order="F")
+    cells = m * min(chunk, n)
+    buffers = threading.local()  # concurrent chunks must not share a buffer
+
+    def one_chunk(start, size, stream):
+        if not hasattr(buffers, "v"):
+            buffers.v = np.empty(cells)
+            buffers.z = np.empty(cells) if mixture is not None else None
+        v = buffers.v[:m * size].reshape(m, size)
+        for first, end, draw in blocks:
+            v[first:end] = draw(stream, (end - first, size))
+        if mixture is not None:
+            normal_mixture(stream, v, *mixture, buffers.z[:v.size].reshape(v.shape))
+        out.T[:, start:start + size] = weights @ v
+
+    map_chunks(one_chunk, n, chunk, seed, threads)
+    return out

@@ -208,6 +208,28 @@ def _stream_builds(tree):
                 yield node.lineno, ast.unparse(func)
 
 
+def _chunk_mappers(tree):
+    """The top-level functions and methods of ``tree`` that call
+    ``map_chunks`` with a function to map, not with None (a seed check)."""
+    scopes = [node for top in tree.body
+              for node in ([top] if not isinstance(top, ast.ClassDef) else top.body)
+              if isinstance(node, ast.FunctionDef)]
+    for scope in scopes:
+        for node in ast.walk(scope):
+            if (isinstance(node, ast.Call) and _referenced(node.func) & {"map_chunks"}
+                    and not (node.args and isinstance(node.args[0], ast.Constant)
+                             and node.args[0].value is None)):
+                yield scope.name
+                break
+
+
+def test_one_sampler_maps_chunks():
+    # every noise draw goes through streams.draw_linear; other modules call
+    # map_chunks only with None, to check a seed before any work
+    mappers = [(name, func) for name in MODULES for func in _chunk_mappers(_tree(name))]
+    assert mappers == [("streams", "draw_linear")], mappers
+
+
 @pytest.mark.parametrize("name", [name for name in MODULES if name not in ("streams", "cli")])
 def test_only_streams_and_cli_build_random_streams(name):
     # every draw of the library comes from a sub-stream that streams.map_chunks

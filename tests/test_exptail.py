@@ -36,6 +36,22 @@ def test_inadmissible_triples(lam, tau, psi):
         GhParams(lam, tau, psi)
 
 
+@pytest.mark.parametrize("params", [
+    dict(lam=-0.5, tau=1.0, psi=1.0, mu=math.nan), dict(lam=-0.5, tau=1.0, psi=1.0, gamma=math.inf),
+    dict(lam=-0.5, tau=1.0, psi=1.0, mu=-math.inf), dict(lam=-0.5, tau=1.0, psi=1.0, gamma=math.nan),
+    dict(lam=-0.5, tau=math.inf, psi=1.0), dict(lam=-0.5, tau=1.0, psi=math.inf),
+    dict(lam=math.inf, tau=1.0, psi=1.0), dict(lam=1.0, tau=math.nan, psi=1.0),
+], ids=["mu-nan", "gamma-inf", "mu-minus-inf", "gamma-nan", "tau-inf", "psi-inf", "lam-inf",
+        "tau-nan"])
+def test_non_finite_parameters_are_rejected(params):
+    # NaN compares false and inf passes every sign rule, so each is checked
+    with pytest.raises(ParameterError, match="finite"):
+        GhParams(**params)
+    if "mu" not in params and "gamma" not in params:
+        with pytest.raises(ParameterError, match="finite"):
+            GigParams(**params)
+
+
 # -- densities ----------------------------------------------------------
 
 def quad_full(dist):
@@ -457,6 +473,19 @@ def test_gh_mgf_is_the_gig_mgf_at_the_mixing_argument(lam, tau, psi, t, offset):
     assert gh == NoiseDistribution.gig(lam, tau, psi).mgf(0.5 * t * t)
 
 
+@pytest.mark.parametrize("gamma", [-3.0, -1.0, -0.3, 0.3, 1.0, 3.0])
+def test_skewed_gh_mgf_at_the_tail_index_is_the_boundary_value(gamma):
+    # psi - 2u cancels at the tail index; (right - t)(left + t) is exact there,
+    # and M(beta) is the s -> 0 limit of the Bessel form, K_lambda(z) ~
+    # Gamma(-lambda) 2^{-lambda-1} z^lambda
+    lam, tau = -0.025, 0.73
+    for psi in (0.3, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0):
+        dist = NoiseDistribution.gh(lam, tau, psi, 0.0, gamma)
+        boundary = ((tau * psi) ** (lam / 2.0) * math.gamma(-lam) * 2.0 ** (-lam - 1.0)
+                    / bessel_k(lam, math.sqrt(tau * psi)))
+        assert dist.mgf(dist.tail_index) == pytest.approx(boundary, rel=1e-12), psi
+
+
 def test_mgf_needs_no_quadrature_and_one_bessel_per_call(monkeypatch):
     monkeypatch.setattr(exptail, "_gauss_kronrod", lambda *a, **k: pytest.fail("quadrature"))
     orders = []
@@ -537,6 +566,29 @@ def test_sampler_moments_match_quadrature():
     assert abs(s.mean() - mean) < 4 * se_mean
     se_var = np.sqrt(np.var((s - s.mean()) ** 2) / n)
     assert abs(s.var() - var) < 4 * se_var
+
+
+@pytest.mark.parametrize("seed,dist", [
+    (0, NoiseDistribution.nig(1.0, 1.0)),
+    (1, NoiseDistribution.nig(2.0, 2.0, mu=-1.0, gamma=1.0)),
+    (2, NoiseDistribution.nig(0.5, 3.0, mu=0.4, gamma=-0.6)),
+])
+def test_nig_sampler_moments_match_quadrature(seed, dist):
+    # NIG mixing values are Wald draws; the z bound of criterion 11
+    n = 10 ** 6
+    s = dist.sample(np.random.default_rng(seed), n)
+    mean, var = dist.mean(), dist.variance()
+    z_mean = abs(s.mean() - mean) / (s.std() / math.sqrt(n))
+    z_var = abs(s.var() - var) / math.sqrt(np.var((s - s.mean()) ** 2) / n)
+    assert z_mean < 4.0 and z_var < 4.0, (z_mean, z_var)
+
+
+def test_nig_mixing_values_are_wald_draws():
+    dist = NoiseDistribution.gig(-0.5, 2.0, 0.5)
+    mixing = dist.draw_mixing(np.random.default_rng(4), (3, 5))
+    wald = np.random.default_rng(4).wald(2.0, 2.0, (3, 5))  # mean sqrt(tau/psi), shape tau
+    assert np.array_equal(mixing, wald)
+    assert np.array_equal(dist.sample(np.random.default_rng(4), 15), wald.ravel())
 
 
 def test_gh_sample_skewness_zero_when_symmetric():

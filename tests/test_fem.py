@@ -348,6 +348,15 @@ def test_typeg_noise_validation():
         TypeGNoise("nig", 0.0, 0.0, psi=1.0, tau=0.0)
 
 
+@pytest.mark.parametrize("bad", [dict(psi=math.nan), dict(tau=math.nan), dict(gamma=math.nan),
+                                 dict(mu=math.inf), dict(psi=math.inf), dict(lam=math.nan)],
+                         ids=["psi-nan", "tau-nan", "gamma-nan", "mu-inf", "psi-inf", "lam-nan"])
+def test_typeg_noise_rejects_non_finite_parameters(bad):
+    # each of these once built a noise whose simulated field was not finite
+    with pytest.raises(ParameterError, match="finite"):
+        TypeGNoise("nig", **{**dict(mu=-1.0, gamma=1.0, psi=1.0, tau=1.0), **bad})
+
+
 def test_typeg_mixing_scales_linearly_in_area():
     noise = TypeGNoise("nig", mu=-1.0, gamma=1.0, psi=1.0, tau=1.0)
     vg = TypeGNoise("variance_gamma", mu=0.0, gamma=0.0, psi=2.0, lam=1.5)

@@ -523,14 +523,17 @@ def test_chi_mc_needs_two_samples(entries, n_samples):
 
 
 def test_chi_mc_is_the_mean_over_the_simulated_residuals(monkeypatch):
-    # Z = [r1; r2] Y from the sampler of simulate_linear, over several chunks
+    # Z = [r1; r2] Y over several chunks, each chunk's noise node-major,
+    # (2, size), from its sub-stream
     monkeypatch.setattr(lintrans, "_MC_CHUNK", 64)
     dist = NoiseDistribution.nig(1.0, 1.0)
     beta = dist.tail_index
-    value, se = chi_mc(CoefficientMatrix([[1.0, 0.3], [1.0, 0.7]]), dist, 150, 5)
-    z = simulate_linear(CoefficientMatrix([[0.3], [0.7]]), dist, 150, 5)
-    vals = np.minimum(np.exp(beta * z[:, 0]) / dist.mgf(0.3 * beta),
-                      np.exp(beta * z[:, 1]) / dist.mgf(0.7 * beta))
+    r = np.array([[0.3, 0.2], [0.7, 0.1]])
+    value, se = chi_mc(CoefficientMatrix([[1.0, 0.3, 0.2], [1.0, 0.7, 0.1]]), dist, 150, 5)
+    z = np.vstack([(r @ dist.sample(stream, 2 * size).reshape(2, size)).T
+                   for stream, size in zip(substreams(5, 3), (64, 64, 22))])
+    vals = np.minimum(np.exp(beta * z[:, 0]) / (dist.mgf(0.3 * beta) * dist.mgf(0.2 * beta)),
+                      np.exp(beta * z[:, 1]) / (dist.mgf(0.7 * beta) * dist.mgf(0.1 * beta)))
     assert value == pytest.approx(vals.mean(), rel=1e-12)
     assert se == pytest.approx(vals.std(ddof=1) / math.sqrt(150), rel=1e-9)
 
@@ -665,9 +668,10 @@ def test_simulate_linear_rows_are_per_chunk_draws_of_the_substreams(monkeypatch)
     dist = NoiseDistribution.variance_gamma(1.0, 2.0)
     a = np.array([[1.0, 0.3, 0.0], [0.5, 1.0, 0.2]])
     x = simulate_linear(CoefficientMatrix(a), dist, 150, 9)
-    ref = [dist.sample(stream, 3 * size).reshape(size, 3) @ a.T
+    # chunk i draws its noise node-major, (3, size), from the i-th sub-stream
+    ref = [(a @ dist.sample(stream, 3 * size).reshape(3, size)).T
            for stream, size in zip(substreams(9, 3), (64, 64, 22))]
-    assert np.array_equal(x, np.vstack(ref))
+    assert x.flags.f_contiguous and np.array_equal(x, np.vstack(ref))
 
 
 @pytest.mark.parametrize("call", [
